@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .bounds import BoundMethod, ScoreBounds
 from .data import SparseDataset
-from .losses import LossKind, dloss_values, loss_values
+from .losses import LossKind, Problem, dloss_values
 from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
@@ -177,27 +177,6 @@ def loocv_fold_bounds(full: TrainedModel, ds: SparseDataset, h: int) -> ScoreBou
     )
 
 
-def _fold_problem(ds: SparseDataset, h: int, lam: float, kind: LossKind):
-    """Objective/gradient of the leave-one-out problem without copying rows."""
-    X, y, n = ds.X, ds.y, ds.n
-
-    def vag(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = X @ beta
-        losses = loss_values(kind, y, scores)
-        dl = dloss_values(kind, y, scores)
-        dl[h] = 0.0
-        value = (losses.sum() - losses[h]) / (n - 1) + 0.5 * lam * (beta @ beta)
-        grad = (X.T @ dl) / (n - 1) + lam * beta
-        return float(value), grad
-
-    def val(beta: np.ndarray) -> float:
-        scores = X @ beta
-        losses = loss_values(kind, y, scores)
-        return float((losses.sum() - losses[h]) / (n - 1) + 0.5 * lam * (beta @ beta))
-
-    return vag, val
-
-
 def _solve_fold(
     ds: SparseDataset,
     h: int,
@@ -212,7 +191,7 @@ def _solve_fold(
     """Resolve one undecided fold by (possibly early-stopped) warm solve."""
     idx, vals = ds.row(h)
     y_h = float(ds.y[h])
-    vag, val = _fold_problem(ds, h, full.lam, full.kind)
+    problem = Problem(ds, full.lam, full.kind, held_out=h)
     verdict: list[bool] = []
 
     hook = None
@@ -234,7 +213,12 @@ def _solve_fold(
             return False
 
     beta, _, iters, stopped_early, _ = minimize_smooth(
-        vag, val, full.beta, tol=tol, max_iter=max_iter, stop_hook=hook
+        problem.value_and_grad,
+        problem.value,
+        full.beta,
+        tol=tol,
+        max_iter=max_iter,
+        stop_hook=hook,
     )
     if stopped_early:
         correct = verdict[0]
@@ -335,6 +319,8 @@ def run_loocv(
             screened=screened.get(h),
         )
 
+    if workers > 1 and unresolved:
+        ds.XT  # build the transpose once, before the threads share it
     t0 = time.perf_counter()
     pos = 0
     while pos < len(unresolved):

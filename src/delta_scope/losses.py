@@ -7,7 +7,8 @@ Both losses are functions of the margin z = y * score:
 * squared hinge:  max(0, 1 - z)^2  (the "l2-hinge")
 
 The regularized objective over a dataset is
-mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2.
+mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2; :class:`Problem` is
+its one implementation, for full training and for leave-one-out folds alike.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .data import SparseDataset
 
 __all__ = [
     "LossKind",
+    "Problem",
     "loss_values",
     "dloss_values",
     "loss_value",
@@ -43,27 +45,41 @@ class LossKind(Enum):
         raise ValueError(f"unknown loss {name!r} (expected one of: {known})")
 
 
-def loss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Per-instance loss, vectorized over margins."""
-    z = y * scores
+def _loss_terms(kind: LossKind, z: np.ndarray):
+    """Per-instance loss at margins ``z``, plus what its derivative reuses.
+
+    For the logistic loss that is exp(-|z|), so a point whose loss and
+    derivative are both needed pays one ``exp`` per score.
+    """
     if kind is LossKind.LOGISTIC:
-        return np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)
+        e = np.exp(-np.abs(z))
+        return np.log1p(e) + np.maximum(-z, 0.0), e
     if kind is LossKind.L2_HINGE:
         active = np.maximum(1.0 - z, 0.0)
-        return active * active
+        return active * active, None
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Per-instance derivative of the loss with respect to the score."""
-    z = y * scores
+def _dloss_terms(kind: LossKind, y: np.ndarray, z: np.ndarray, e) -> np.ndarray:
+    """Per-instance score derivative at margins ``z`` (``e`` from _loss_terms)."""
     if kind is LossKind.LOGISTIC:
-        e = np.exp(-np.abs(z))
         sig = np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))  # sigmoid(-z)
         return -y * sig
     if kind is LossKind.L2_HINGE:
         return -2.0 * y * np.maximum(1.0 - z, 0.0)
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def loss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per-instance loss, vectorized over margins."""
+    return _loss_terms(kind, y * scores)[0]
+
+
+def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per-instance derivative of the loss with respect to the score."""
+    z = y * scores
+    e = np.exp(-np.abs(z)) if kind is LossKind.LOGISTIC else None
+    return _dloss_terms(kind, y, z, e)
 
 
 def loss_value(kind: LossKind, y: float, score: float) -> float:
@@ -89,39 +105,93 @@ def instance_gradient(kind: LossKind, x, y: float, beta: np.ndarray) -> np.ndarr
     return dloss_dscore(kind, y, float(x @ beta)) * x
 
 
-def _check_problem(ds: SparseDataset, beta: np.ndarray, lam: float) -> np.ndarray:
-    if ds.n < 1:
-        raise ValueError("dataset is empty")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (ds.d,):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({ds.d},)")
-    return beta
+class Problem:
+    """The regularized empirical risk of ``ds`` as the solver sees it.
+
+    ``value(beta)`` and ``value_and_grad(beta)`` evaluate
+    mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2, or, with
+    ``held_out=h``, the leave-one-out problem of fold ``h``: row ``h`` gets
+    weight 0 and the remaining losses are averaged over n - 1.
+
+    The scores and loss terms of the last point evaluated are kept, keyed by
+    a copy of that point's bits. A solver that tries a point with ``value``
+    and then accepts it gets its gradient for one transpose product, without
+    a second ``X @ beta``; a point mutated in place after a call no longer
+    matches, so it is evaluated afresh. Every result is bit-identical to an
+    uncached evaluation. The cache is replaced as one tuple, so concurrent
+    callers never pair one point with another's terms, but a Problem is
+    meant to serve one solve.
+    """
+
+    def __init__(
+        self,
+        ds: SparseDataset,
+        lam: float,
+        kind: LossKind,
+        held_out: int | None = None,
+    ) -> None:
+        if ds.n < 1:
+            raise ValueError("dataset is empty")
+        if lam <= 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        if held_out is not None:
+            if ds.n < 2:
+                raise ValueError("leave-one-out needs at least 2 instances")
+            if not 0 <= held_out < ds.n:
+                raise ValueError(f"fold index {held_out} out of range for n={ds.n}")
+        self.ds = ds
+        self.lam = lam
+        self.kind = kind
+        self.held_out = held_out
+        self._last = None
+
+    def _terms(self, beta: np.ndarray):
+        """(point, z, loss terms, exp(-|z|) or None) at ``beta``, cached."""
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.shape != (self.ds.d,):
+            raise ValueError(f"beta has shape {beta.shape}, expected ({self.ds.d},)")
+        last = self._last
+        if last is None or not np.array_equal(last[0].view(np.int64), beta.view(np.int64)):
+            z = self.ds.y * (self.ds.X @ beta)
+            losses, e = _loss_terms(self.kind, z)
+            last = self._last = (beta.copy(), z, losses, e)
+        return last
+
+    def _value(self, beta: np.ndarray, losses: np.ndarray) -> float:
+        penalty = 0.5 * self.lam * (beta @ beta)
+        h = self.held_out
+        if h is None:
+            return float(losses.mean() + penalty)
+        return float((losses.sum() - losses[h]) / (self.ds.n - 1) + penalty)
+
+    def value(self, beta: np.ndarray) -> float:
+        beta, _, losses, _ = self._terms(beta)
+        return self._value(beta, losses)
+
+    def value_and_grad(self, beta: np.ndarray) -> tuple[float, np.ndarray]:
+        beta, z, losses, e = self._terms(beta)
+        ds, h = self.ds, self.held_out
+        dl = _dloss_terms(self.kind, ds.y, z, e)
+        if h is None:
+            grad = ds.XT @ (dl / ds.n) + self.lam * beta
+        else:
+            dl[h] = 0.0
+            grad = (ds.XT @ dl) / (ds.n - 1) + self.lam * beta
+        return self._value(beta, losses), grad
 
 
 def objective(ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind) -> float:
-    beta = _check_problem(ds, beta, lam)
-    scores = ds.X @ beta
-    return float(loss_values(kind, ds.y, scores).mean() + 0.5 * lam * (beta @ beta))
+    return Problem(ds, lam, kind).value(beta)
 
 
 def objective_gradient(
     ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind
 ) -> np.ndarray:
-    beta = _check_problem(ds, beta, lam)
-    scores = ds.X @ beta
-    dl = dloss_values(kind, ds.y, scores)
-    return ds.X.T @ (dl / ds.n) + lam * beta
+    return Problem(ds, lam, kind).value_and_grad(beta)[1]
 
 
 def value_and_gradient(
     ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind
 ) -> tuple[float, np.ndarray]:
     """Objective and gradient in one pass (shares the score matvec)."""
-    beta = _check_problem(ds, beta, lam)
-    scores = ds.X @ beta
-    value = float(loss_values(kind, ds.y, scores).mean() + 0.5 * lam * (beta @ beta))
-    dl = dloss_values(kind, ds.y, scores)
-    grad = ds.X.T @ (dl / ds.n) + lam * beta
-    return value, grad
+    return Problem(ds, lam, kind).value_and_grad(beta)

@@ -5,6 +5,12 @@ with Armijo backtracking (c = 1e-4, step halving). Stopping is on the
 Euclidean norm of the full objective gradient. Everything is sequential
 floating-point arithmetic with no randomness, so repeated runs on the same
 inputs produce bit-identical iterates.
+
+``minimize_smooth`` takes the objective as two callbacks. ``train``,
+``incremental_train`` and the leave-one-out fold solves all feed it the
+bound methods of one cached :class:`~delta_scope.losses.Problem`; an
+accepted line-search trial is passed on as the next iterate unmodified, so
+its gradient reuses the scores the trial already computed.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .data import SparseDataset
-from .losses import LossKind, loss_values, value_and_gradient
+from .losses import LossKind, Problem
 
 __all__ = [
     "TrainedModel",
@@ -25,7 +31,6 @@ __all__ = [
     "train",
     "incremental_train",
     "minimize_smooth",
-    "reference_gradient_descent",
     "DEFAULT_TRAIN_TOL",
     "DEFAULT_INCREMENTAL_TOL",
     "MAX_ITER",
@@ -150,7 +155,7 @@ def minimize_smooth(
                 break
             step *= _BACKTRACK
         if accepted:
-            beta_next = beta + step * direction
+            beta_next = candidate  # its scores are still in the objective's cache
             f_next, g_next = value_and_grad(beta_next)
         else:
             # Objective differences have dropped below float resolution, so
@@ -200,17 +205,6 @@ def minimize_smooth(
     )
 
 
-def _problem_functions(ds: SparseDataset, lam: float, kind: LossKind):
-    def vag(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        return value_and_gradient(ds, beta, lam, kind)
-
-    def val(beta: np.ndarray) -> float:
-        scores = ds.X @ beta
-        return float(loss_values(kind, ds.y, scores).mean() + 0.5 * lam * (beta @ beta))
-
-    return vag, val
-
-
 def train(
     ds: SparseDataset,
     lam: float,
@@ -232,9 +226,9 @@ def train(
     start = np.zeros(ds.d) if init is None else np.asarray(init, dtype=np.float64)
     if start.shape != (ds.d,):
         raise ValueError(f"init has shape {start.shape}, expected ({ds.d},)")
-    vag, val = _problem_functions(ds, lam, kind)
+    problem = Problem(ds, lam, kind)
     beta, gnorm, iters, _, wall = minimize_smooth(
-        vag, val, start, tol=tol, max_iter=max_iter
+        problem.value_and_grad, problem.value, start, tol=tol, max_iter=max_iter
     )
     model = TrainedModel(beta, lam, kind, gnorm, ds.n)
     return model, SolveReport(iters, gnorm, False, wall)
@@ -257,37 +251,14 @@ def incremental_train(
         raise ValueError(f"dataset dimension {new_ds.d} != model dimension {old.d}")
     if new_ds.n < 1:
         raise ValueError("updated dataset is empty")
-    vag, val = _problem_functions(new_ds, old.lam, old.kind)
+    problem = Problem(new_ds, old.lam, old.kind)
     beta, gnorm, iters, early, wall = minimize_smooth(
-        vag, val, old.beta, tol=tol, max_iter=max_iter, stop_hook=stop_hook
+        problem.value_and_grad,
+        problem.value,
+        old.beta,
+        tol=tol,
+        max_iter=max_iter,
+        stop_hook=stop_hook,
     )
     model = TrainedModel(beta, old.lam, old.kind, gnorm, new_ds.n)
     return model, SolveReport(iters, gnorm, early, wall)
-
-
-def reference_gradient_descent(
-    ds: SparseDataset,
-    lam: float,
-    kind: LossKind,
-    *,
-    tol: float = 1e-6,
-    init: np.ndarray | None = None,
-    max_iter: int = 200_000,
-) -> np.ndarray:
-    """Plain steepest descent with Armijo backtracking (cross-check oracle)."""
-    beta = np.zeros(ds.d) if init is None else np.array(init, dtype=np.float64)
-    vag, val = _problem_functions(ds, lam, kind)
-    f, g = vag(beta)
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return beta
-        step = 1.0
-        gd = -gnorm * gnorm
-        while val(beta - step * g) > f + _ARMIJO_C * step * gd:
-            step *= _BACKTRACK
-            if step < 1e-20:
-                return beta
-        beta = beta - step * g
-        f, g = vag(beta)
-    raise SolverError("gradient descent did not converge", beta, float(np.linalg.norm(g)), max_iter)

@@ -26,6 +26,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 EXACT_TOL = 1e-12
 
 
+def reference_gradient_descent(
+    ds, lam, kind, *, tol=1e-6, init=None, max_iter=200_000
+) -> np.ndarray:
+    """Plain steepest descent with Armijo backtracking (cross-check oracle).
+
+    Written over the public ``objective``/``objective_gradient`` only, so it
+    shares no code path with the quasi-Newton solver it checks.
+    """
+    beta = np.zeros(ds.d) if init is None else np.array(init, dtype=np.float64)
+    f = dsc.objective(ds, beta, lam, kind)
+    g = dsc.objective_gradient(ds, beta, lam, kind)
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tol:
+            return beta
+        step = 1.0
+        gd = -gnorm * gnorm
+        while dsc.objective(ds, beta - step * g, lam, kind) > f + 1e-4 * step * gd:
+            step *= 0.5
+            if step < 1e-20:
+                return beta
+        beta = beta - step * g
+        f = dsc.objective(ds, beta, lam, kind)
+        g = dsc.objective_gradient(ds, beta, lam, kind)
+    raise dsc.SolverError("gradient descent did not converge", beta, float(np.linalg.norm(g)), max_iter)
+
+
 def exact_solve(ds, lam, kind, init=None) -> dsc.TrainedModel:
     model, _ = dsc.train(ds, lam, kind, tol=EXACT_TOL, init=init)
     return model

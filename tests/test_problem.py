@@ -1,0 +1,250 @@
+"""The cached objective: bit-identity with uncached evaluation and solves.
+
+``ReferenceProblem`` below restates the objective from the public
+``loss_values``/``dloss_values`` and a fresh ``X.T`` product on every call,
+with no cache, so it shares no code path with :class:`Problem` beyond the
+per-instance loss formulas.
+"""
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import delta_scope as dsc
+import delta_scope.loocv as loocv_module
+import delta_scope.solver as solver_module
+from delta_scope.losses import LossKind, Problem, dloss_values, loss_values
+from delta_scope.solver import minimize_smooth
+
+ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
+ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
+
+
+class ReferenceProblem:
+    """Uncached objective with the same interface as :class:`Problem`."""
+
+    def __init__(self, ds, lam, kind, held_out=None):
+        self.ds, self.lam, self.kind, self.held_out = ds, lam, kind, held_out
+
+    def value(self, beta):
+        ds, h = self.ds, self.held_out
+        losses = loss_values(self.kind, ds.y, ds.X @ beta)
+        if h is None:
+            return float(losses.mean() + 0.5 * self.lam * (beta @ beta))
+        return float((losses.sum() - losses[h]) / (ds.n - 1) + 0.5 * self.lam * (beta @ beta))
+
+    def value_and_grad(self, beta):
+        ds, h = self.ds, self.held_out
+        dl = dloss_values(self.kind, ds.y, ds.X @ beta)
+        if h is None:
+            grad = ds.X.T @ (dl / ds.n) + self.lam * beta
+        else:
+            dl[h] = 0.0
+            grad = (ds.X.T @ dl) / (ds.n - 1) + self.lam * beta
+        return self.value(beta), grad
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def random_dataset(rng, n, d, density):
+    """Sparse dataset with some rows and columns forced empty."""
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    if n:
+        X[rng.random(n) < 0.2, :] = 0.0
+    X[:, rng.random(d) < 0.2] = 0.0
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return dsc.SparseDataset(sp.csr_matrix(X), y)
+
+
+# ---------------------------------------------------------------------------
+# the cached transpose
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    d=st.integers(1, 30),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_transpose_product_is_bit_identical(n, d, density, seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n, d, density)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+    assert ds.XT.shape == (d, n)
+    assert_same_bits(ds.XT @ v, ds.X.T @ v)
+    assert ds.XT is ds.XT
+    assert not ds.XT.data.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the cache never returns stale terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    hold=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["value", "value_and_grad"]),
+            st.sampled_from(["new", "same", "copy", "mutate"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_interleaved_calls_match_fresh_evaluations(kind, hold, seed, calls):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, 25, 6, 0.5)
+    held_out = int(rng.integers(ds.n)) if hold else None
+    problem = Problem(ds, 0.1, kind, held_out=held_out)
+    beta = rng.standard_normal(ds.d)
+    for method, point in calls:
+        if point == "new":
+            beta = rng.standard_normal(ds.d) * 3.0
+        elif point == "copy":
+            beta = beta.copy()
+        elif point == "mutate":
+            beta[int(rng.integers(ds.d))] += float(rng.standard_normal())
+        got = getattr(problem, method)(beta)
+        fresh = getattr(Problem(ds, 0.1, kind, held_out=held_out), method)(beta)
+        ref = getattr(ReferenceProblem(ds, 0.1, kind, held_out), method)(beta)
+        if method == "value":
+            assert_same_bits(got, fresh)
+            assert_same_bits(got, ref)
+        else:
+            for a, b in ((got, fresh), (got, ref)):
+                assert_same_bits(a[0], b[0])
+                assert_same_bits(a[1], b[1])
+
+
+def test_in_place_mutation_after_a_call_is_seen():
+    ds = dsc.make_synthetic(0, 40, 5)
+    problem = Problem(ds, 0.2, LossKind.LOGISTIC)
+    beta = np.zeros(ds.d)
+    f0 = problem.value(beta)
+    beta[2] = 1.5
+    f1, g1 = problem.value_and_grad(beta)
+    assert f1 != f0
+    assert_same_bits(g1, dsc.objective_gradient(ds, beta, 0.2, LossKind.LOGISTIC))
+
+
+def test_problem_validates_inputs():
+    ds = dsc.make_synthetic(0, 10, 3)
+    with pytest.raises(ValueError, match="fold index"):
+        Problem(ds, 0.1, LossKind.LOGISTIC, held_out=10)
+    with pytest.raises(ValueError, match="at least 2"):
+        Problem(ds.take([0]), 0.1, LossKind.LOGISTIC, held_out=0)
+    with pytest.raises(ValueError, match="shape"):
+        Problem(ds, 0.1, LossKind.LOGISTIC).value(np.zeros(4))
+
+
+class CountingMatrix:
+    """Stands in for ``X`` and counts the score products taken with it."""
+
+    def __init__(self, X):
+        self.X, self.products = X, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.X @ v
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_accepted_trial_scores_are_reused(kind):
+    ds = dsc.make_synthetic(3, 200, 12, separation=1.0)
+    counting = CountingMatrix(ds.X)
+    view = SimpleNamespace(n=ds.n, d=ds.d, y=ds.y, X=counting, XT=ds.XT)
+    problem = Problem(view, 0.01, kind)
+    calls = {"value": 0, "value_and_grad": 0}
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(beta):
+            calls[name] += 1
+            return fn(beta)
+
+        return wrapper
+
+    _, _, iters, _, _ = minimize_smooth(
+        counted("value_and_grad"), counted("value"), np.zeros(ds.d), tol=1e-10
+    )
+    # one gradient per iteration plus the start, none of them a fallback
+    assert calls["value_and_grad"] == iters + 1
+    # every score product is a line-search trial, except the starting point's
+    assert counting.products == calls["value"] + 1
+
+
+# ---------------------------------------------------------------------------
+# solves are bit-identical to uncached ones
+
+
+def uncached(monkeypatch):
+    monkeypatch.setattr(solver_module, "Problem", ReferenceProblem)
+    monkeypatch.setattr(loocv_module, "Problem", ReferenceProblem)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_train_and_incremental_train_match_uncached_reference(kind, monkeypatch):
+    ds = dsc.make_synthetic(7, 150, 10, separation=1.0, density=0.6)
+    new_ds = dsc.apply_update(ds, dsc.UpdatePlan(dsc.make_synthetic(8, 4, 10), (3, 40)))
+
+    def solves():
+        model, rep = dsc.train(ds, 0.01, kind, tol=1e-10)
+        warm, warm_rep = dsc.incremental_train(model, new_ds, tol=1e-9)
+        return model, rep, warm, warm_rep
+
+    cached = solves()
+    with monkeypatch.context() as m:
+        uncached(m)
+        reference = solves()
+    for (a, a_rep), (b, b_rep) in zip(
+        (cached[:2], cached[2:]), (reference[:2], reference[2:])
+    ):
+        assert_same_bits(a.beta, b.beta)
+        assert a_rep.iterations == b_rep.iterations
+        assert_same_bits(a.grad_residual, b.grad_residual)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_loocv_matches_uncached_reference(mode, kind, monkeypatch):
+    ds = dsc.make_synthetic(11, 80, 6, separation=0.8)
+    full, _ = dsc.train(ds, 0.05, kind, tol=1e-12)
+
+    def run(m):
+        fold_betas = []
+
+        def recording_minimize(*args, **kwargs):
+            out = minimize_smooth(*args, **kwargs)
+            fold_betas.append(out[0])
+            return out
+
+        m.setattr(loocv_module, "minimize_smooth", recording_minimize)
+        result = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
+        return result, fold_betas
+
+    with monkeypatch.context() as m:
+        cached, cached_betas = run(m)
+    with monkeypatch.context() as m:
+        uncached(m)
+        reference, reference_betas = run(m)
+    assert cached.solves_performed == len(cached_betas) > 0
+    assert len(cached_betas) == len(reference_betas)
+    for a, b in zip(cached_betas, reference_betas):
+        assert_same_bits(a, b)
+    assert cached.outcomes == reference.outcomes
+    assert cached.solver_iterations == reference.solver_iterations
+    assert cached.error_rate == reference.error_rate

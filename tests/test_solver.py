@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import reference_gradient_descent
 from delta_scope.data import make_synthetic
 from delta_scope.losses import LossKind, objective, objective_gradient
 from delta_scope.solver import (
     SolverError,
     incremental_train,
     minimize_smooth,
-    reference_gradient_descent,
     train,
 )
 
