@@ -10,7 +10,7 @@ bounds prove unnecessary.
 Run from the repository root:
 
     python scripts/loocv_mode_benchmark.py
-    python scripts/loocv_mode_benchmark.py --n 400 --d 100 --threads 4
+    python scripts/loocv_mode_benchmark.py --n 400 --d 100 --loss l2-hinge
 """
 from __future__ import annotations
 
@@ -38,9 +38,6 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--fold-tol", type=float, default=1e-8, help="fold solve tolerance"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads for fold solves"
     )
     return parser.parse_args()
 
@@ -76,7 +73,6 @@ def main() -> None:
                 mode=mode,
                 fold_tol=args.fold_tol,
                 full=full,
-                threads=args.threads,
             )
             rates.add(res.error_rate)
             totals[mode][0] += res.solves_performed

@@ -317,7 +317,6 @@ def _cmd_loocv(args) -> dict:
         order_trick=args.order_trick,
         fold_tol=args.fold_tol,
         full_tol=args.full_tol,
-        threads=args.threads,
     )
     params = {
         "loss": kind.value,
@@ -581,7 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="abandon grid cells that cannot beat the incumbent")
     p.add_argument("--fold-tol", type=float, default=L.DEFAULT_FOLD_TOL)
     p.add_argument("--full-tol", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=None)
     _add_report_arg(p)
     p.set_defaults(func=_cmd_loocv)
 

@@ -70,6 +70,18 @@ def _dloss_terms(kind: LossKind, y: np.ndarray, z: np.ndarray, e) -> np.ndarray:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def _d2loss_terms(kind: LossKind, z: np.ndarray, e) -> np.ndarray:
+    """Per-instance second score derivative (curvature) at margins ``z``.
+
+    ``e`` is exp(-|z|) from _loss_terms; y * y = 1, so labels drop out.
+    """
+    if kind is LossKind.LOGISTIC:
+        return e / ((1.0 + e) * (1.0 + e))  # sigmoid(z) * sigmoid(-z)
+    if kind is LossKind.L2_HINGE:
+        return np.where(z < 1.0, 2.0, 0.0)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
 def loss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Per-instance loss, vectorized over margins."""
     return _loss_terms(kind, y * scores)[0]

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -437,3 +440,15 @@ def test_installed_entry_point_runs():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "coef-sensitivity" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # importing scipy.linalg costs every CLI process ~0.1 s; numpy.linalg suffices
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, delta_scope.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

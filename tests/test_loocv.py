@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import delta_scope as dsc
+from delta_scope import loocv as loocv_module
 from delta_scope.loocv import FoldDecision, LoocvMode
 
 ALL_MODES = [LoocvMode.EXACT, LoocvMode.OP1, LoocvMode.OP2]
@@ -160,7 +161,7 @@ def test_screen_decisions_match_standalone_fold_bounds():
 
 
 # ---------------------------------------------------------------------------
-# ordering, threading, supplied models
+# ordering, supplied models
 
 
 def test_order_trick_changes_nothing_but_order():
@@ -172,27 +173,6 @@ def test_order_trick_changes_nothing_but_order():
     assert ordered.error_rate == plain.error_rate
     for a, b in zip(plain.outcomes, ordered.outcomes):
         assert (a.index, a.decision, a.correct) == (b.index, b.decision, b.correct)
-
-
-def test_thread_count_does_not_change_results():
-    ds = dsc.make_synthetic(307, 50, 6, separation=1.0)
-    one = dsc.run_loocv(ds, 0.05, dsc.LossKind.L2_HINGE, mode=LoocvMode.OP2, threads=1)
-    four = dsc.run_loocv(ds, 0.05, dsc.LossKind.L2_HINGE, mode=LoocvMode.OP2, threads=4)
-    assert one.error_rate == four.error_rate
-    for a, b in zip(one.outcomes, four.outcomes):
-        assert (a.index, a.decision, a.correct) == (b.index, b.decision, b.correct)
-
-
-def test_threads_env_var(monkeypatch):
-    ds = dsc.make_synthetic(308, 20, 4)
-    monkeypatch.setenv(dsc.THREADS_ENV_VAR, "2")
-    res = dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC)
-    assert len(res.outcomes) == 20
-    monkeypatch.setenv(dsc.THREADS_ENV_VAR, "zero")
-    with pytest.raises(ValueError, match="integer"):
-        dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC)
-    with pytest.raises(ValueError, match="at least 1"):
-        dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, threads=0)
 
 
 def test_supplied_full_model_is_used_and_validated():
@@ -225,6 +205,82 @@ def test_mode_from_name():
 
 
 # ---------------------------------------------------------------------------
+# Newton starts
+
+
+def verdicts(result):
+    return [(o.index, o.correct) for o in result.outcomes]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_newton_start_saves_iterations_and_keeps_verdicts(mode, kind, monkeypatch):
+    ds = dsc.make_synthetic(400, 120, 8, separation=1.0)
+    full, _ = dsc.train(ds, 0.05, kind, tol=1e-10)
+    newton = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
+    monkeypatch.setattr(loocv_module, "_newton_starts", lambda full, ds: lambda h: full.beta)
+    shared = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
+    assert newton.solves_performed == shared.solves_performed > 0
+    if mode is not LoocvMode.EXACT:
+        assert newton.solves_performed < ds.n  # screening left some folds undecided
+    assert verdicts(newton) == verdicts(shared)
+    assert newton.error_rate == shared.error_rate
+    assert newton.solver_iterations < shared.solver_iterations
+
+
+def test_newton_point_is_one_newton_step_of_the_fold_problem():
+    ds = dsc.make_synthetic(401, 40, 5, separation=1.0)
+    lam, kind = 0.1, dsc.LossKind.LOGISTIC
+    full, _ = dsc.train(ds, lam, kind, tol=1e-12)
+    start = loocv_module._newton_starts(full, ds)
+    for h in (0, 17, 39):
+        keep = [i for i in range(ds.n) if i != h]
+        X = np.asarray(ds.X[keep].todense())
+        y = ds.y[keep]
+        z = y * (X @ full.beta)
+        sig = 1.0 / (1.0 + np.exp(-z))
+        grad = X.T @ (-y * (1.0 - sig)) / (ds.n - 1) + lam * full.beta
+        hess = (X.T * (sig * (1.0 - sig))) @ X / (ds.n - 1) + lam * np.eye(ds.d)
+        expected = full.beta - np.linalg.solve(hess, grad)
+        np.testing.assert_allclose(start(h), expected, rtol=1e-9, atol=1e-12)
+
+
+def test_op2_certifies_folds_whose_start_already_meets_tol():
+    # at lam = 1 most Newton points meet the default fold_tol before any
+    # iteration; op2 still decides those folds by the gradient ball
+    ds = dsc.make_synthetic(400, 120, 8, separation=1.0)
+    lam, kind = 1.0, dsc.LossKind.LOGISTIC
+    op2 = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2)
+    exact = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, fold_tol=1e-10)
+    solved = [o for o in op2.outcomes if o.bounds.lower <= 0.0 <= o.bounds.upper]
+    assert solved
+    assert all(o.decision is FoldDecision.RESOLVED_BY_EARLY_STOP for o in solved)
+    assert verdicts(op2) == verdicts(exact)
+
+
+def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
+    ds = dsc.make_synthetic(402, 60, 80, separation=1.5, density=0.1)
+    assert ds.d * ds.d > ds.X.nnz
+    lam, kind = 0.05, dsc.LossKind.LOGISTIC
+    full, _ = dsc.train(ds, lam, kind, tol=1e-10)
+    inits = []
+    minimize = loocv_module.minimize_smooth
+
+    def recording_minimize(value_and_grad, value, init, **kwargs):
+        inits.append(np.array(init))
+        return minimize(value_and_grad, value, init, **kwargs)
+
+    monkeypatch.setattr(loocv_module, "minimize_smooth", recording_minimize)
+    exact = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full)
+    assert len(inits) == ds.n
+    for init in inits:
+        np.testing.assert_array_equal(init, full.beta)
+    for mode in (LoocvMode.OP1, LoocvMode.OP2):
+        res = dsc.run_loocv(ds, lam, kind, mode=mode, full=full)
+        assert verdicts(res) == verdicts(exact)
+
+
+# ---------------------------------------------------------------------------
 # pruning
 
 
@@ -249,9 +305,7 @@ def test_prune_mid_loop_keeps_sound_interval():
     # threshold sits exactly at the screen-time error, so the run survives
     # screening and is abandoned at the first wrong solved fold
     threshold = screen_wrong / ds.n
-    pruned = dsc.run_loocv(
-        ds, lam, kind, mode=LoocvMode.OP1, prune_above=threshold, threads=1
-    )
+    pruned = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, prune_above=threshold)
     assert pruned.pruned
     assert 0 < pruned.solves_performed < complete.solves_performed
     assert pruned.error_lower > threshold

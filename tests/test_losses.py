@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from delta_scope.data import make_synthetic, parse_libsvm
 from delta_scope.losses import (
     LossKind,
+    _d2loss_terms,
     dloss_dscore,
     dloss_values,
     instance_gradient,
@@ -94,6 +95,21 @@ def test_derivative_matches_central_differences(kind):
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_curvature_matches_central_differences(kind):
+    rng = np.random.default_rng(8)
+    y = rng.choice([-1.0, 1.0], size=400)
+    s = rng.uniform(-6.0, 6.0, size=400)
+    away = np.abs(y * s - 1.0) > 1e-3  # away from the squared hinge's kink
+    y, s = y[away], s[away]
+    z = y * s
+    e = np.exp(-np.abs(z))
+    step = 1e-6 * (1.0 + np.abs(s))
+    fd = (dloss_values(kind, y, s + step) - dloss_values(kind, y, s - step)) / (2 * step)
+    np.testing.assert_allclose(_d2loss_terms(kind, z, e), fd, rtol=1e-5, atol=1e-7)
+    assert s.size > 300
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
