@@ -8,13 +8,23 @@ time, and every linear score eta . beta_new is then sandwiched as
     eta . center - ||eta|| * radius  <=  eta . beta_new
                                      <=  eta . center + ||eta|| * radius.
 
-Two ball constructions are available:
+There is one ball, the gradient ball of the *new* problem: for any
+candidate point b with new-problem gradient g at b,
 
-* the old-optimum ball, built from the old optimum and the gradient summary
-  of the changed instances (``compute_delta_s`` -> ``old_optimum_ball``);
-* the gradient ball, built from any candidate iterate of the *new* problem
-  and its objective gradient (``gradient_ball``), which shrinks to a point
-  as the candidate converges.
+    center = b - g / (2 lambda),    radius = ||g|| / (2 lambda),
+
+``gradient_ball``, and ``gradient_ball_bounds`` for its projection onto
+directions known only through dot products. Its gradient comes from one of
+two sources:
+
+* the update alone (``compute_delta_s`` -> ``old_optimum_ball``): at
+  b = beta_old, with the old model taken as stationary, the new gradient is
+  lambda (n_A - n_R)/n_new beta_old + (n_A + n_R)/n_new delta_s; leave-one-out
+  screening uses the same gradient for a one-row removal;
+* the new problem itself, evaluated at any iterate, which makes the ball a
+  convergence certificate that shrinks to a point as the iterate converges.
+
+``certified_sign`` is the one decision rule applied to the intervals.
 """
 from __future__ import annotations
 
@@ -31,7 +41,6 @@ from .losses import dloss_values
 from .solver import TrainedModel
 
 __all__ = [
-    "BallSource",
     "BoundMethod",
     "Label",
     "SolutionBall",
@@ -44,6 +53,8 @@ __all__ = [
     "compute_delta_s",
     "old_optimum_ball",
     "gradient_ball",
+    "gradient_ball_bounds",
+    "certified_sign",
     "score_bounds",
     "coefficient_bounds",
     "norm_change_bound",
@@ -57,11 +68,6 @@ RESIDUAL_GUARD = 1e-6
 
 class StaleOptimumWarning(UserWarning):
     """The old model's gradient residual is too large for tight guarantees."""
-
-
-class BallSource(Enum):
-    OLD_OPTIMUM = "old-optimum"
-    GRADIENT_ITERATE = "gradient-iterate"
 
 
 class BoundMethod(Enum):
@@ -78,11 +84,14 @@ class Label(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SolutionBall:
-    """Closed Euclidean ball certified to contain the re-trained optimum."""
+    """Closed Euclidean ball certified to contain the re-trained optimum.
+
+    ``method`` is what the score bounds over this ball report.
+    """
 
     center: np.ndarray
     radius: float
-    source: BallSource
+    method: BoundMethod
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=np.float64)
@@ -209,32 +218,37 @@ def compute_delta_s(
 
 
 def old_optimum_ball(old: TrainedModel, stats: UpdateStats) -> SolutionBall:
-    """Ball around a weighted old optimum, from the update summary alone.
+    """The gradient ball of the new problem at beta_old, from the update summary alone.
 
-    center = ((n_old + n_new) / (2 n_new)) * beta_old
-             - (1/lambda) ((n_added + n_removed) / (2 n_new)) * delta_s
-    radius = (1/2) || ((n_added - n_removed) / n_new) * beta_old
-                      + (1/lambda) ((n_added + n_removed) / n_new) * delta_s ||
+    With the old model stationary, the new problem's gradient at beta_old is
+
+    grad = lambda ((n_added - n_removed) / n_new) * beta_old
+           + ((n_added + n_removed) / n_new) * delta_s,
+
+    so center = ((n_old + n_new) / (2 n_new)) * beta_old
+                - (1/lambda) ((n_added + n_removed) / (2 n_new)) * delta_s
+    and radius = ||grad|| / (2 lambda).
     """
     if stats.n_new <= 0:
         raise ValueError(f"update empties the training set (n_new={stats.n_new})")
     if stats.delta_s.shape != old.beta.shape:
         raise ValueError("delta_s dimension does not match the model")
-    n_old, n_new = stats.n_old, stats.n_new
-    k = stats.n_added + stats.n_removed
-    inv_lam = 1.0 / old.lam
-    center = ((n_old + n_new) / (2.0 * n_new)) * old.beta - (
-        inv_lam * k / (2.0 * n_new)
+    n_new = stats.n_new
+    grad = (old.lam * (stats.n_added - stats.n_removed) / n_new) * old.beta + (
+        (stats.n_added + stats.n_removed) / n_new
     ) * stats.delta_s
-    drift = ((stats.n_added - stats.n_removed) / n_new) * old.beta + (
-        inv_lam * k / n_new
-    ) * stats.delta_s
-    radius = 0.5 * float(np.linalg.norm(drift))
-    return SolutionBall(center, radius, BallSource.OLD_OPTIMUM)
+    ball = gradient_ball(old.beta, grad, old.lam)
+    return SolutionBall(ball.center, ball.radius, BoundMethod.OLD_OPTIMUM_BALL)
+
+
+def _gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam: float):
+    """(eta . center, ||eta|| * radius) of the gradient ball, from dot products."""
+    half_inv = 0.5 / lam
+    return eta_candidate - half_inv * eta_grad, half_inv * eta_norm * grad_norm
 
 
 def gradient_ball(candidate: np.ndarray, grad: np.ndarray, lam: float) -> SolutionBall:
-    """Ball around any iterate of the *new* problem, from its gradient.
+    """Ball around any point of the *new* problem, from its gradient there.
 
     center = candidate - grad / (2 lambda); radius = ||grad|| / (2 lambda).
     Valid at every iterate, so it doubles as a convergence certificate: the
@@ -246,16 +260,31 @@ def gradient_ball(candidate: np.ndarray, grad: np.ndarray, lam: float) -> Soluti
     grad = np.asarray(grad, dtype=np.float64)
     if candidate.shape != grad.shape:
         raise ValueError("candidate and gradient shapes differ")
-    half_inv = 0.5 / lam
-    center = candidate - half_inv * grad
-    radius = half_inv * float(np.linalg.norm(grad))
-    return SolutionBall(center, radius, BallSource.GRADIENT_ITERATE)
+    # the unit vectors e_j project the ball onto its own coordinates
+    center, radius = _gradient_ball_parts(
+        candidate, grad, 1.0, float(np.linalg.norm(grad)), lam
+    )
+    return SolutionBall(center, radius, BoundMethod.GRADIENT_BALL)
 
 
-_METHOD_FOR_SOURCE = {
-    BallSource.OLD_OPTIMUM: BoundMethod.OLD_OPTIMUM_BALL,
-    BallSource.GRADIENT_ITERATE: BoundMethod.GRADIENT_BALL,
-}
+def gradient_ball_bounds(eta_candidate, eta_grad, eta_norm, grad_norm, lam: float):
+    """(lower, upper) of eta . beta_new over the gradient ball, from dot products.
+
+    Takes eta . candidate, eta . grad, ||eta||, ||grad|| and lambda, as
+    scalars or as arrays of one entry per direction, so a direction needs
+    neither the ball's center nor a dense copy of itself.
+    """
+    center, spread = _gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam)
+    return center - spread, center + spread
+
+
+def certified_sign(lower, upper):
+    """The sign an interval certifies: 1 above 0, -1 below 0, else 0.
+
+    Strict: an endpoint exactly 0 certifies nothing. Elementwise on arrays;
+    a 0-d array for scalars.
+    """
+    return np.where(lower > 0.0, 1, np.where(upper < 0.0, -1, 0))
 
 
 def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
@@ -270,7 +299,7 @@ def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
         lower=dot - spread,
         upper=dot + spread,
         eta_norm=eta_norm,
-        method=_METHOD_FOR_SOURCE[ball.source],
+        method=ball.method,
     )
 
 
@@ -349,12 +378,8 @@ def batch_score_bounds(ball: SolutionBall, X: sp.spmatrix) -> tuple[np.ndarray, 
 def classify_with_bounds(ball: SolutionBall, x) -> LabelDecision:
     """Predicted label of x under beta_new, when the ball already decides it.
 
-    Strict rule: PLUS when the certified lower bound is > 0, MINUS when the
-    upper bound is < 0, UNKNOWN otherwise (a bound exactly 0 stays UNKNOWN).
+    The label is the :func:`certified_sign` of the score interval, so a bound
+    exactly 0 stays UNKNOWN.
     """
     sb = score_bounds(ball, x)
-    if sb.lower > 0.0:
-        return LabelDecision(Label.PLUS, sb)
-    if sb.upper < 0.0:
-        return LabelDecision(Label.MINUS, sb)
-    return LabelDecision(Label.UNKNOWN, sb)
+    return LabelDecision(Label(int(certified_sign(sb.lower, sb.upper))), sb)

@@ -20,6 +20,7 @@ import csv
 import math
 import sys
 import warnings as _warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,6 +63,13 @@ def _load_data(args) -> SparseDataset:
     return ds
 
 
+def _load_rows(path: str, model) -> SparseDataset:
+    """Rows of a libsvm file in the model's feature space, bias column included."""
+    if model.add_bias:
+        return with_bias_feature(load_libsvm(path, d=model.d - 1))
+    return load_libsvm(path, d=model.d)
+
+
 def _read_removal_indices(path: str) -> list[int]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -82,12 +90,12 @@ def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | Non
     added = None
     removed = None
     if args.add:
-        added = load_libsvm(args.add, d=model.d)
+        added = _load_rows(args.add, model)
         inputs["additions"] = args.add
     if args.remove:
         if not args.data:
             raise ValueError("--remove needs --data to resolve 0-based row indices")
-        base = load_libsvm(args.data, d=model.d)
+        base = _load_rows(args.data, model)
         if base.n != model.n_train:
             raise ValueError(
                 f"--data has {base.n} rows but the model was trained on {model.n_train}"
@@ -104,12 +112,7 @@ def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | Non
     return added, removed, inputs
 
 
-def _decision_name(lower: float, upper: float) -> str:
-    if lower > 0.0:
-        return "+1"
-    if upper < 0.0:
-        return "-1"
-    return "unknown"
+_DECISION_NAMES = {1: "+1", -1: "-1", 0: "unknown"}
 
 
 def _parse_grid(spec: str) -> list[tuple[float, str]]:
@@ -170,6 +173,7 @@ def _cmd_train(args) -> dict:
     ds = _load_data(args)
     kind = LossKind.from_name(args.loss)
     model, rep = train(ds, args.lam, kind, tol=args.tol, max_iter=args.max_iter)
+    model = replace(model, add_bias=args.add_bias)
     save_model(model, args.model_out)
     return build_report(
         "train",
@@ -245,11 +249,13 @@ def _cmd_label_sensitivity(args) -> dict:
     model = load_model(args.model)
     stats, inputs = _update_stats_for(args, model)
     ball = B.old_optimum_ball(model, stats)
-    test = load_libsvm(args.test, d=model.d)
+    test = _load_rows(args.test, model)
     inputs = {"model": args.model, "test_data": args.test, **inputs}
     lower, upper = B.batch_score_bounds(ball, test.X)
-    n_plus = int(np.count_nonzero(lower > 0.0))
-    n_minus = int(np.count_nonzero(upper < 0.0))
+    signs = B.certified_sign(lower, upper)
+    n_plus = int(np.count_nonzero(signs > 0))
+    n_minus = int(np.count_nonzero(signs < 0))
+    names = [_DECISION_NAMES[s] for s in signs.tolist()]
     n_unknown = test.n - n_plus - n_minus
     results = {
         "n_test": test.n,
@@ -267,8 +273,7 @@ def _cmd_label_sensitivity(args) -> dict:
             writer.writerow(["instance", "lower", "upper", "decision"])
             for i in range(test.n):
                 writer.writerow(
-                    [i, repr(float(lower[i])), repr(float(upper[i])),
-                     _decision_name(lower[i], upper[i])]
+                    [i, repr(float(lower[i])), repr(float(upper[i])), names[i]]
                 )
         results["csv"] = {"path": args.out, "sha256": sha256_file(args.out)}
     else:
@@ -277,7 +282,7 @@ def _cmd_label_sensitivity(args) -> dict:
                 "instance": i,
                 "lower": float(lower[i]),
                 "upper": float(upper[i]),
-                "decision": _decision_name(lower[i], upper[i]),
+                "decision": names[i],
             }
             for i in range(test.n)
         ]
@@ -415,7 +420,7 @@ def _bench_rows(args, ds, pool, kind):
 
             bound_time, (ball, box) = timed_median(bound_pass, args.timing_repeats)
             lower, upper = B.batch_score_bounds(ball, work.X)
-            determined = float(np.mean((lower > 0.0) | (upper < 0.0)))
+            determined = float(np.mean(B.certified_sign(lower, upper) != 0))
             plan = UpdatePlan(
                 added if added is not None else SparseDataset.empty(work.d),
                 tuple(int(i) for i in removed_idx),

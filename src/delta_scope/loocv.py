@@ -2,7 +2,11 @@
 
 Training the full model once and treating each fold as a one-instance
 removal lets every held-out score y_h * (x_h . beta_fold) be sandwiched in
-O(nnz(x_h)) time, without solving the fold problem. Folds whose interval
+O(nnz(x_h)) time, without solving the fold problem. The screen is the
+gradient ball of fold h at the full optimum, projected onto y_h * x_h: since
+the full model is stationary, the fold gradient there is
+g_h = -(lam * beta + dl_h * x_h) / (n - 1), so y_h x_h . g_h and ||g_h||
+follow from x_h . beta, ||x_h||^2 and ||beta||^2 alone. Folds whose interval
 excludes 0 are decided outright; only the undecided remainder is solved.
 
 Modes:
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import BoundMethod, ScoreBounds
+from .bounds import BoundMethod, ScoreBounds, certified_sign, gradient_ball_bounds
 from .data import SparseDataset
 from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms, dloss_values
 from .solver import (
@@ -59,7 +63,6 @@ __all__ = [
     "GridCellResult",
     "ModelSelectResult",
     "RbfFeatureMap",
-    "loocv_fold_bounds",
     "run_loocv",
     "model_select",
     "rbf_feature_map",
@@ -121,54 +124,24 @@ class LoocvResult:
 
 
 def _screen_stats(full: TrainedModel, ds: SparseDataset):
-    """Vectorized held-out-score intervals for all folds in one pass."""
-    n = ds.n
-    beta = full.beta
-    scores = ds.X @ beta
+    """Held-out-score intervals of all folds in one vectorized pass.
+
+    Each is the projection onto y_h * x_h of fold h's gradient ball at the
+    full optimum, with the fold gradient implied by the full model's
+    stationarity (see the module docstring).
+    """
+    n1 = ds.n - 1.0
+    lam = full.lam
+    scores = ds.X @ full.beta
     row_sq = ds.row_sq_norms()
     dl = dloss_values(full.kind, ds.y, scores)
-    c = dl / full.lam
-    denom = 2.0 * (n - 1.0)
-    beta_sq = float(beta @ beta)
-    center = ds.y * ((2.0 * n - 1.0) * scores + c * row_sq) / denom
-    rad_sq = np.maximum(beta_sq + 2.0 * c * scores + c * c * row_sq, 0.0)
-    radius = np.sqrt(rad_sq) / denom
-    eta_norm = np.sqrt(row_sq)
-    spread = eta_norm * radius
-    return center - spread, center + spread, eta_norm, scores
-
-
-def loocv_fold_bounds(full: TrainedModel, ds: SparseDataset, h: int) -> ScoreBounds:
-    """Certified interval for the held-out score of fold ``h``.
-
-    Equal (to rounding) to summarizing the one-instance removal and bounding
-    eta = y_h * x_h over the resulting old-optimum ball, but computed from
-    x_h . beta, ||x_h||^2 and ||beta||^2 alone.
-    """
-    if ds.n < 2:
-        raise ValueError("leave-one-out needs at least 2 instances")
-    if not 0 <= h < ds.n:
-        raise ValueError(f"fold index {h} out of range for n={ds.n}")
-    if full.d != ds.d or full.n_train != ds.n:
-        raise ValueError("model was not trained on this dataset")
-    idx, vals = ds.row(h)
-    score = float(vals @ full.beta[idx])
-    x_sq = float(vals @ vals)
-    y_h = float(ds.y[h])
-    dl = dloss_values(full.kind, np.float64(y_h), np.float64(score))
-    c = float(dl) / full.lam
-    n = ds.n
-    denom = 2.0 * (n - 1.0)
+    eta_grad = -ds.y * (lam * scores + dl * row_sq) / n1
     beta_sq = float(full.beta @ full.beta)
-    center = y_h * ((2.0 * n - 1.0) * score + c * x_sq) / denom
-    radius = math.sqrt(max(beta_sq + 2.0 * c * score + c * c * x_sq, 0.0)) / denom
-    eta_norm = math.sqrt(x_sq)
-    return ScoreBounds(
-        lower=center - eta_norm * radius,
-        upper=center + eta_norm * radius,
-        eta_norm=eta_norm,
-        method=BoundMethod.OLD_OPTIMUM_BALL,
-    )
+    grad_sq = lam * lam * beta_sq + 2.0 * lam * dl * scores + dl * dl * row_sq
+    grad_norm = np.sqrt(np.maximum(grad_sq, 0.0)) / n1
+    eta_norm = np.sqrt(row_sq)
+    lower, upper = gradient_ball_bounds(ds.y * scores, eta_grad, eta_norm, grad_norm, lam)
+    return lower, upper, eta_norm, scores
 
 
 def _newton_starts(full: TrainedModel, ds: SparseDataset) -> Callable[[int], np.ndarray]:
@@ -228,21 +201,19 @@ def _solve_fold(
 
     hook = None
     if early_stop:
-        half_inv = 0.5 / full.lam
 
         def hook(beta: np.ndarray, grad: np.ndarray) -> bool:
-            eta_c = y_h * float(vals @ beta[idx])
-            eta_g = y_h * float(vals @ grad[idx])
-            spread = half_inv * eta_norm_h * float(np.linalg.norm(grad))
-            lower = eta_c - half_inv * eta_g - spread
-            if lower > 0.0:
-                verdict.append(True)
-                return True
-            upper = eta_c - half_inv * eta_g + spread
-            if upper < 0.0:
-                verdict.append(False)
-                return True
-            return False
+            lower, upper = gradient_ball_bounds(
+                y_h * float(vals @ beta[idx]),
+                y_h * float(vals @ grad[idx]),
+                eta_norm_h,
+                float(np.linalg.norm(grad)),
+                full.lam,
+            )
+            sign = int(certified_sign(lower, upper))
+            if sign:
+                verdict.append(sign > 0)
+            return sign != 0
 
     beta, _, iters, stopped_early, _ = minimize_smooth(
         problem.value_and_grad,
@@ -315,14 +286,14 @@ def run_loocv(
         lower, upper, eta_norms, scores = _screen_stats(full, ds)
         bound_time = time.perf_counter() - t0
         unresolved = []
-        for h in range(n):
+        for h, sign in enumerate(certified_sign(lower, upper).tolist()):
             sb = ScoreBounds(
                 float(lower[h]), float(upper[h]), float(eta_norms[h]),
                 BoundMethod.OLD_OPTIMUM_BALL,
             )
-            if sb.lower > 0.0:
+            if sign > 0:
                 outcomes[h] = FoldOutcome(h, FoldDecision.CORRECT_BY_BOUND, True, sb)
-            elif sb.upper < 0.0:
+            elif sign < 0:
                 outcomes[h] = FoldOutcome(h, FoldDecision.WRONG_BY_BOUND, False, sb)
                 known_wrong += 1
             else:

@@ -23,8 +23,6 @@ __all__ = [
     "Problem",
     "loss_values",
     "dloss_values",
-    "loss_value",
-    "dloss_dscore",
     "instance_gradient",
     "objective",
     "objective_gradient",
@@ -94,27 +92,18 @@ def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarra
     return _dloss_terms(kind, y, z, e)
 
 
-def loss_value(kind: LossKind, y: float, score: float) -> float:
-    return float(loss_values(kind, np.float64(y), np.float64(score)))
-
-
-def dloss_dscore(kind: LossKind, y: float, score: float) -> float:
-    return float(dloss_values(kind, np.float64(y), np.float64(score)))
-
-
 def instance_gradient(kind: LossKind, x, y: float, beta: np.ndarray) -> np.ndarray:
     """Gradient of loss(y, x . beta) with respect to beta, as a dense vector.
 
     ``x`` may be a dense 1-d array or a 1-row sparse matrix.
     """
     if hasattr(x, "toarray"):
-        score = float((x @ beta)[0])
-        dl = dloss_dscore(kind, y, score)
+        dl = float(dloss_values(kind, np.float64(y), (x @ beta)[0]))
         out = np.zeros(beta.shape[0])
         out[x.indices] = dl * x.data
         return out
     x = np.asarray(x, dtype=np.float64)
-    return dloss_dscore(kind, y, float(x @ beta)) * x
+    return float(dloss_values(kind, np.float64(y), x @ beta)) * x
 
 
 class Problem:

@@ -3,7 +3,8 @@
 A trained model is stored as a small JSON document with the coefficient
 vector base64-encoded as little-endian float64 bytes, so save/load
 round-trips are bit-exact and the file is byte-identical across runs and
-platforms.
+platforms. ``add_bias`` records whether the last coefficient belongs to an
+appended constant-1 feature; an artifact without the key has none.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "lambda": model.lam,
         "loss": model.kind.value,
         "grad_residual": model.grad_residual,
+        "add_bias": model.add_bias,
         "beta_encoding": "base64-le-f8",
         "beta": base64.b64encode(beta_bytes).decode("ascii"),
     }
@@ -73,6 +75,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         lam = float(obj["lambda"])
         kind = LossKind.from_name(obj["loss"])
         residual = float(obj["grad_residual"])
+        add_bias = obj.get("add_bias", False)
         encoding = obj["beta_encoding"]
         raw = base64.b64decode(obj["beta"], validate=True)
     except (KeyError, ValueError, TypeError) as exc:
@@ -84,4 +87,6 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         raise ValueError(f"{path}: beta has {beta.shape[0]} entries, header says {d}")
     if lam <= 0:
         raise ValueError(f"{path}: lambda must be positive")
-    return TrainedModel(beta, lam, kind, residual, n_train)
+    if not isinstance(add_bias, bool):
+        raise ValueError(f"{path}: add_bias must be true or false, got {add_bias!r}")
+    return TrainedModel(beta, lam, kind, residual, n_train, add_bias)

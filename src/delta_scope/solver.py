@@ -51,13 +51,19 @@ StopHook = Callable[[np.ndarray, np.ndarray], bool]
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """A fitted linear classifier for a given loss and L2 penalty."""
+    """A fitted linear classifier for a given loss and L2 penalty.
+
+    With ``add_bias`` the last coefficient weighs a constant-1 feature that
+    was appended to every training row, and must be appended to every row
+    the model scores.
+    """
 
     beta: np.ndarray
     lam: float
     kind: LossKind
     grad_residual: float
     n_train: int
+    add_bias: bool = False
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -67,9 +73,6 @@ class TrainedModel:
     @property
     def d(self) -> int:
         return self.beta.shape[0]
-
-    def scores(self, ds: SparseDataset) -> np.ndarray:
-        return ds.X @ self.beta
 
 
 @dataclass(frozen=True)
@@ -260,5 +263,5 @@ def incremental_train(
         max_iter=max_iter,
         stop_hook=stop_hook,
     )
-    model = TrainedModel(beta, old.lam, old.kind, gnorm, new_ds.n)
+    model = TrainedModel(beta, old.lam, old.kind, gnorm, new_ds.n, old.add_bias)
     return model, SolveReport(iters, gnorm, early, wall)

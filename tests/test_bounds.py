@@ -105,7 +105,7 @@ def test_ball_hand_formula():
     # radius = 0.5 || (1/5) beta + (1/0.25)(3/5) delta || = 0.5 || 0.2 beta + 2.4 delta ||
     expected_r = 0.5 * np.linalg.norm(0.2 * beta + 2.4 * delta)
     assert ball.radius == pytest.approx(expected_r, rel=1e-15)
-    assert ball.source is dsc.BallSource.OLD_OPTIMUM
+    assert ball.method is dsc.BoundMethod.OLD_OPTIMUM_BALL
 
 
 def test_ball_empty_update_is_degenerate():
@@ -178,8 +178,8 @@ def test_radius_nonincreasing_in_lambda_when_drift_terms_align():
 
 def test_solution_ball_validation():
     with pytest.raises(ValueError, match="radius"):
-        dsc.SolutionBall(np.zeros(2), -0.1, dsc.BallSource.OLD_OPTIMUM)
-    ball = dsc.SolutionBall(np.zeros(2), 0.5, dsc.BallSource.OLD_OPTIMUM)
+        dsc.SolutionBall(np.zeros(2), -0.1, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    ball = dsc.SolutionBall(np.zeros(2), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     with pytest.raises(ValueError):
         ball.center[0] = 1.0
 
@@ -194,7 +194,7 @@ def test_gradient_ball_hand_values():
     ball = dsc.gradient_ball(cand, grad, lam=0.5)
     np.testing.assert_allclose(ball.center, cand - grad)  # grad / (2*0.5)
     assert ball.radius == pytest.approx(0.5, rel=1e-15)  # ||grad|| = 0.5, 2*lam = 1
-    assert ball.source is dsc.BallSource.GRADIENT_ITERATE
+    assert ball.method is dsc.BoundMethod.GRADIENT_BALL
 
 
 def test_gradient_ball_contains_optimum_along_trajectory():
@@ -223,6 +223,64 @@ def test_gradient_ball_at_optimum_pins_the_solution():
     grad = dsc.objective_gradient(ds, model.beta, 0.2, dsc.LossKind.L2_HINGE)
     ball = dsc.gradient_ball(model.beta, grad, 0.2)
     assert ball.radius <= 1e-12 / (2 * 0.2) * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.01, 0.1, 1.0]),
+    kind=st.sampled_from(list(dsc.LossKind)),
+    perturbation=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]),
+)
+def test_old_optimum_ball_is_the_gradient_ball_at_the_old_optimum(
+    seed, lam, kind, perturbation
+):
+    # old_optimum_ball takes the old gradient as zero; the true new-problem
+    # gradient at beta_old differs by (n_old/n_new) times the old gradient
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 60)), int(rng.integers(1, 7))
+    ds = dsc.make_synthetic(int(rng.integers(2**31)), n, d)
+    fit, _ = dsc.train(ds, lam, kind, tol=1e-10)
+    beta = fit.beta + perturbation * rng.standard_normal(d)
+    residual = float(np.linalg.norm(dsc.objective_gradient(ds, beta, lam, kind)))
+    old = dsc.TrainedModel(beta, lam, kind, residual, n)
+    n_add, n_remove = int(rng.integers(0, 5)), int(rng.integers(0, min(5, n)))
+    added = dsc.make_synthetic(int(rng.integers(2**31)), n_add, d) if n_add else None
+    removed_idx = tuple(int(i) for i in np.sort(rng.choice(n, n_remove, replace=False)))
+    plan = dsc.UpdatePlan(
+        added if added is not None else dsc.SparseDataset.empty(d), removed_idx
+    )
+    new_ds = dsc.apply_update(ds, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dsc.StaleOptimumWarning)
+        stats = dsc.compute_delta_s(old, added, ds.take(list(removed_idx)))
+    ball = dsc.old_optimum_ball(old, stats)
+    true_grad = dsc.objective_gradient(new_ds, beta, lam, kind)
+    truth = dsc.gradient_ball(beta, true_grad, lam)
+    gap = (stats.n_old / stats.n_new) * residual / (2 * lam)
+    scale = 1.0 + float(np.linalg.norm(beta)) + float(np.linalg.norm(true_grad)) / lam
+    rounding = 1e-12 * scale
+    assert float(np.linalg.norm(ball.center - truth.center)) <= gap + rounding
+    assert abs(ball.radius - truth.radius) <= gap + rounding
+
+
+def test_gradient_ball_bounds_match_score_bounds_of_the_ball():
+    rng = np.random.default_rng(136)
+    cand, grad = rng.normal(size=7), rng.normal(size=7)
+    eta = rng.normal(size=(5, 7))
+    lower, upper = dsc.gradient_ball_bounds(
+        eta @ cand, eta @ grad, np.linalg.norm(eta, axis=1), np.linalg.norm(grad), 0.3
+    )
+    ball = dsc.gradient_ball(cand, grad, 0.3)
+    for i in range(5):
+        sb = dsc.score_bounds(ball, eta[i])
+        assert lower[i] == pytest.approx(sb.lower, rel=1e-12, abs=1e-13)
+        assert upper[i] == pytest.approx(sb.upper, rel=1e-12, abs=1e-13)
+    scalar = dsc.gradient_ball_bounds(
+        float(eta[0] @ cand), float(eta[0] @ grad), float(np.linalg.norm(eta[0])),
+        float(np.linalg.norm(grad)), 0.3,
+    )
+    assert scalar == (pytest.approx(lower[0], rel=1e-12), pytest.approx(upper[0], rel=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +334,7 @@ def test_score_bounds_unit_vector_reads_one_coefficient():
 
 
 def test_score_bounds_shape_mismatch():
-    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BallSource.OLD_OPTIMUM)
+    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     with pytest.raises(ValueError, match="eta"):
         dsc.score_bounds(ball, np.zeros(4))
     with pytest.raises(ValueError, match="single row"):
@@ -352,7 +410,7 @@ def test_norm_change_bound_validity_and_ordering():
 
 def test_norm_change_bound_validation():
     box = dsc.coefficient_bounds(
-        dsc.SolutionBall(np.zeros(3), 1.0, dsc.BallSource.OLD_OPTIMUM)
+        dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     )
     with pytest.raises(ValueError, match="q"):
         dsc.norm_change_bound(np.zeros(3), box, 0.5)
@@ -380,7 +438,7 @@ def test_naive_box_is_sound_but_never_tighter():
 
 
 def test_naive_box_sparse_eta_matches_dense():
-    ball = dsc.SolutionBall(np.array([1.0, -2.0, 0.5]), 0.3, dsc.BallSource.OLD_OPTIMUM)
+    ball = dsc.SolutionBall(np.array([1.0, -2.0, 0.5]), 0.3, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     box = dsc.coefficient_bounds(ball)
     dense = np.array([0.0, -1.5, 2.0])
     sparse_eta = sp.csr_matrix(dense.reshape(1, -1))
@@ -400,7 +458,7 @@ def test_interval_width_identities_hold_for_any_ball(center, eta, radius):
     d = min(len(center), len(eta))
     center_arr = np.asarray(center[:d])
     eta_arr = np.asarray(eta[:d])
-    ball = dsc.SolutionBall(center_arr, radius, dsc.BallSource.OLD_OPTIMUM)
+    ball = dsc.SolutionBall(center_arr, radius, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     sb = dsc.score_bounds(ball, eta_arr)
     nb = dsc.naive_score_bounds(dsc.coefficient_bounds(ball), eta_arr)
     assert sb.width == pytest.approx(2 * radius * np.linalg.norm(eta_arr), abs=1e-9)
@@ -413,10 +471,10 @@ def test_interval_width_identities_hold_for_any_ball(center, eta, radius):
 
 
 def test_label_rule_is_strict():
-    plus = dsc.SolutionBall(np.array([1.0, 0.0]), 0.5, dsc.BallSource.OLD_OPTIMUM)
-    minus = dsc.SolutionBall(np.array([-1.0, 0.0]), 0.5, dsc.BallSource.OLD_OPTIMUM)
-    wide = dsc.SolutionBall(np.array([1.0, 0.0]), 2.0, dsc.BallSource.OLD_OPTIMUM)
-    boundary = dsc.SolutionBall(np.array([1.0, 0.0]), 1.0, dsc.BallSource.OLD_OPTIMUM)
+    plus = dsc.SolutionBall(np.array([1.0, 0.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    minus = dsc.SolutionBall(np.array([-1.0, 0.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    wide = dsc.SolutionBall(np.array([1.0, 0.0]), 2.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    boundary = dsc.SolutionBall(np.array([1.0, 0.0]), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     e1 = np.array([1.0, 0.0])
     assert dsc.classify_with_bounds(plus, e1).label is dsc.Label.PLUS
     assert dsc.classify_with_bounds(minus, e1).label is dsc.Label.MINUS
@@ -425,6 +483,15 @@ def test_label_rule_is_strict():
     decision = dsc.classify_with_bounds(boundary, e1)
     assert decision.bounds.lower == 0.0
     assert decision.label is dsc.Label.UNKNOWN
+
+
+def test_certified_sign_is_elementwise_and_strict():
+    lower = np.array([0.5, -2.0, -1.0, 0.0, -1.0])
+    upper = np.array([1.0, -0.5, 1.0, 2.0, 0.0])
+    np.testing.assert_array_equal(dsc.certified_sign(lower, upper), [1, -1, 0, 0, 0])
+    assert [int(dsc.certified_sign(lo, hi)) for lo, hi in zip(lower, upper)] == [
+        1, -1, 0, 0, 0
+    ]
 
 
 @pytest.mark.parametrize("seed", range(129, 134))
@@ -460,7 +527,7 @@ def test_batch_score_bounds_matches_per_row():
 
 
 def test_batch_score_bounds_handles_empty_rows():
-    ball = dsc.SolutionBall(np.array([1.0, 1.0]), 0.5, dsc.BallSource.OLD_OPTIMUM)
+    ball = dsc.SolutionBall(np.array([1.0, 1.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     X = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
     lower, upper = dsc.batch_score_bounds(ball, X)
     assert lower[0] == upper[0] == 0.0
@@ -469,6 +536,6 @@ def test_batch_score_bounds_handles_empty_rows():
 
 
 def test_batch_score_bounds_dimension_mismatch():
-    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BallSource.OLD_OPTIMUM)
+    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     with pytest.raises(ValueError, match="dimension"):
         dsc.batch_score_bounds(ball, sp.csr_matrix(np.zeros((2, 4))))

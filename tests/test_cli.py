@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import delta_scope as dsc
 from delta_scope.cli import main
@@ -261,6 +262,72 @@ def test_label_sensitivity_csv(paths, capsys):
     assert rows[0] == "instance,lower,upper,decision"
     assert len(rows) == 11
     assert all(r.split(",")[3] in ("+1", "-1", "unknown") for r in rows[1:])
+
+
+def shifted_synthetic(seed, n, d):
+    """Synthetic rows moved off the origin by +3, so the bias matters."""
+    ds = dsc.make_synthetic(seed, n, d)
+    return dsc.SparseDataset(sp.csr_matrix(ds.X.toarray() + 3.0), ds.y)
+
+
+def test_bias_model_answers_agree_with_exact_retrain(tmp_path, capsys):
+    # every row the update commands read must get the model's bias column;
+    # read without it, some decided labels here contradict the exact retrain
+    train_ds = shifted_synthetic(67, 300, 4)
+    first = train_ds.take(range(5))
+    added = dsc.SparseDataset(first.X, -first.y)  # five rows back, labels flipped
+    test_ds = shifted_synthetic(267, 300, 4)
+    data, add_path, test_path = (str(tmp_path / f) for f in ("d.svm", "a.svm", "t.svm"))
+    dsc.save_libsvm(train_ds, data)
+    dsc.save_libsvm(added, add_path)
+    dsc.save_libsvm(test_ds, test_path)
+    remove_path = str(tmp_path / "rm.txt")
+    with open(remove_path, "w") as fh:
+        fh.write("40\n")
+    model_path = str(tmp_path / "m.json")
+    assert run_cli(
+        ["train", "--data", data, "--add-bias", "--loss", "logistic",
+         "--lambda", "0.01", "--model-out", model_path], capsys
+    )[0] == 0
+    assert dsc.load_model(model_path).add_bias
+    update = ["--model", model_path, "--data", data, "--add", add_path,
+              "--remove", remove_path]
+    code, coef, _ = run_cli(["coef-sensitivity", *update], capsys)
+    assert code == 0
+    code, labels, _ = run_cli(["label-sensitivity", *update, "--test", test_path], capsys)
+    assert code == 0
+
+    plan = dsc.UpdatePlan(dsc.with_bias_feature(added), (40,))
+    new_ds = dsc.apply_update(dsc.with_bias_feature(train_ds), plan)
+    exact, _ = dsc.train(new_ds, 0.01, dsc.LossKind.LOGISTIC, tol=1e-12)
+    box = np.asarray(coef["results"]["coefficients"])
+    assert box.shape == (5, 2)
+    assert np.all(box[:, 0] <= exact.beta) and np.all(exact.beta <= box[:, 1])
+    exact_scores = dsc.with_bias_feature(test_ds).X @ exact.beta
+    decided = 0
+    for entry, score in zip(labels["results"]["decisions"], exact_scores):
+        if entry["decision"] == "+1":
+            assert score > 0
+        elif entry["decision"] == "-1":
+            assert score < 0
+        decided += entry["decision"] != "unknown"
+    assert decided > 50
+
+
+def test_model_without_add_bias_key_has_no_bias(paths):
+    tmp_path, _, model_path = paths
+    obj = json.loads(open(model_path).read())
+    assert obj["add_bias"] is False
+    del obj["add_bias"]
+    legacy = str(tmp_path / "legacy.json")
+    with open(legacy, "w") as fh:
+        json.dump(obj, fh)
+    assert dsc.load_model(legacy).add_bias is False
+    obj["add_bias"] = "yes"
+    with open(legacy, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ValueError, match="add_bias"):
+        dsc.load_model(legacy)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ def brute_force_margins(ds, lam, kind):
 # single-fold bounds
 
 
+def screen_bounds(ds, lam, kind, full):
+    """Screen interval of every fold, from an op1 run, by fold index."""
+    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, full=full)
+    assert [out.index for out in res.outcomes] == list(range(ds.n))
+    return [out.bounds for out in res.outcomes]
+
+
 @pytest.mark.parametrize("seed", range(140, 146))
 def test_fold_bounds_match_general_update_path(seed):
     rng = np.random.default_rng(seed)
@@ -31,9 +38,10 @@ def test_fold_bounds_match_general_update_path(seed):
     lam = float(rng.choice([0.02, 0.1, 1.0]))
     kind = dsc.LossKind.LOGISTIC if rng.integers(2) else dsc.LossKind.L2_HINGE
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
+    screened = screen_bounds(ds, lam, kind, full)
     for h in rng.choice(ds.n, size=5, replace=False):
         h = int(h)
-        fast = dsc.loocv_fold_bounds(full, ds, h)
+        fast = screened[h]
         stats = dsc.compute_delta_s(full, None, ds.take([h]))
         ball = dsc.old_optimum_ball(full, stats)
         eta = ds.X[h].multiply(float(ds.y[h]))
@@ -47,22 +55,8 @@ def test_fold_bounds_contain_exact_held_out_score():
     lam, kind = 0.1, dsc.LossKind.LOGISTIC
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
     margins = brute_force_margins(ds, lam, kind)
-    for h in range(ds.n):
-        sb = dsc.loocv_fold_bounds(full, ds, h)
+    for h, sb in enumerate(screen_bounds(ds, lam, kind, full)):
         assert sb.lower - 1e-9 <= margins[h] <= sb.upper + 1e-9
-
-
-def test_fold_bounds_validation():
-    ds = dsc.make_synthetic(147, 20, 4)
-    full, _ = dsc.train(ds, 0.1, dsc.LossKind.LOGISTIC, tol=1e-8)
-    with pytest.raises(ValueError, match="out of range"):
-        dsc.loocv_fold_bounds(full, ds, 20)
-    other = dsc.make_synthetic(148, 21, 4)
-    with pytest.raises(ValueError, match="not trained"):
-        dsc.loocv_fold_bounds(full, other, 0)
-    tiny = ds.take([0])
-    with pytest.raises(ValueError, match="at least 2"):
-        dsc.loocv_fold_bounds(full, tiny, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +139,7 @@ def test_screen_decisions_match_standalone_fold_bounds():
     full, _ = dsc.train(ds, lam, kind, tol=1e-8)
     res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, full=full)
     for out in res.outcomes:
-        sb = dsc.loocv_fold_bounds(full, ds, out.index)
+        sb = out.bounds
         if sb.lower > 0:
             assert out.decision is FoldDecision.CORRECT_BY_BOUND
         elif sb.upper < 0:
@@ -155,9 +149,13 @@ def test_screen_decisions_match_standalone_fold_bounds():
                 FoldDecision.RESOLVED_BY_SOLVE,
                 FoldDecision.RESOLVED_BY_EARLY_STOP,
             )
-        if out.bounds is not None:
-            assert out.bounds.lower == pytest.approx(sb.lower, rel=1e-9, abs=1e-12)
-            assert out.bounds.upper == pytest.approx(sb.upper, rel=1e-9, abs=1e-12)
+        # the standalone one-row removal ball gives the same interval
+        stats = dsc.compute_delta_s(full, None, ds.take([out.index]))
+        ball = dsc.old_optimum_ball(full, stats)
+        eta = ds.X[out.index].multiply(float(ds.y[out.index]))
+        general = dsc.score_bounds(ball, sp.csr_matrix(eta))
+        assert sb.lower == pytest.approx(general.lower, rel=1e-9, abs=1e-12)
+        assert sb.upper == pytest.approx(general.upper, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

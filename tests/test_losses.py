@@ -9,10 +9,8 @@ from delta_scope.data import make_synthetic, parse_libsvm
 from delta_scope.losses import (
     LossKind,
     _d2loss_terms,
-    dloss_dscore,
     dloss_values,
     instance_gradient,
-    loss_value,
     loss_values,
     objective,
     objective_gradient,
@@ -20,6 +18,16 @@ from delta_scope.losses import (
 )
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
+
+
+def loss_value(kind, y, score):
+    """loss_values on 0-d inputs."""
+    return float(loss_values(kind, np.float64(y), np.float64(score)))
+
+
+def dloss_dscore(kind, y, score):
+    """dloss_values on 0-d inputs."""
+    return float(dloss_values(kind, np.float64(y), np.float64(score)))
 
 
 def test_from_name():
