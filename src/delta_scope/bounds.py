@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .data import SparseDataset
+from .data import SparseDataset, csr_row_sq_norms
 from .losses import dloss_values
 from .solver import TrainedModel
 
@@ -369,8 +369,7 @@ def batch_score_bounds(ball: SolutionBall, X: sp.spmatrix) -> tuple[np.ndarray, 
             f"rows have dimension {X.shape[1]}, ball has {ball.center.shape[0]}"
         )
     dots = X @ ball.center
-    csum = np.concatenate([[0.0], np.cumsum(X.data**2)])
-    norms = np.sqrt(csum[X.indptr[1:]] - csum[X.indptr[:-1]])
+    norms = np.sqrt(csr_row_sq_norms(X))
     spread = norms * ball.radius
     return dots - spread, dots + spread
 

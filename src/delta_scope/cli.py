@@ -38,7 +38,7 @@ from .data import (
 from .losses import LossKind
 from .model_io import load_model, save_model
 from .report import build_report, sha256_file, timed_median, write_report
-from .solver import SolverError, incremental_train, train
+from .solver import SolverError, TrainedModel, incremental_train, train
 
 __all__ = ["main"]
 
@@ -196,18 +196,34 @@ def _cmd_train(args) -> dict:
     )
 
 
-def _update_stats_for(args, model) -> tuple[B.UpdateStats, dict]:
+def _update_ball(args) -> tuple[TrainedModel, B.UpdateStats, B.SolutionBall, dict]:
+    """Model, update stats, old-optimum ball and inputs of an update command.
+
+    The output flags are checked first, before any file is read.
+    """
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out")
+    if args.out and args.format != "csv":
+        raise ValueError("--out needs --format csv")
+    model = load_model(args.model)
     added, removed, inputs = _load_update(args, model)
     if added is None and removed is None:
         raise ValueError("nothing to do: give --add and/or --remove")
     stats = B.compute_delta_s(model, added, removed)
-    return stats, inputs
+    return model, stats, B.old_optimum_ball(model, stats), inputs
+
+
+def _write_csv(path: str, header: list[str], rows) -> dict:
+    """Write ``rows`` under ``header``; return the report entry of the file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return {"path": path, "sha256": sha256_file(path)}
 
 
 def _cmd_coef_sensitivity(args) -> dict:
-    model = load_model(args.model)
-    stats, inputs = _update_stats_for(args, model)
-    ball = B.old_optimum_ball(model, stats)
+    model, stats, ball, inputs = _update_ball(args)
     box = B.coefficient_bounds(ball)
     inputs = {"model": args.model, **inputs}
     norm_change = {
@@ -225,14 +241,11 @@ def _cmd_coef_sensitivity(args) -> dict:
         "norm_change_bound": norm_change,
     }
     if args.format == "csv":
-        if not args.out:
-            raise ValueError("--format csv needs --out")
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["coefficient", "lower", "upper"])
-            for j in range(model.d):
-                writer.writerow([j, repr(float(box.lower[j])), repr(float(box.upper[j]))])
-        results["csv"] = {"path": args.out, "sha256": sha256_file(args.out)}
+        results["csv"] = _write_csv(
+            args.out,
+            ["coefficient", "lower", "upper"],
+            ([j, repr(float(box.lower[j])), repr(float(box.upper[j]))] for j in range(model.d)),
+        )
     else:
         results["coefficients"] = [
             [float(lo), float(hi)] for lo, hi in zip(box.lower, box.upper)
@@ -246,9 +259,7 @@ def _cmd_coef_sensitivity(args) -> dict:
 
 
 def _cmd_label_sensitivity(args) -> dict:
-    model = load_model(args.model)
-    stats, inputs = _update_stats_for(args, model)
-    ball = B.old_optimum_ball(model, stats)
+    model, _, ball, inputs = _update_ball(args)
     test = _load_rows(args.test, model)
     inputs = {"model": args.model, "test_data": args.test, **inputs}
     lower, upper = B.batch_score_bounds(ball, test.X)
@@ -266,16 +277,11 @@ def _cmd_label_sensitivity(args) -> dict:
         "radius": ball.radius,
     }
     if args.format == "csv":
-        if not args.out:
-            raise ValueError("--format csv needs --out")
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance", "lower", "upper", "decision"])
-            for i in range(test.n):
-                writer.writerow(
-                    [i, repr(float(lower[i])), repr(float(upper[i])), names[i]]
-                )
-        results["csv"] = {"path": args.out, "sha256": sha256_file(args.out)}
+        results["csv"] = _write_csv(
+            args.out,
+            ["instance", "lower", "upper", "decision"],
+            ([i, repr(float(lower[i])), repr(float(upper[i])), names[i]] for i in range(test.n)),
+        )
     else:
         results["decisions"] = [
             {
@@ -317,16 +323,10 @@ def _cmd_loocv(args) -> dict:
     ds = _load_data(args)
     kind = LossKind.from_name(args.loss)
     mode = L.LoocvMode.from_name(args.mode)
-    common = dict(
-        mode=mode,
-        order_trick=args.order_trick,
-        fold_tol=args.fold_tol,
-        full_tol=args.full_tol,
-    )
+    common = dict(mode=mode, fold_tol=args.fold_tol, full_tol=args.full_tol)
     params = {
         "loss": kind.value,
         "mode": mode.value,
-        "order_trick": args.order_trick,
         "prune": args.prune,
         "fold_tol": args.fold_tol,
         "full_tol": args.full_tol,
@@ -579,8 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rbf-centers", type=int, default=100)
     p.add_argument("--rbf-seed", type=int, default=0)
     p.add_argument("--mode", choices=[m.value for m in L.LoocvMode], default="op1")
-    p.add_argument("--order-trick", action="store_true",
-                   help="solve undecided folds in increasing-margin order")
     p.add_argument("--prune", action="store_true",
                    help="abandon grid cells that cannot beat the incumbent")
     p.add_argument("--fold-tol", type=float, default=L.DEFAULT_FOLD_TOL)

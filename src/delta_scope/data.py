@@ -16,6 +16,7 @@ import scipy.sparse as sp
 __all__ = [
     "LibsvmFormatError",
     "SparseDataset",
+    "csr_row_sq_norms",
     "UpdatePlan",
     "parse_libsvm",
     "load_libsvm",
@@ -33,6 +34,12 @@ class LibsvmFormatError(ValueError):
 
 def _freeze(arr: np.ndarray) -> None:
     arr.flags.writeable = False
+
+
+def csr_row_sq_norms(X: sp.csr_matrix) -> np.ndarray:
+    """Per-row squared Euclidean norms of a CSR matrix."""
+    csum = np.concatenate([[0.0], np.cumsum(X.data**2)])
+    return csum[X.indptr[1:]] - csum[X.indptr[:-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +104,7 @@ class SparseDataset:
 
     def row_sq_norms(self) -> np.ndarray:
         """Per-row squared Euclidean norms."""
-        csum = np.concatenate([[0.0], np.cumsum(self.X.data**2)])
-        return csum[self.X.indptr[1:]] - csum[self.X.indptr[:-1]]
+        return csr_row_sq_norms(self.X)
 
     @classmethod
     def empty(cls, d: int) -> "SparseDataset":

@@ -27,10 +27,11 @@ downdate is not positive, the fold starts at the full optimum instead. The
 start changes how much work a solve does, never what it certifies: the op2
 gradient ball holds at any iterate.
 
-The optional ordering trick processes undecided folds by increasing held-out
-margin under the full model (cheapest sign decisions first); it never changes
-any outcome, only speed. Model selection over a grid can prune a candidate
-as soon as its running error lower bound exceeds the best completed error.
+Undecided folds are solved in increasing full-model margin y_h x_h . beta,
+ties by index; as each fold is solved alone, the order changes no outcome.
+Model selection over a grid can prune a candidate as soon as its running
+error lower bound exceeds the best completed error, and the likely-wrong
+folds come first, so a losing candidate is abandoned early.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ import scipy.sparse as sp
 
 from .bounds import BoundMethod, ScoreBounds, certified_sign, gradient_ball_bounds
 from .data import SparseDataset
-from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms, dloss_values
+from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms
 from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
@@ -128,30 +129,34 @@ def _screen_stats(full: TrainedModel, ds: SparseDataset):
 
     Each is the projection onto y_h * x_h of fold h's gradient ball at the
     full optimum, with the fold gradient implied by the full model's
-    stationarity (see the module docstring).
+    stationarity (see the module docstring). Also returns the row norms and
+    the loss terms (z, exp(-|z|), loss') at the margins z_h = y_h x_h . beta.
     """
     n1 = ds.n - 1.0
     lam = full.lam
     scores = ds.X @ full.beta
+    z = ds.y * scores
+    e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
+    dl = _dloss_terms(full.kind, ds.y, z, e)
     row_sq = ds.row_sq_norms()
-    dl = dloss_values(full.kind, ds.y, scores)
     eta_grad = -ds.y * (lam * scores + dl * row_sq) / n1
     beta_sq = float(full.beta @ full.beta)
     grad_sq = lam * lam * beta_sq + 2.0 * lam * dl * scores + dl * dl * row_sq
     grad_norm = np.sqrt(np.maximum(grad_sq, 0.0)) / n1
     eta_norm = np.sqrt(row_sq)
-    lower, upper = gradient_ball_bounds(ds.y * scores, eta_grad, eta_norm, grad_norm, lam)
-    return lower, upper, eta_norm, scores
+    lower, upper = gradient_ball_bounds(z, eta_grad, eta_norm, grad_norm, lam)
+    return lower, upper, eta_norm, (z, e, dl)
 
 
-def _newton_starts(full: TrainedModel, ds: SparseDataset) -> Callable[[int], np.ndarray]:
+def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[int], np.ndarray]:
     """Start point of each fold solve: its Newton point from the full optimum.
 
     With curvature weights c_i = loss''(z_i) / (n-1), the fold-h Hessian at
     ``full.beta`` is A - c_h x_h x_h^T, where A = X^T diag(c) X + lam I, and
     its gradient is g - a_h x_h, where g = X^T dl / (n-1) + lam beta is
     shared by every fold and a_h = dl_h / (n-1). A^-1 and p = A^-1 g are
-    formed once; Sherman-Morrison with u = A^-1 x_h gives the Newton point
+    formed once from the loss ``terms`` of :func:`_screen_stats`;
+    Sherman-Morrison with u = A^-1 x_h gives the Newton point
     beta - p + (a_h - c_h s / (1 - c_h x_h.u)) u, with s = x_h.p - a_h x_h.u.
     Falls back to ``full.beta`` when d * d > nnz(X), and for a fold whose
     denominator is not finite and positive.
@@ -159,9 +164,8 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset) -> Callable[[int], np.
     n, d = ds.n, ds.d
     if d * d > ds.X.nnz:
         return lambda h: full.beta
-    z = ds.y * (ds.X @ full.beta)
-    e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
-    dl = _dloss_terms(full.kind, ds.y, z, e) / (n - 1)
+    z, e, dl = terms
+    dl = dl / (n - 1)
     c = _d2loss_terms(full.kind, z, e) / (n - 1)
     hessian = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
     hessian[np.diag_indices(d)] += full.lam
@@ -242,7 +246,6 @@ def run_loocv(
     kind: LossKind,
     *,
     mode: LoocvMode = LoocvMode.OP1,
-    order_trick: bool = False,
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,
     full: TrainedModel | None = None,
@@ -251,12 +254,13 @@ def run_loocv(
 ) -> LoocvResult:
     """Leave-one-out error of the (lam, kind) model family on ``ds``.
 
-    A fitted full model may be passed to skip the initial training. Folds
-    are solved one after another, each from its Newton point off the full
-    optimum (see the module docstring); ``solve_time`` includes the one-off
-    Hessian set-up behind those points. With ``prune_above`` set, the run is
-    abandoned as soon as the running error lower bound exceeds it,
-    returning a partial, ``pruned`` result.
+    A fitted full model may be passed to skip the initial training. The
+    screen runs in every mode (``bound_time``), but ``exact`` decides no fold
+    by it. Undecided folds are solved lowest margin first, each from its
+    Newton point off the full optimum (see the module docstring);
+    ``solve_time`` includes the one-off Hessian set-up behind those points.
+    With ``prune_above`` set, the run is abandoned as soon as the running
+    error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
     t_start = time.perf_counter()
     if ds.n < 2:
@@ -273,50 +277,37 @@ def run_loocv(
     known_wrong = 0
     pruned = False
 
-    bound_time = 0.0
-    eta_norms = None
-    scores = None
-    screened: dict[int, ScoreBounds] = {}
+    t0 = time.perf_counter()
+    lower, upper, eta_norm, terms = _screen_stats(full, ds)
+    bound_time = time.perf_counter() - t0
     if mode is LoocvMode.EXACT:
-        unresolved = list(range(n))
-        if order_trick:
-            scores = ds.X @ full.beta
+        signs, screened = [0] * n, [None] * n
     else:
-        t0 = time.perf_counter()
-        lower, upper, eta_norms, scores = _screen_stats(full, ds)
-        bound_time = time.perf_counter() - t0
-        unresolved = []
-        for h, sign in enumerate(certified_sign(lower, upper).tolist()):
-            sb = ScoreBounds(
-                float(lower[h]), float(upper[h]), float(eta_norms[h]),
-                BoundMethod.OLD_OPTIMUM_BALL,
-            )
-            if sign > 0:
-                outcomes[h] = FoldOutcome(h, FoldDecision.CORRECT_BY_BOUND, True, sb)
-            elif sign < 0:
-                outcomes[h] = FoldOutcome(h, FoldDecision.WRONG_BY_BOUND, False, sb)
-                known_wrong += 1
-            else:
-                unresolved.append(h)
-                screened[h] = sb
+        signs = certified_sign(lower, upper).tolist()
+        screened = [
+            ScoreBounds(lo, up, en, BoundMethod.OLD_OPTIMUM_BALL)
+            for lo, up, en in zip(lower.tolist(), upper.tolist(), eta_norm.tolist())
+        ]
+    unresolved = []  # undecided folds, lowest margin z_h first, ties by index
+    for h in np.argsort(terms[0], kind="stable").tolist():
+        if signs[h] > 0:
+            outcomes[h] = FoldOutcome(h, FoldDecision.CORRECT_BY_BOUND, True, screened[h])
+        elif signs[h] < 0:
+            outcomes[h] = FoldOutcome(h, FoldDecision.WRONG_BY_BOUND, False, screened[h])
+            known_wrong += 1
+        else:
+            unresolved.append(h)
 
     unresolved_left = 0
-    if prune_above is not None and unresolved and known_wrong / n > prune_above:
-        pruned = True
-        unresolved_left = len(unresolved)
-        unresolved = []
-
-    if order_trick and unresolved:
-        margins = ds.y * scores
-        unresolved.sort(key=lambda h: (margins[h], h))
-
-    if eta_norms is None and unresolved:
-        eta_norms = np.sqrt(ds.row_sq_norms())
-
+    start = None
     t0 = time.perf_counter()
-    if unresolved:
-        start = _newton_starts(full, ds)
     for pos, h in enumerate(unresolved):
+        if prune_above is not None and known_wrong / n > prune_above:
+            pruned = True
+            unresolved_left = len(unresolved) - pos
+            break
+        if start is None:
+            start = _newton_starts(full, ds, terms)
         out = _solve_fold(
             ds,
             h,
@@ -325,25 +316,14 @@ def run_loocv(
             tol=fold_tol,
             max_iter=max_iter,
             early_stop=mode is LoocvMode.OP2,
-            eta_norm_h=float(eta_norms[h]),
-            screened=screened.get(h),
+            eta_norm_h=float(eta_norm[h]),
+            screened=screened[h],
         )
         outcomes[h] = out
-        if not out.correct:
-            known_wrong += 1
-            if prune_above is not None and known_wrong / n > prune_above:
-                if pos + 1 < len(unresolved):
-                    pruned = True
-                    unresolved_left = len(unresolved) - pos - 1
-                break
+        known_wrong += not out.correct
     solve_time = time.perf_counter() - t0
 
     ordered = tuple(outcomes[h] for h in sorted(outcomes))
-    solves = sum(
-        1
-        for o in ordered
-        if o.decision in (FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP)
-    )
     error_lower = known_wrong / n
     error_upper = (known_wrong + unresolved_left) / n
     return LoocvResult(
@@ -353,7 +333,7 @@ def run_loocv(
         error_lower=error_lower,
         error_upper=error_upper,
         outcomes=ordered,
-        solves_performed=solves,
+        solves_performed=len(unresolved) - unresolved_left,
         solver_iterations=sum(o.solve_iterations for o in ordered),
         bound_time=bound_time,
         solve_time=solve_time,
@@ -397,7 +377,6 @@ def model_select(
     *,
     mode: LoocvMode = LoocvMode.OP1,
     prune: bool = False,
-    order_trick: bool = False,
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,
     max_iter: int = MAX_ITER,
@@ -406,7 +385,9 @@ def model_select(
 
     With ``prune`` enabled, a cell is abandoned once its running error lower
     bound exceeds the best completed cell's error; abandoned cells keep their
-    partial results and are never selected. Ties go to the earliest cell.
+    partial results and are never selected. Each cell solves its undecided
+    folds lowest margin first, so a losing cell meets its wrong folds, and
+    is abandoned, early. Ties go to the earliest cell.
     """
     if not grid:
         raise ValueError("empty model-selection grid")
@@ -426,7 +407,6 @@ def model_select(
             point.lam,
             kind,
             mode=mode,
-            order_trick=order_trick,
             fold_tol=fold_tol,
             full_tol=full_tol,
             max_iter=max_iter,

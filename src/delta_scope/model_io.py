@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import tempfile
 
@@ -70,8 +71,8 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
     if obj.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported version {obj.get('version')!r}")
     try:
-        d = int(obj["d"])
-        n_train = int(obj["n_train"])
+        d = obj["d"]
+        n_train = obj["n_train"]
         lam = float(obj["lambda"])
         kind = LossKind.from_name(obj["loss"])
         residual = float(obj["grad_residual"])
@@ -80,13 +81,21 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         raw = base64.b64decode(obj["beta"], validate=True)
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
+    for name, value in (("d", d), ("n_train", n_train)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
     if encoding != "base64-le-f8":
         raise ValueError(f"{path}: unknown beta encoding {encoding!r}")
     beta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if beta.shape[0] != d:
         raise ValueError(f"{path}: beta has {beta.shape[0]} entries, header says {d}")
-    if lam <= 0:
-        raise ValueError(f"{path}: lambda must be positive")
+    # json reads NaN and Infinity; a bad residual would pass as certified
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"{path}: lambda must be finite and positive, got {lam!r}")
+    if not (math.isfinite(residual) and residual >= 0):
+        raise ValueError(f"{path}: grad_residual must be finite and >= 0, got {residual!r}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"{path}: beta has non-finite entries")
     if not isinstance(add_bias, bool):
         raise ValueError(f"{path}: add_bias must be true or false, got {add_bias!r}")
     return TrainedModel(beta, lam, kind, residual, n_train, add_bias)

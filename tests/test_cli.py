@@ -1,7 +1,9 @@
+import base64
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -217,6 +219,32 @@ def test_remove_requires_data(paths, capsys):
     assert "--data" in err
 
 
+@pytest.mark.parametrize("command", ["coef-sensitivity", "label-sensitivity"])
+def test_format_csv_needs_out_before_any_work(tmp_path, capsys, command):
+    # the model path does not exist: the flag check comes first
+    argv = [command, "--model", str(tmp_path / "absent.json"), "--add", "x.libsvm",
+            "--format", "csv"]
+    if command == "label-sensitivity":
+        argv += ["--test", "t.libsvm"]
+    code, report, err = run_cli(argv, capsys)
+    assert code == 1 and report is None
+    assert "--format csv needs --out" in err
+
+
+@pytest.mark.parametrize("command", ["coef-sensitivity", "label-sensitivity"])
+def test_out_needs_format_csv(paths, capsys, command):
+    tmp_path, _, model_path = paths
+    add_path, _ = write_addition_file(tmp_path, 28, 2, 6)
+    out = tmp_path / "ignored.csv"
+    argv = [command, "--model", model_path, "--add", add_path, "--out", str(out)]
+    if command == "label-sensitivity":
+        argv += ["--test", add_path]
+    code, report, err = run_cli(argv, capsys)
+    assert code == 1 and report is None
+    assert "--out needs --format csv" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # label-sensitivity
 
@@ -328,6 +356,42 @@ def test_model_without_add_bias_key_has_no_bias(paths):
         json.dump(obj, fh)
     with pytest.raises(ValueError, match="add_bias"):
         dsc.load_model(legacy)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grad_residual", math.nan),
+        ("grad_residual", -1.0),
+        ("grad_residual", math.inf),
+        ("n_train", 0),
+        ("n_train", 2.5),
+        ("n_train", math.inf),
+        ("d", 0),
+        ("lambda", math.inf),
+        ("lambda", math.nan),
+        ("beta", math.nan),
+        ("beta", -math.inf),
+    ],
+)
+def test_corrupt_model_header_is_rejected(paths, capsys, field, value):
+    tmp_path, _, model_path = paths
+    obj = json.loads(open(model_path).read())
+    if field == "beta":
+        beta = np.zeros(obj["d"])
+        beta[1] = value
+        obj["beta"] = base64.b64encode(beta.astype("<f8").tobytes()).decode("ascii")
+    else:
+        obj[field] = value
+    corrupt = str(tmp_path / "corrupt.json")
+    with open(corrupt, "w") as fh:
+        json.dump(obj, fh)  # writes NaN and Infinity as json.load reads them
+    names_field = rf"\b{field}\b"
+    with pytest.raises(ValueError, match=names_field):
+        dsc.load_model(corrupt)
+    add_path, _ = write_addition_file(tmp_path, 29, 2, 6)
+    code, _, err = run_cli(["coef-sensitivity", "--model", corrupt, "--add", add_path], capsys)
+    assert code == 1 and re.search(names_field, err)
 
 
 # ---------------------------------------------------------------------------

@@ -159,18 +159,7 @@ def test_screen_decisions_match_standalone_fold_bounds():
 
 
 # ---------------------------------------------------------------------------
-# ordering, supplied models
-
-
-def test_order_trick_changes_nothing_but_order():
-    ds = dsc.make_synthetic(306, 50, 6, separation=1.0)
-    plain = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    ordered = dsc.run_loocv(
-        ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, order_trick=True
-    )
-    assert ordered.error_rate == plain.error_rate
-    for a, b in zip(plain.outcomes, ordered.outcomes):
-        assert (a.index, a.decision, a.correct) == (b.index, b.decision, b.correct)
+# supplied models
 
 
 def test_supplied_full_model_is_used_and_validated():
@@ -216,7 +205,9 @@ def test_newton_start_saves_iterations_and_keeps_verdicts(mode, kind, monkeypatc
     ds = dsc.make_synthetic(400, 120, 8, separation=1.0)
     full, _ = dsc.train(ds, 0.05, kind, tol=1e-10)
     newton = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
-    monkeypatch.setattr(loocv_module, "_newton_starts", lambda full, ds: lambda h: full.beta)
+    monkeypatch.setattr(
+        loocv_module, "_newton_starts", lambda full, ds, terms: lambda h: full.beta
+    )
     shared = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
     assert newton.solves_performed == shared.solves_performed > 0
     if mode is not LoocvMode.EXACT:
@@ -230,7 +221,7 @@ def test_newton_point_is_one_newton_step_of_the_fold_problem():
     ds = dsc.make_synthetic(401, 40, 5, separation=1.0)
     lam, kind = 0.1, dsc.LossKind.LOGISTIC
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
-    start = loocv_module._newton_starts(full, ds)
+    start = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
     for h in (0, 17, 39):
         keep = [i for i in range(ds.n) if i != h]
         X = np.asarray(ds.X[keep].todense())
@@ -311,6 +302,29 @@ def test_prune_mid_loop_keeps_sound_interval():
     assert pruned.error_upper - pruned.error_lower == pytest.approx(
         (len(complete.outcomes) - len(pruned.outcomes)) / ds.n
     )
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_pruned_run_solves_the_lowest_margin_folds_first(mode):
+    ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
+    lam, kind = 0.05, dsc.LossKind.LOGISTIC
+    full, _ = dsc.train(ds, lam, kind)
+    complete = dsc.run_loocv(ds, lam, kind, mode=mode, full=full)
+    solved = (FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP)
+    undecided = [o.index for o in complete.outcomes if o.decision in solved]
+    margins = ds.y * (ds.X @ full.beta)
+    order = sorted(undecided, key=lambda h: (margins[h], h))
+    screen_wrong = sum(1 for o in complete.outcomes if o.decision is FoldDecision.WRONG_BY_BOUND)
+    wrong_at = [pos for pos, h in enumerate(order) if not complete.outcomes[h].correct]
+    assert len(wrong_at) >= 2 and wrong_at[1] + 1 < len(order)
+    # the threshold abandons the run at its second wrong solved fold
+    pruned = dsc.run_loocv(
+        ds, lam, kind, mode=mode, full=full, prune_above=(screen_wrong + 1.5) / ds.n
+    )
+    assert pruned.pruned
+    first = sorted(order[: wrong_at[1] + 1])
+    assert [o.index for o in pruned.outcomes if o.decision in solved] == first
+    assert pruned.error_lower <= complete.error_rate <= pruned.error_upper
 
 
 def test_no_prune_flag_when_everything_resolves_at_screen():
