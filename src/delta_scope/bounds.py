@@ -24,7 +24,11 @@ two sources:
 * the new problem itself, evaluated at any iterate, which makes the ball a
   convergence certificate that shrinks to a point as the iterate converges.
 
-``certified_sign`` is the one decision rule applied to the intervals.
+Every interval of a ball over a direction, for one ``eta`` (``score_bounds``,
+``classify_with_bounds``, a dense ``eta`` read as a 1-row matrix) or for
+every row of a matrix (``batch_score_bounds``), comes from one row
+projection that sums duplicate entries first. ``certified_sign`` is the one
+decision rule applied to the intervals.
 """
 from __future__ import annotations
 
@@ -157,24 +161,6 @@ class LabelDecision:
     bounds: ScoreBounds
 
 
-def _eta_parts(eta, center: np.ndarray) -> tuple[float, float]:
-    """(eta . center, ||eta||_2) for a dense vector or 1-row sparse eta."""
-    if sp.issparse(eta):
-        if eta.shape[0] != 1:
-            raise ValueError("sparse eta must be a single row")
-        if eta.shape[1] != center.shape[0]:
-            raise ValueError(
-                f"eta has dimension {eta.shape[1]}, ball has {center.shape[0]}"
-            )
-        csr = eta.tocsr()
-        dot = float(csr.data @ center[csr.indices])
-        return dot, float(np.linalg.norm(csr.data))
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != center.shape:
-        raise ValueError(f"eta has shape {eta.shape}, ball center {center.shape}")
-    return float(eta @ center), float(np.linalg.norm(eta))
-
-
 def compute_delta_s(
     old: TrainedModel,
     added: SparseDataset | None,
@@ -254,8 +240,8 @@ def gradient_ball(candidate: np.ndarray, grad: np.ndarray, lam: float) -> Soluti
     Valid at every iterate, so it doubles as a convergence certificate: the
     radius shrinks to 0 as the candidate approaches the new optimum.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     candidate = np.asarray(candidate, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if candidate.shape != grad.shape:
@@ -287,20 +273,39 @@ def certified_sign(lower, upper):
     return np.where(lower > 0.0, 1, np.where(upper < 0.0, -1, 0))
 
 
+def _row_bounds(ball: SolutionBall, X: sp.csr_matrix):
+    """(lower, upper, row norm) of the ball's interval for every row of ``X``.
+
+    The one projection behind every score interval. Rows are read in
+    canonical form, duplicate entries summed, so that each norm is that of
+    the vector ``X @ center`` sees; a matrix not already canonical is summed
+    on a copy, and one that is (every ``SparseDataset`` row) costs nothing
+    extra.
+    """
+    if X.shape[1] != ball.center.shape[0]:
+        raise ValueError(
+            f"eta rows have dimension {X.shape[1]}, ball has {ball.center.shape[0]}"
+        )
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    dots = X @ ball.center
+    norms = np.sqrt(csr_row_sq_norms(X))
+    spread = norms * ball.radius
+    return dots - spread, dots + spread, norms
+
+
 def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
     """Sharp interval for eta . beta_new over the ball.
 
     The interval has width exactly 2 * ||eta|| * radius, attained because the
     extremizers eta . (center +/- radius * eta/||eta||) lie in the ball.
     """
-    dot, eta_norm = _eta_parts(eta, ball.center)
-    spread = eta_norm * ball.radius
-    return ScoreBounds(
-        lower=dot - spread,
-        upper=dot + spread,
-        eta_norm=eta_norm,
-        method=ball.method,
-    )
+    row = sp.csr_matrix(eta if sp.issparse(eta) else np.atleast_2d(eta), dtype=np.float64)
+    if row.shape[0] != 1:
+        raise ValueError("eta must be a single row")
+    lower, upper, norm = _row_bounds(ball, row)
+    return ScoreBounds(float(lower[0]), float(upper[0]), float(norm[0]), ball.method)
 
 
 def coefficient_bounds(ball: SolutionBall) -> CoefficientBounds:
@@ -363,15 +368,8 @@ def batch_score_bounds(ball: SolutionBall, X: sp.spmatrix) -> tuple[np.ndarray, 
     Vectorized equivalent of calling :func:`score_bounds` with each row as
     eta; returns (lower, upper) arrays.
     """
-    X = X.tocsr()
-    if X.shape[1] != ball.center.shape[0]:
-        raise ValueError(
-            f"rows have dimension {X.shape[1]}, ball has {ball.center.shape[0]}"
-        )
-    dots = X @ ball.center
-    norms = np.sqrt(csr_row_sq_norms(X))
-    spread = norms * ball.radius
-    return dots - spread, dots + spread
+    lower, upper, _ = _row_bounds(ball, X.tocsr())
+    return lower, upper
 
 
 def classify_with_bounds(ball: SolutionBall, x) -> LabelDecision:

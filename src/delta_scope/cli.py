@@ -38,7 +38,7 @@ from .data import (
 from .losses import LossKind
 from .model_io import load_model, save_model
 from .report import build_report, sha256_file, timed_median, write_report
-from .solver import SolverError, TrainedModel, incremental_train, train
+from .solver import SolverError, TrainedModel, train
 
 __all__ = ["main"]
 
@@ -427,7 +427,7 @@ def _bench_rows(args, ds, pool, kind):
             )
             new_ds = apply_update(work, plan)
             retrain_time, _ = timed_median(
-                lambda: incremental_train(model, new_ds, tol=args.tol),
+                lambda: train(new_ds, model.lam, model.kind, tol=args.tol, init=model.beta),
                 args.timing_repeats,
             )
             yield {

@@ -227,10 +227,6 @@ def _solve_fold(
         max_iter=max_iter,
         stop_hook=hook,
     )
-    if hook is not None and not stopped_early:
-        # the solver tests ``tol`` before the hook, so a start that already
-        # meets it (common at a Newton point) would go uncertified
-        stopped_early = hook(beta, problem.value_and_grad(beta)[1])
     if stopped_early:
         correct = verdict[0]
         decision = FoldDecision.RESOLVED_BY_EARLY_STOP
@@ -265,6 +261,8 @@ def run_loocv(
     t_start = time.perf_counter()
     if ds.n < 2:
         raise ValueError("leave-one-out needs at least 2 instances")
+    if not fold_tol > 0:
+        raise ValueError(f"fold_tol must be positive, got {fold_tol}")
     if full is None:
         full, _ = train(ds, lam, kind, tol=full_tol, max_iter=max_iter)
     elif full.d != ds.d or full.n_train != ds.n:
@@ -445,8 +443,8 @@ def rbf_feature_map(
     train_ds: SparseDataset, gamma: float, *, n_centers: int = 100, seed: int = 0
 ) -> RbfFeatureMap:
     """Sample ``n_centers`` training rows (seeded) as Gaussian centers."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     rng = np.random.default_rng(seed)
     k = min(n_centers, train_ds.n)
     idx = np.sort(rng.choice(train_ds.n, size=k, replace=False))

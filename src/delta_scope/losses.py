@@ -8,10 +8,13 @@ Both losses are functions of the margin z = y * score:
 
 The regularized objective over a dataset is
 mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2; :class:`Problem` is
-its one implementation, for full training and for leave-one-out folds alike.
+its one implementation, for full training and for leave-one-out folds alike:
+``Problem(ds, lam, kind).value(beta)`` and ``.value_and_grad(beta)`` are the
+objective and its gradient for every caller, the solver included.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -24,9 +27,6 @@ __all__ = [
     "loss_values",
     "dloss_values",
     "instance_gradient",
-    "objective",
-    "objective_gradient",
-    "value_and_gradient",
 ]
 
 
@@ -133,8 +133,8 @@ class Problem:
     ) -> None:
         if ds.n < 1:
             raise ValueError("dataset is empty")
-        if lam <= 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {lam}")
         if held_out is not None:
             if ds.n < 2:
                 raise ValueError("leave-one-out needs at least 2 instances")
@@ -180,19 +180,3 @@ class Problem:
             grad = (ds.XT @ dl) / (ds.n - 1) + self.lam * beta
         return self._value(beta, losses), grad
 
-
-def objective(ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind) -> float:
-    return Problem(ds, lam, kind).value(beta)
-
-
-def objective_gradient(
-    ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind
-) -> np.ndarray:
-    return Problem(ds, lam, kind).value_and_grad(beta)[1]
-
-
-def value_and_gradient(
-    ds: SparseDataset, beta: np.ndarray, lam: float, kind: LossKind
-) -> tuple[float, np.ndarray]:
-    """Objective and gradient in one pass (shares the score matvec)."""
-    return Problem(ds, lam, kind).value_and_grad(beta)

@@ -6,14 +6,16 @@ Euclidean norm of the full objective gradient. Everything is sequential
 floating-point arithmetic with no randomness, so repeated runs on the same
 inputs produce bit-identical iterates.
 
-``minimize_smooth`` takes the objective as two callbacks. ``train``,
-``incremental_train`` and the leave-one-out fold solves all feed it the
-bound methods of one cached :class:`~delta_scope.losses.Problem`; an
-accepted line-search trial is passed on as the next iterate unmodified, so
-its gradient reuses the scores the trial already computed.
+``minimize_smooth`` takes the objective as two callbacks. ``train`` and
+the leave-one-out fold solves both feed it the bound methods of one cached
+:class:`~delta_scope.losses.Problem`; an accepted line-search trial is
+passed on as the next iterate unmodified, so its gradient reuses the scores
+the trial already computed. A warm start after an update is ``train`` on the
+updated dataset with ``init`` set to the old coefficients.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -29,23 +31,21 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "train",
-    "incremental_train",
     "minimize_smooth",
     "DEFAULT_TRAIN_TOL",
-    "DEFAULT_INCREMENTAL_TOL",
     "MAX_ITER",
 ]
 
 DEFAULT_TRAIN_TOL = 1e-8
-DEFAULT_INCREMENTAL_TOL = 1e-6
 MAX_ITER = 10_000
 _HISTORY = 10
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 
-# A hook called once per iteration with (iterate, exact gradient); returning
-# True stops the solve at that iterate.
+# A hook called at every iterate, the last one included, with (iterate, exact
+# gradient) and before the tolerance test; returning True stops the solve at
+# that iterate.
 StopHook = Callable[[np.ndarray, np.ndarray], bool]
 
 
@@ -129,12 +129,19 @@ def minimize_smooth(
     f, g = value_and_grad(beta)
     memory: deque = deque(maxlen=_HISTORY)
 
-    for it in range(max_iter):
+    for it in itertools.count():
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return beta, gnorm, it, False, time.perf_counter() - t0
         if stop_hook is not None and stop_hook(beta.copy(), g.copy()):
             return beta, gnorm, it, True, time.perf_counter() - t0
+        if gnorm <= tol:
+            return beta, gnorm, it, False, time.perf_counter() - t0
+        if it >= max_iter:
+            raise SolverError(
+                f"iteration cap {max_iter} reached (grad norm {gnorm:.3e} > tol {tol:.3e})",
+                beta,
+                gnorm,
+                max_iter,
+            )
 
         if memory:
             direction = _two_loop(g, memory)
@@ -197,16 +204,6 @@ def minimize_smooth(
             memory.append((s, yv, 1.0 / sy))
         beta, f, g = beta_next, f_next, g_next
 
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol:
-        return beta, gnorm, max_iter, False, time.perf_counter() - t0
-    raise SolverError(
-        f"iteration cap {max_iter} reached (grad norm {gnorm:.3e} > tol {tol:.3e})",
-        beta,
-        gnorm,
-        max_iter,
-    )
-
 
 def train(
     ds: SparseDataset,
@@ -222,10 +219,8 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     if ds.d < 1:
         raise ValueError("dataset has no features")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     start = np.zeros(ds.d) if init is None else np.asarray(init, dtype=np.float64)
     if start.shape != (ds.d,):
         raise ValueError(f"init has shape {start.shape}, expected ({ds.d},)")
@@ -236,32 +231,3 @@ def train(
     model = TrainedModel(beta, lam, kind, gnorm, ds.n)
     return model, SolveReport(iters, gnorm, False, wall)
 
-
-def incremental_train(
-    old: TrainedModel,
-    new_ds: SparseDataset,
-    *,
-    tol: float = DEFAULT_INCREMENTAL_TOL,
-    max_iter: int = MAX_ITER,
-    stop_hook: StopHook | None = None,
-) -> tuple[TrainedModel, SolveReport]:
-    """Re-fit on an updated dataset, warm-starting from the old optimum.
-
-    ``stop_hook`` (if given) sees every iterate with its exact gradient and
-    may stop the solve early; the returned report flags that case.
-    """
-    if new_ds.d != old.d:
-        raise ValueError(f"dataset dimension {new_ds.d} != model dimension {old.d}")
-    if new_ds.n < 1:
-        raise ValueError("updated dataset is empty")
-    problem = Problem(new_ds, old.lam, old.kind)
-    beta, gnorm, iters, early, wall = minimize_smooth(
-        problem.value_and_grad,
-        problem.value,
-        old.beta,
-        tol=tol,
-        max_iter=max_iter,
-        stop_hook=stop_hook,
-    )
-    model = TrainedModel(beta, old.lam, old.kind, gnorm, new_ds.n, old.add_bias)
-    return model, SolveReport(iters, gnorm, early, wall)

@@ -31,25 +31,25 @@ def reference_gradient_descent(
 ) -> np.ndarray:
     """Plain steepest descent with Armijo backtracking (cross-check oracle).
 
-    Written over the public ``objective``/``objective_gradient`` only, so it
-    shares no code path with the quasi-Newton solver it checks.
+    Written over the public ``Problem.value``/``value_and_grad`` only, so it
+    shares the objective but no code path with the quasi-Newton solver it
+    checks.
     """
+    problem = dsc.Problem(ds, lam, kind)
     beta = np.zeros(ds.d) if init is None else np.array(init, dtype=np.float64)
-    f = dsc.objective(ds, beta, lam, kind)
-    g = dsc.objective_gradient(ds, beta, lam, kind)
+    f, g = problem.value_and_grad(beta)
     for _ in range(max_iter):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return beta
         step = 1.0
         gd = -gnorm * gnorm
-        while dsc.objective(ds, beta - step * g, lam, kind) > f + 1e-4 * step * gd:
+        while problem.value(beta - step * g) > f + 1e-4 * step * gd:
             step *= 0.5
             if step < 1e-20:
                 return beta
         beta = beta - step * g
-        f = dsc.objective(ds, beta, lam, kind)
-        g = dsc.objective_gradient(ds, beta, lam, kind)
+        f, g = problem.value_and_grad(beta)
     raise dsc.SolverError("gradient descent did not converge", beta, float(np.linalg.norm(g)), max_iter)
 
 

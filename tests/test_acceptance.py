@@ -126,7 +126,7 @@ def test_interval_widths_match_closed_forms(suite):
     worst_t1 = 0.0
     worst_t2 = 0.0
     for case, directions in zip(cases, etas):
-        _, grad = dsc.value_and_gradient(case.new_ds, case.old.beta, case.lam, case.kind)
+        _, grad = dsc.Problem(case.new_ds, case.lam, case.kind).value_and_grad(case.old.beta)
         gball = dsc.gradient_ball(case.old.beta, grad, case.lam)
         gnorm = float(np.linalg.norm(grad))
         for eta in directions:
@@ -163,15 +163,18 @@ def test_every_iterate_ball_contains_the_optimum(suite):
             overshoots.append(dist - ball.radius)
             return False
 
-        model, _ = dsc.incremental_train(case.old, case.new_ds, tol=tol, stop_hook=watch)
+        problem = dsc.Problem(case.new_ds, case.lam, case.kind)
+        beta, _, _, _, _ = dsc.minimize_smooth(
+            problem.value_and_grad, problem.value, case.old.beta, tol=tol, stop_hook=watch
+        )
         iterates += len(overshoots)
         if overshoots:
             worst = max(worst, max(overshoots))
         # at convergence the certified gap collapses to the tolerance scale
         eta = np.ones(case.old.d)
         final_ball = dsc.gradient_ball(
-            model.beta,
-            dsc.objective_gradient(case.new_ds, model.beta, case.lam, case.kind),
+            beta,
+            dsc.Problem(case.new_ds, case.lam, case.kind).value_and_grad(beta)[1],
             case.lam,
         )
         gap = dsc.score_bounds(final_ball, eta).width
@@ -310,16 +313,14 @@ def test_analytic_gradient_matches_finite_differences():
             lam = float(rng.choice([0.01, 0.1, 1.0]))
             ds = dsc.make_synthetic(int(rng.integers(2**31)), n, d)
             beta = rng.normal(size=d) * 0.5
-            grad = dsc.objective_gradient(ds, beta, lam, kind)
+            problem = dsc.Problem(ds, lam, kind)
+            grad = problem.value_and_grad(beta)[1]
             for j in range(d):
                 h = 1e-6 * (1.0 + abs(beta[j]))
                 up, down = beta.copy(), beta.copy()
                 up[j] += h
                 down[j] -= h
-                fd = (
-                    dsc.objective(ds, up, lam, kind)
-                    - dsc.objective(ds, down, lam, kind)
-                ) / (2 * h)
+                fd = (problem.value(up) - problem.value(down)) / (2 * h)
                 rel = abs(fd - grad[j]) / max(abs(grad[j]), 1e-8)
                 worst = max(worst, rel)
                 probes[kind] += 1

@@ -212,7 +212,10 @@ def test_gradient_ball_contains_optimum_along_trajectory():
         radii.append(ball.radius)
         return False
 
-    dsc.incremental_train(case.old, case.new_ds, tol=1e-10, stop_hook=watch)
+    problem = dsc.Problem(case.new_ds, case.lam, case.kind)
+    dsc.minimize_smooth(
+        problem.value_and_grad, problem.value, case.old.beta, tol=1e-10, stop_hook=watch
+    )
     assert len(radii) >= 2
     assert radii[-1] < radii[0]
 
@@ -220,7 +223,7 @@ def test_gradient_ball_contains_optimum_along_trajectory():
 def test_gradient_ball_at_optimum_pins_the_solution():
     ds = dsc.make_synthetic(109, 50, 4)
     model, _ = dsc.train(ds, 0.2, dsc.LossKind.L2_HINGE, tol=1e-12)
-    grad = dsc.objective_gradient(ds, model.beta, 0.2, dsc.LossKind.L2_HINGE)
+    grad = dsc.Problem(ds, 0.2, dsc.LossKind.L2_HINGE).value_and_grad(model.beta)[1]
     ball = dsc.gradient_ball(model.beta, grad, 0.2)
     assert ball.radius <= 1e-12 / (2 * 0.2) * (1 + 1e-9)
 
@@ -242,7 +245,7 @@ def test_old_optimum_ball_is_the_gradient_ball_at_the_old_optimum(
     ds = dsc.make_synthetic(int(rng.integers(2**31)), n, d)
     fit, _ = dsc.train(ds, lam, kind, tol=1e-10)
     beta = fit.beta + perturbation * rng.standard_normal(d)
-    residual = float(np.linalg.norm(dsc.objective_gradient(ds, beta, lam, kind)))
+    residual = float(np.linalg.norm(dsc.Problem(ds, lam, kind).value_and_grad(beta)[1]))
     old = dsc.TrainedModel(beta, lam, kind, residual, n)
     n_add, n_remove = int(rng.integers(0, 5)), int(rng.integers(0, min(5, n)))
     added = dsc.make_synthetic(int(rng.integers(2**31)), n_add, d) if n_add else None
@@ -255,7 +258,7 @@ def test_old_optimum_ball_is_the_gradient_ball_at_the_old_optimum(
         warnings.simplefilter("ignore", dsc.StaleOptimumWarning)
         stats = dsc.compute_delta_s(old, added, ds.take(list(removed_idx)))
     ball = dsc.old_optimum_ball(old, stats)
-    true_grad = dsc.objective_gradient(new_ds, beta, lam, kind)
+    true_grad = dsc.Problem(new_ds, lam, kind).value_and_grad(beta)[1]
     truth = dsc.gradient_ball(beta, true_grad, lam)
     gap = (stats.n_old / stats.n_new) * residual / (2 * lam)
     scale = 1.0 + float(np.linalg.norm(beta)) + float(np.linalg.norm(true_grad)) / lam
@@ -524,6 +527,21 @@ def test_batch_score_bounds_matches_per_row():
         sb = dsc.score_bounds(case.ball, case.new_ds.X[i])
         assert lower[i] == pytest.approx(sb.lower, rel=1e-12, abs=1e-13)
         assert upper[i] == pytest.approx(sb.upper, rel=1e-12, abs=1e-13)
+
+
+def test_duplicate_row_entries_are_summed_before_projection():
+    # center (1, 0), radius 1; the row stores the entry (0, 1.0) twice, so it
+    # is the vector (2, 0), whose scores over the ball span exactly [0, 4]
+    ball = dsc.gradient_ball(np.zeros(2), np.array([-2.0, 0.0]), 1.0)
+    row = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
+    dense = dsc.score_bounds(ball, np.array([2.0, 0.0]))
+    assert (dense.lower, dense.upper, dense.eta_norm) == (0.0, 4.0, 2.0)
+    sb = dsc.score_bounds(ball, row)
+    assert (sb.lower, sb.upper, sb.eta_norm) == (0.0, 4.0, 2.0)
+    lower, upper = dsc.batch_score_bounds(ball, row)
+    assert (lower[0], upper[0]) == (0.0, 4.0)
+    assert dsc.classify_with_bounds(ball, row).label is dsc.Label.UNKNOWN
+    assert row.nnz == 2  # summed on a copy; the caller's matrix is untouched
 
 
 def test_batch_score_bounds_handles_empty_rows():

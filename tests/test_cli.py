@@ -564,6 +564,31 @@ def test_malformed_data_exits_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["train", "--lambda", "nan"], "lambda"),
+        (["train", "--lambda", "inf"], "lambda"),
+        (["train", "--lambda", "0.1", "--tol", "nan"], "tol"),
+        (["loocv", "--lambda", "0.1", "--fold-tol", "0"], "fold_tol"),
+        (["loocv", "--lambda", "0.1", "--fold-tol", "-1"], "fold_tol"),
+        (["loocv", "--lambda", "0.1", "--fold-tol", "nan"], "fold_tol"),
+        (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "nan"], "gamma"),
+    ],
+)
+def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, field):
+    tmp_path, data, _ = paths
+    command, *settings = argv
+    out = ["--model-out", str(tmp_path / "m.json")] if command == "train" else []
+    code, report, err = run_cli(
+        [command, "--data", data, "--loss", "logistic", *settings, *out], capsys
+    )
+    assert code == 1
+    assert report is None
+    assert err.startswith("delta-scope: error:")
+    assert field in err
+
+
 def test_installed_entry_point_runs():
     exe = shutil.which("delta-scope")
     if exe is None:

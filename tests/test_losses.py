@@ -11,10 +11,8 @@ from delta_scope.losses import (
     _d2loss_terms,
     dloss_values,
     instance_gradient,
+    Problem,
     loss_values,
-    objective,
-    objective_gradient,
-    value_and_gradient,
 )
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
@@ -162,7 +160,7 @@ def test_objective_hand_value():
     manual = 0.5 * (
         math.log(1 + math.exp(-0.5)) + math.log(1 + math.exp(-(-1) * 1.0))
     ) + 0.4 * 0.25
-    got = objective(ds, beta, lam, LossKind.LOGISTIC)
+    got = Problem(ds, lam, LossKind.LOGISTIC).value(beta)
     assert got == pytest.approx(manual, rel=1e-15)
 
 
@@ -172,13 +170,12 @@ def test_objective_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(9)
     beta = rng.normal(size=7)
     lam = 0.3
-    grad = objective_gradient(ds, beta, lam, kind)
+    problem = Problem(ds, lam, kind)
+    grad = problem.value_and_grad(beta)[1]
     for j in range(7):
         e = np.zeros(7)
         e[j] = 1e-6
-        fd = (
-            objective(ds, beta + e, lam, kind) - objective(ds, beta - e, lam, kind)
-        ) / 2e-6
+        fd = (problem.value(beta + e) - problem.value(beta - e)) / 2e-6
         assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -186,9 +183,9 @@ def test_objective_gradient_matches_finite_differences(kind):
 def test_value_and_gradient_consistency(kind):
     ds = make_synthetic(6, 30, 5)
     beta = np.linspace(-1, 1, 5)
-    val, grad = value_and_gradient(ds, beta, 0.2, kind)
-    assert val == objective(ds, beta, 0.2, kind)
-    np.testing.assert_array_equal(grad, objective_gradient(ds, beta, 0.2, kind))
+    val, grad = Problem(ds, 0.2, kind).value_and_grad(beta)
+    assert val == Problem(ds, 0.2, kind).value(beta)
+    np.testing.assert_array_equal(grad, Problem(ds, 0.2, kind).value_and_grad(beta)[1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,8 +195,9 @@ def test_objective_convexity_probe(seed, t):
     ds = make_synthetic(seed % 1000, 20, 4)
     b1, b2 = rng.normal(size=4), rng.normal(size=4)
     kind = LossKind.LOGISTIC if seed % 2 else LossKind.L2_HINGE
-    mid = objective(ds, t * b1 + (1 - t) * b2, 0.5, kind)
-    chord = t * objective(ds, b1, 0.5, kind) + (1 - t) * objective(ds, b2, 0.5, kind)
+    value = Problem(ds, 0.5, kind).value
+    mid = value(t * b1 + (1 - t) * b2)
+    chord = t * value(b1) + (1 - t) * value(b2)
     assert mid <= chord + 1e-10
 
 
@@ -207,11 +205,11 @@ def test_objective_validation():
     ds = make_synthetic(0, 10, 3)
     beta = np.zeros(3)
     with pytest.raises(ValueError, match="lambda"):
-        objective(ds, beta, 0.0, LossKind.LOGISTIC)
+        Problem(ds, 0.0, LossKind.LOGISTIC).value(beta)
     with pytest.raises(ValueError, match="lambda"):
-        objective(ds, beta, -1.0, LossKind.LOGISTIC)
+        Problem(ds, -1.0, LossKind.LOGISTIC).value(beta)
     with pytest.raises(ValueError, match="shape"):
-        objective(ds, np.zeros(4), 1.0, LossKind.LOGISTIC)
+        Problem(ds, 1.0, LossKind.LOGISTIC).value(np.zeros(4))
     empty = ds.take([])
     with pytest.raises(ValueError, match="empty"):
-        objective(empty, beta, 1.0, LossKind.LOGISTIC)
+        Problem(empty, 1.0, LossKind.LOGISTIC).value(beta)

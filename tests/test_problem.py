@@ -137,7 +137,7 @@ def test_in_place_mutation_after_a_call_is_seen():
     beta[2] = 1.5
     f1, g1 = problem.value_and_grad(beta)
     assert f1 != f0
-    assert_same_bits(g1, dsc.objective_gradient(ds, beta, 0.2, LossKind.LOGISTIC))
+    assert_same_bits(g1, Problem(ds, 0.2, LossKind.LOGISTIC).value_and_grad(beta)[1])
 
 
 def test_problem_validates_inputs():
@@ -197,13 +197,13 @@ def uncached(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_train_and_incremental_train_match_uncached_reference(kind, monkeypatch):
+def test_cold_and_warm_train_match_uncached_reference(kind, monkeypatch):
     ds = dsc.make_synthetic(7, 150, 10, separation=1.0, density=0.6)
     new_ds = dsc.apply_update(ds, dsc.UpdatePlan(dsc.make_synthetic(8, 4, 10), (3, 40)))
 
     def solves():
         model, rep = dsc.train(ds, 0.01, kind, tol=1e-10)
-        warm, warm_rep = dsc.incremental_train(model, new_ds, tol=1e-9)
+        warm, warm_rep = dsc.train(new_ds, model.lam, model.kind, tol=1e-9, init=model.beta)
         return model, rep, warm, warm_rep
 
     cached = solves()

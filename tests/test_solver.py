@@ -3,13 +3,8 @@ import pytest
 
 from conftest import reference_gradient_descent
 from delta_scope.data import make_synthetic
-from delta_scope.losses import LossKind, objective, objective_gradient
-from delta_scope.solver import (
-    SolverError,
-    incremental_train,
-    minimize_smooth,
-    train,
-)
+from delta_scope.losses import LossKind, Problem
+from delta_scope.solver import SolverError, minimize_smooth, train
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 
@@ -22,7 +17,7 @@ def test_train_reaches_tolerance(kind, lam):
     assert model.grad_residual <= 1e-8
     assert report.final_grad_norm == model.grad_residual
     assert not report.stopped_early
-    residual = np.linalg.norm(objective_gradient(ds, model.beta, lam, kind))
+    residual = np.linalg.norm(Problem(ds, lam, kind).value_and_grad(model.beta)[1])
     assert residual <= 1e-8
 
 
@@ -34,8 +29,8 @@ def test_train_agrees_with_gradient_descent(kind):
     gd_beta = reference_gradient_descent(ds, lam, kind, tol=1e-8)
     # both sit at the unique strongly convex optimum
     assert np.linalg.norm(model.beta - gd_beta) <= 1e-6
-    f_qn = objective(ds, model.beta, lam, kind)
-    f_gd = objective(ds, gd_beta, lam, kind)
+    f_qn = Problem(ds, lam, kind).value(model.beta)
+    f_gd = Problem(ds, lam, kind).value(gd_beta)
     assert f_qn <= f_gd + 1e-12
 
 
@@ -69,11 +64,16 @@ def test_objective_decreases_monotonically():
     values = []
 
     def watch(beta, grad):
-        values.append(objective(ds, beta, lam, kind))
+        values.append(Problem(ds, lam, kind).value(beta))
         return False
 
-    model, _ = incremental_train(
-        train(ds, lam, kind, tol=1e-2)[0], ds, tol=1e-9, stop_hook=watch
+    problem = Problem(ds, lam, kind)
+    minimize_smooth(
+        problem.value_and_grad,
+        problem.value,
+        train(ds, lam, kind, tol=1e-2)[0].beta,
+        tol=1e-9,
+        stop_hook=watch,
     )
     assert len(values) > 3
     diffs = np.diff(values)
@@ -89,9 +89,8 @@ def test_iteration_cap_raises_with_best_iterate():
     assert err.beta.shape == (6,)
     assert err.grad_norm > 1e-10
     # the carried iterate is better than the starting point
-    assert objective(ds, err.beta, 0.01, LossKind.LOGISTIC) < objective(
-        ds, np.zeros(6), 0.01, LossKind.LOGISTIC
-    )
+    problem = Problem(ds, 0.01, LossKind.LOGISTIC)
+    assert problem.value(err.beta) < problem.value(np.zeros(6))
 
 
 def test_train_validation():
@@ -117,7 +116,7 @@ def test_incremental_train_warm_start():
     ds = make_synthetic(10, 100, 8)
     old, _ = train(ds, 0.1, LossKind.LOGISTIC, tol=1e-9)
     # identical dataset: converged immediately
-    same, report = incremental_train(old, ds, tol=1e-8)
+    same, report = train(ds, old.lam, old.kind, tol=1e-8, init=old.beta)
     assert report.iterations == 0
     assert np.array_equal(same.beta, old.beta)
     # modified dataset: warm start needs far fewer steps than cold start
@@ -125,7 +124,7 @@ def test_incremental_train_warm_start():
     from delta_scope.data import UpdatePlan, apply_update
 
     new_ds = apply_update(ds, UpdatePlan(changed, (0, 1)))
-    warm, warm_rep = incremental_train(old, new_ds, tol=1e-9)
+    warm, warm_rep = train(new_ds, old.lam, old.kind, tol=1e-9, init=old.beta)
     cold, cold_rep = train(new_ds, 0.1, LossKind.LOGISTIC, tol=1e-9)
     assert warm_rep.iterations < cold_rep.iterations
     assert np.linalg.norm(warm.beta - cold.beta) <= 1e-6
@@ -140,15 +139,18 @@ def test_incremental_train_stop_hook():
         seen.append((beta.copy(), grad.copy()))
         return True
 
-    model, report = incremental_train(old, ds, tol=1e-12, stop_hook=stop_now)
-    assert report.stopped_early
-    assert report.iterations == 0
+    problem = Problem(ds, old.lam, old.kind)
+    _, _, iterations, stopped_early, _ = minimize_smooth(
+        problem.value_and_grad, problem.value, old.beta, tol=1e-12, stop_hook=stop_now
+    )
+    assert stopped_early
+    assert iterations == 0
     assert len(seen) == 1
     beta_seen, grad_seen = seen[0]
     # the hook got the true iterate and its exact objective gradient
     assert np.array_equal(beta_seen, old.beta)
     np.testing.assert_allclose(
-        grad_seen, objective_gradient(ds, old.beta, 0.2, LossKind.LOGISTIC), rtol=1e-12
+        grad_seen, Problem(ds, 0.2, LossKind.LOGISTIC).value_and_grad(old.beta)[1], rtol=1e-12
     )
 
 
@@ -161,21 +163,15 @@ def test_incremental_train_hook_sees_every_iterate():
         iterates.append(beta)
         return False
 
-    model, report = incremental_train(old, ds, tol=1e-9, stop_hook=watch)
-    assert not report.stopped_early
-    assert len(iterates) == report.iterations
+    problem = Problem(ds, old.lam, old.kind)
+    _, grad_norm, iterations, stopped_early, _ = minimize_smooth(
+        problem.value_and_grad, problem.value, old.beta, tol=1e-9, stop_hook=watch
+    )
+    assert not stopped_early
+    # the hook is asked before the tolerance test, the final iterate included
+    assert len(iterates) == iterations + 1
     # gradient norms are honest: the final residual meets the tolerance
-    assert report.final_grad_norm <= 1e-9
-
-
-def test_incremental_train_validation():
-    ds = make_synthetic(14, 20, 4)
-    old, _ = train(ds, 0.5, LossKind.LOGISTIC, tol=1e-6)
-    other = make_synthetic(15, 20, 5)
-    with pytest.raises(ValueError, match="dimension"):
-        incremental_train(old, other)
-    with pytest.raises(ValueError, match="empty"):
-        incremental_train(old, ds.take([]))
+    assert grad_norm <= 1e-9
 
 
 def test_minimize_smooth_on_quadratic():
