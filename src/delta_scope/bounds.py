@@ -347,6 +347,9 @@ def naive_score_bounds(box: CoefficientBounds, eta) -> ScoreBounds:
         csr = eta.tocsr()
         if csr.shape[0] != 1 or csr.shape[1] != box.lower.shape[0]:
             raise ValueError("eta shape does not match the bounds")
+        if not csr.has_canonical_format:  # sum duplicates, as _row_bounds does
+            csr = csr.copy()
+            csr.sum_duplicates()
         vals = csr.data
         lo_box = box.lower[csr.indices]
         hi_box = box.upper[csr.indices]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import math
 import sys
 import warnings as _warnings
@@ -32,7 +33,9 @@ from .data import (
     apply_update,
     load_libsvm,
     make_synthetic,
+    parse_libsvm,
     save_libsvm,
+    take_libsvm_rows,
     with_bias_feature,
 )
 from .losses import LossKind
@@ -63,11 +66,19 @@ def _load_data(args) -> SparseDataset:
     return ds
 
 
+def _in_model_space(ds: SparseDataset, model) -> SparseDataset:
+    """``ds`` with the model's bias column appended, if it has one."""
+    return with_bias_feature(ds) if model.add_bias else ds
+
+
+def _raw_dim(model) -> int:
+    """Feature dimension of the model's input rows, before any bias column."""
+    return model.d - 1 if model.add_bias else model.d
+
+
 def _load_rows(path: str, model) -> SparseDataset:
     """Rows of a libsvm file in the model's feature space, bias column included."""
-    if model.add_bias:
-        return with_bias_feature(load_libsvm(path, d=model.d - 1))
-    return load_libsvm(path, d=model.d)
+    return _in_model_space(load_libsvm(path, d=_raw_dim(model)), model)
 
 
 def _read_removal_indices(path: str) -> list[int]:
@@ -84,8 +95,47 @@ def _read_removal_indices(path: str) -> list[int]:
     return out
 
 
+def _removed_rows(data_path: str, idx: list[int], model) -> tuple[SparseDataset, str]:
+    """Training rows ``idx`` in the model's feature space, and the SHA-256
+    of the bytes of ``data_path`` they were read from (see ``_load_update``)."""
+    with open(data_path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    stored = model.training_data_sha256
+    if stored is None:
+        base = parse_libsvm(raw, d=_raw_dim(model))
+        _check_row_count(base.n, model)
+        removed = base.take(idx)
+    elif digest != stored:
+        raise ValueError(
+            f"--data has SHA-256 {digest}, but the model was trained on a file "
+            f"with SHA-256 {stored}"
+        )
+    else:
+        removed, n = take_libsvm_rows(raw, idx, d=_raw_dim(model))
+        _check_row_count(n, model)
+    return _in_model_space(removed, model), digest
+
+
+def _check_row_count(n: int, model) -> None:
+    if n != model.n_train:
+        raise ValueError(f"--data has {n} rows but the model was trained on {model.n_train}")
+
+
 def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | None, dict]:
-    """Read --add/--remove (with --data for removals) into instance sets."""
+    """Read --add/--remove (with --data for removals) into instance sets.
+
+    Removal indices are checked against the model's training-set size
+    before ``--data`` is read, and ``--data`` is read and hashed once. Then:
+
+    * the model records its training file's digest (``train`` writes it):
+      the digests must match, and only the removed rows are parsed;
+    * the model has no digest (library-built or older): the whole file is
+      parsed.
+
+    Either way the file must hold ``model.n_train`` rows, and the report
+    records the digest computed here.
+    """
     inputs: dict = {}
     added = None
     removed = None
@@ -95,19 +145,14 @@ def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | Non
     if args.remove:
         if not args.data:
             raise ValueError("--remove needs --data to resolve 0-based row indices")
-        base = _load_rows(args.data, model)
-        if base.n != model.n_train:
-            raise ValueError(
-                f"--data has {base.n} rows but the model was trained on {model.n_train}"
-            )
         idx = _read_removal_indices(args.remove)
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate removal index")
         for i in idx:
-            if not 0 <= i < base.n:
-                raise ValueError(f"removal index {i} out of range for n={base.n}")
-        removed = base.take(idx)
-        inputs["training_data"] = args.data
+            if not 0 <= i < model.n_train:
+                raise ValueError(f"removal index {i} out of range for n={model.n_train}")
+        removed, digest = _removed_rows(args.data, idx, model)
+        inputs["training_data"] = (args.data, digest)
         inputs["removals"] = args.remove
     return added, removed, inputs
 
@@ -173,7 +218,8 @@ def _cmd_train(args) -> dict:
     ds = _load_data(args)
     kind = LossKind.from_name(args.loss)
     model, rep = train(ds, args.lam, kind, tol=args.tol, max_iter=args.max_iter)
-    model = replace(model, add_bias=args.add_bias)
+    digest = sha256_file(args.data)
+    model = replace(model, add_bias=args.add_bias, training_data_sha256=digest)
     save_model(model, args.model_out)
     return build_report(
         "train",
@@ -184,7 +230,7 @@ def _cmd_train(args) -> dict:
             "max_iter": args.max_iter,
             "add_bias": args.add_bias,
         },
-        {"training_data": args.data},
+        {"training_data": (args.data, digest)},
         {
             "n": ds.n,
             "d": ds.d,

@@ -19,6 +19,7 @@ __all__ = [
     "csr_row_sq_norms",
     "UpdatePlan",
     "parse_libsvm",
+    "take_libsvm_rows",
     "load_libsvm",
     "serialize_libsvm",
     "save_libsvm",
@@ -149,12 +150,45 @@ def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    ds = _parse_lines(enumerate(text.splitlines(), 1), d)
+    if ds.n == 0:
+        raise LibsvmFormatError("no instances found")
+    return ds
+
+
+def take_libsvm_rows(
+    text: str | bytes, indices, *, d: int
+) -> tuple[SparseDataset, int]:
+    """Rows ``indices`` of libsvm text, and the number of rows the text holds.
+
+    The rows equal ``parse_libsvm(text, d=d).take(indices)``, but only their
+    own lines are parsed: a row is a line :func:`parse_libsvm` reads, found
+    and numbered as it finds and numbers them, so a malformed picked row
+    names its true line. A malformed row that is not picked goes unnoticed,
+    so the text should be one already known to parse, e.g. by its digest.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.splitlines()
+    # the same test as line.split() being non-empty, without the split
+    rows = [i for i, line in enumerate(lines) if line and not line.isspace()]
+    n = len(rows)
+    picked = []
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"row index {i} out of range for {n} rows")
+        picked.append((rows[i] + 1, lines[rows[i]]))
+    return _parse_lines(picked, d), n
+
+
+def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
+    """Dataset of the non-blank lines among ``(line number, line)`` pairs."""
     labels: list[float] = []
     data: list[float] = []
     indices: list[int] = []
     indptr: list[int] = [0]
     max_index = 0
-    for ln, line in enumerate(text.splitlines(), 1):
+    for ln, line in numbered_lines:
         tokens = line.split()
         if not tokens:
             continue
@@ -184,8 +218,6 @@ def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
             prev = idx
         max_index = max(max_index, prev)
         indptr.append(len(data))
-    if not labels:
-        raise LibsvmFormatError("no instances found")
     if d is None:
         d = max_index
     elif max_index > d:

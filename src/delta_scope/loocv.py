@@ -51,6 +51,7 @@ from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
     TrainedModel,
+    _check_max_iter,
     minimize_smooth,
     train,
 )
@@ -263,6 +264,7 @@ def run_loocv(
         raise ValueError("leave-one-out needs at least 2 instances")
     if not fold_tol > 0:
         raise ValueError(f"fold_tol must be positive, got {fold_tol}")
+    _check_max_iter(max_iter)
     if full is None:
         full, _ = train(ds, lam, kind, tol=full_tol, max_iter=max_iter)
     elif full.d != ds.d or full.n_train != ds.n:

@@ -5,6 +5,9 @@ vector base64-encoded as little-endian float64 bytes, so save/load
 round-trips are bit-exact and the file is byte-identical across runs and
 platforms. ``add_bias`` records whether the last coefficient belongs to an
 appended constant-1 feature; an artifact without the key has none.
+``training_data_sha256`` is the lowercase hex SHA-256 of the training file
+the ``train`` command read; it is written only when known, and an artifact
+without it (a library-built or older model) reads as ``None``.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import base64
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -27,7 +31,7 @@ MODEL_VERSION = 1
 
 def model_to_dict(model: TrainedModel) -> dict:
     beta_bytes = np.ascontiguousarray(model.beta, dtype="<f8").tobytes()
-    return {
+    out = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "d": model.d,
@@ -39,6 +43,9 @@ def model_to_dict(model: TrainedModel) -> dict:
         "beta_encoding": "base64-le-f8",
         "beta": base64.b64encode(beta_bytes).decode("ascii"),
     }
+    if model.training_data_sha256 is not None:
+        out["training_data_sha256"] = model.training_data_sha256
+    return out
 
 
 def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -77,6 +84,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         kind = LossKind.from_name(obj["loss"])
         residual = float(obj["grad_residual"])
         add_bias = obj.get("add_bias", False)
+        digest = obj.get("training_data_sha256")
         encoding = obj["beta_encoding"]
         raw = base64.b64decode(obj["beta"], validate=True)
     except (KeyError, ValueError, TypeError) as exc:
@@ -98,4 +106,11 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         raise ValueError(f"{path}: beta has non-finite entries")
     if not isinstance(add_bias, bool):
         raise ValueError(f"{path}: add_bias must be true or false, got {add_bias!r}")
-    return TrainedModel(beta, lam, kind, residual, n_train, add_bias)
+    if "training_data_sha256" in obj and not (
+        isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)
+    ):
+        raise ValueError(
+            f"{path}: training_data_sha256 must be a 64-character lowercase hex "
+            f"string, got {digest!r}"
+        )
+    return TrainedModel(beta, lam, kind, residual, n_train, add_bias, digest)

@@ -63,19 +63,24 @@ def check_finite(obj, *, _path: str = "$") -> None:
 def build_report(
     command: str,
     params: dict,
-    inputs: dict[str, str | os.PathLike],
+    inputs: dict[str, str | os.PathLike | tuple[str | os.PathLike, str]],
     results: dict,
     warnings: list[str] | None = None,
 ) -> dict:
-    """Assemble and sanity-check a report; ``inputs`` maps name -> file path."""
+    """Assemble and sanity-check a report.
+
+    ``inputs`` maps name -> file path, which is hashed here, or -> a
+    ``(path, sha256)`` pair for a file the command has already hashed.
+    """
+    entries = {}
+    for name, entry in inputs.items():
+        path, digest = entry if isinstance(entry, tuple) else (entry, sha256_file(entry))
+        entries[name] = {"path": os.fspath(path), "sha256": digest}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": params,
-        "inputs": {
-            name: {"path": os.fspath(path), "sha256": sha256_file(path)}
-            for name, path in inputs.items()
-        },
+        "inputs": entries,
         "results": results,
         "warnings": list(warnings or []),
     }

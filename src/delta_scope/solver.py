@@ -19,6 +19,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -55,7 +56,8 @@ class TrainedModel:
 
     With ``add_bias`` the last coefficient weighs a constant-1 feature that
     was appended to every training row, and must be appended to every row
-    the model scores.
+    the model scores. ``training_data_sha256`` is the SHA-256 of the
+    training file, when the model was trained from one.
     """
 
     beta: np.ndarray
@@ -64,6 +66,7 @@ class TrainedModel:
     grad_residual: float
     n_train: int
     add_bias: bool = False
+    training_data_sha256: str | None = None
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -205,6 +208,12 @@ def minimize_smooth(
         beta, f, g = beta_next, f_next, g_next
 
 
+def _check_max_iter(max_iter) -> None:
+    """Reject an iteration cap that is not a nonnegative integer."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+
+
 def train(
     ds: SparseDataset,
     lam: float,
@@ -221,6 +230,7 @@ def train(
         raise ValueError("dataset has no features")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_max_iter(max_iter)
     start = np.zeros(ds.d) if init is None else np.asarray(init, dtype=np.float64)
     if start.shape != (ds.d,):
         raise ValueError(f"init has shape {start.shape}, expected ({ds.d},)")

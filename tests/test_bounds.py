@@ -544,6 +544,21 @@ def test_duplicate_row_entries_are_summed_before_projection():
     assert row.nnz == 2  # summed on a copy; the caller's matrix is untouched
 
 
+def test_naive_box_sums_duplicate_entries():
+    # the same ball; the row (0, 1.0) twice is (2, 0), and (0, 1.0) with
+    # (0, -1.0) is the zero vector, whose score is exactly 0
+    ball = dsc.gradient_ball(np.zeros(2), np.array([-2.0, 0.0]), 1.0)
+    box = dsc.coefficient_bounds(ball)
+    doubled = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
+    nb = dsc.naive_score_bounds(box, doubled)
+    dense = dsc.naive_score_bounds(box, np.array([2.0, 0.0]))
+    assert (nb.lower, nb.upper, nb.eta_norm) == (dense.lower, dense.upper, 2.0)
+    cancelled = sp.csr_matrix((np.array([1.0, -1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
+    nb = dsc.naive_score_bounds(box, cancelled)
+    assert (nb.lower, nb.upper, nb.eta_norm) == (0.0, 0.0, 0.0)
+    assert doubled.nnz == cancelled.nnz == 2  # summed on a copy
+
+
 def test_batch_score_bounds_handles_empty_rows():
     ball = dsc.SolutionBall(np.array([1.0, 1.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
     X = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))

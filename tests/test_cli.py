@@ -13,8 +13,11 @@ import jsonschema
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delta_scope as dsc
+from delta_scope import cli
 from delta_scope.cli import main
 from delta_scope.report import report_schema
 
@@ -87,6 +90,9 @@ def test_train_writes_canonical_model(tmp_path, capsys):
     assert code == 0
     assert report["results"]["final_grad_norm"] <= 1e-9
     assert report["inputs"]["training_data"]["path"] == data
+    digest = hashlib.sha256(open(data, "rb").read()).hexdigest()
+    assert report["inputs"]["training_data"]["sha256"] == digest
+    assert dsc.load_model(m1).training_data_sha256 == digest
     run_cli(
         ["train", "--data", data, "--loss", "l2-hinge", "--lambda", "0.5",
          "--tol", "1e-9", "--model-out", m2], capsys
@@ -358,6 +364,101 @@ def test_model_without_add_bias_key_has_no_bias(paths):
         dsc.load_model(legacy)
 
 
+def removal_args(paths, indices):
+    """Update arguments removing training rows ``indices`` and adding two."""
+    tmp_path, data, model_path = paths
+    add_path, _ = write_addition_file(tmp_path, 30, 2, 6)
+    remove_path = str(tmp_path / "rm.txt")
+    with open(remove_path, "w") as fh:
+        fh.writelines(f"{i}\n" for i in indices)
+    return ["--model", model_path, "--data", data, "--add", add_path,
+            "--remove", remove_path]
+
+
+def test_remove_rejects_data_other_than_the_training_file(paths, capsys):
+    tmp_path, data, model_path = paths
+    stored = dsc.load_model(model_path).training_data_sha256
+    raw = bytearray(open(data, "rb").read())
+    pos = raw.index(b":") + 1  # first digit of the first value: same row count
+    raw[pos : pos + 1] = b"7" if raw[pos : pos + 1] != b"7" else b"8"
+    with open(data, "wb") as fh:
+        fh.write(raw)
+    edited = hashlib.sha256(raw).hexdigest()
+    assert edited != stored and dsc.load_libsvm(data).n == 120
+    code, report, err = run_cli(["coef-sensitivity", *removal_args(paths, [3, 9])], capsys)
+    assert code == 1 and report is None
+    assert err.startswith("delta-scope: error:")
+    assert stored in err and edited in err
+
+
+@pytest.mark.parametrize("command", ["coef-sensitivity", "label-sensitivity"])
+def test_removal_without_stored_digest_gives_the_same_results(paths, capsys, command):
+    tmp_path, data, model_path = paths
+    argv = [command, *removal_args(paths, [17, 0, 64])]
+    if command == "label-sensitivity":
+        argv += ["--test", data]
+    code, picked, _ = run_cli(argv, capsys)
+    assert code == 0
+    stored = dsc.load_model(model_path).training_data_sha256
+    assert picked["inputs"]["training_data"]["sha256"] == stored
+    obj = json.loads(open(model_path).read())
+    del obj["training_data_sha256"]
+    with open(model_path, "w") as fh:
+        json.dump(obj, fh)
+    assert dsc.load_model(model_path).training_data_sha256 is None
+    code, parsed, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert parsed["results"] == picked["results"]
+    assert parsed["inputs"]["training_data"]["sha256"] == stored
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
+BLANKS = ["", " ", "\t", " \t ", "\x1f"]
+
+
+@st.composite
+def libsvm_texts(draw, d):
+    """(text, row count) of libsvm text with blank lines and odd line breaks."""
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["+1", "-1", "0", "2.5"]),
+                  st.dictionaries(st.integers(1, d), values, max_size=d)),
+        min_size=1, max_size=8,
+    ))
+    parts = []
+    for label, feats in rows:
+        for _ in range(draw(st.integers(0, 2))):
+            parts += [draw(st.sampled_from(BLANKS)), draw(st.sampled_from(LINE_BREAKS))]
+        tokens = [label, *(f"{j}:{feats[j]!r}" for j in sorted(feats))]
+        parts += [draw(st.sampled_from(BLANKS)), draw(st.sampled_from([" ", "\t", " \t"])).join(tokens),
+                  draw(st.sampled_from(BLANKS)), draw(st.sampled_from(LINE_BREAKS))]
+    return "".join(parts), len(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), add_bias=st.booleans())
+def test_removed_rows_equal_the_rows_of_a_full_parse(tmp_path_factory, data, add_bias):
+    d = 4
+    text, n = data.draw(libsvm_texts(d))
+    idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    path = tmp_path_factory.mktemp("rows") / "train.libsvm"
+    raw = text.encode("utf-8")
+    path.write_bytes(raw)
+    digest = hashlib.sha256(raw).hexdigest()
+    expected = dsc.load_libsvm(path, d=d).take(idx)
+    if add_bias:
+        expected = dsc.with_bias_feature(expected)
+    beta = np.zeros(d + add_bias)
+    for stored in (digest, None):
+        model = dsc.TrainedModel(beta, 1.0, dsc.LossKind.LOGISTIC, 0.0, n, add_bias, stored)
+        got, checked = cli._removed_rows(str(path), idx, model)
+        assert checked == digest
+        assert got.X.shape == expected.X.shape
+        for a, b in ((got.X.data, expected.X.data), (got.X.indices, expected.X.indices),
+                     (got.X.indptr, expected.X.indptr), (got.y, expected.y)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -372,6 +473,8 @@ def test_model_without_add_bias_key_has_no_bias(paths):
         ("lambda", math.nan),
         ("beta", math.nan),
         ("beta", -math.inf),
+        ("training_data_sha256", "not-hex"),
+        ("training_data_sha256", 12),
     ],
 )
 def test_corrupt_model_header_is_rejected(paths, capsys, field, value):
@@ -574,6 +677,7 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["loocv", "--lambda", "0.1", "--fold-tol", "-1"], "fold_tol"),
         (["loocv", "--lambda", "0.1", "--fold-tol", "nan"], "fold_tol"),
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "nan"], "gamma"),
+        (["train", "--lambda", "0.1", "--max-iter", "-1"], "max_iter"),
     ],
 )
 def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, field):

@@ -12,6 +12,7 @@ from delta_scope.data import (
     make_synthetic,
     parse_libsvm,
     serialize_libsvm,
+    take_libsvm_rows,
     with_bias_feature,
 )
 
@@ -77,6 +78,23 @@ def test_parse_rejects_non_finite_values():
         parse_libsvm("+1 1:nan\n")
     with pytest.raises(LibsvmFormatError, match="non-finite"):
         parse_libsvm("+1 1:inf\n")
+
+
+def test_take_rows_parses_only_the_picked_lines():
+    text = "+1 1:1\n\n  \nspam\r\n-1 2:2\x0c+1 3:0.5\n"
+    rows, n = take_libsvm_rows(text, [3, 2], d=3)
+    assert n == 4
+    assert rows.y.tolist() == [1.0, -1.0]
+    np.testing.assert_array_equal(rows.X.toarray(), [[0.0, 0.0, 0.5], [0.0, 2.0, 0.0]])
+    # the malformed row is found, and named by its line, only when picked
+    with pytest.raises(LibsvmFormatError, match="line 4: bad label"):
+        take_libsvm_rows(text, [1], d=3)
+    with pytest.raises(ValueError, match="row index 4 out of range for 4 rows"):
+        take_libsvm_rows(text, [0, 4], d=3)
+    with pytest.raises(ValueError, match="out of range"):
+        take_libsvm_rows(text, [-1], d=3)
+    empty, n = take_libsvm_rows(text.encode(), [], d=3)
+    assert (empty.n, empty.d, n) == (0, 3, 4)
 
 
 def test_parse_pinned_dimension():

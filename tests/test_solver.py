@@ -3,6 +3,7 @@ import pytest
 
 from conftest import reference_gradient_descent
 from delta_scope.data import make_synthetic
+from delta_scope.loocv import run_loocv
 from delta_scope.losses import LossKind, Problem
 from delta_scope.solver import SolverError, minimize_smooth, train
 
@@ -103,6 +104,15 @@ def test_train_validation():
         train(ds, 1.0, LossKind.LOGISTIC, init=np.zeros(5))
     with pytest.raises(ValueError, match="empty"):
         train(ds.take([]), 1.0, LossKind.LOGISTIC)
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True])
+def test_bad_iteration_cap_is_an_input_error(max_iter):
+    ds = make_synthetic(8, 20, 4)
+    with pytest.raises(ValueError, match="max_iter"):
+        train(ds, 1.0, LossKind.LOGISTIC, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        run_loocv(ds, 1.0, LossKind.LOGISTIC, max_iter=max_iter)
 
 
 def test_trained_model_is_read_only():
