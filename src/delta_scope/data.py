@@ -196,6 +196,8 @@ def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
             raw_label = float(tokens[0])
         except ValueError:
             raise LibsvmFormatError(f"line {ln}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(raw_label):
+            raise LibsvmFormatError(f"line {ln}: non-finite label {tokens[0]!r}")
         labels.append(1.0 if raw_label > 0 else -1.0)
         prev = 0
         for tok in tokens[1:]:

@@ -24,7 +24,7 @@ TIE_EXCLUSION = 1e-7
 BOX_SLACK = 1e-12
 FD_REL = 1e-5
 SUITE_TIME_LIMIT = 120.0
-LOOCV_TIME_LIMIT = 300.0
+LOOCV_TIME_LIMIT = 90.0
 COST_RATIO_LIMIT = 2.0
 A9A_FRACTION_TARGET = 0.996345
 A9A_FRACTION_TOL = 0.05

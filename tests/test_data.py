@@ -78,6 +78,12 @@ def test_parse_rejects_non_finite_values():
         parse_libsvm("+1 1:nan\n")
     with pytest.raises(LibsvmFormatError, match="non-finite"):
         parse_libsvm("+1 1:inf\n")
+    with pytest.raises(LibsvmFormatError, match="line 1: non-finite label 'nan'"):
+        parse_libsvm("nan 1:1\ninf 1:2\n")
+    with pytest.raises(LibsvmFormatError, match="line 2: non-finite label '-inf'"):
+        parse_libsvm("+1 1:1\n-inf 1:2\n")
+    with pytest.raises(LibsvmFormatError, match="line 2: non-finite label 'nan'"):
+        take_libsvm_rows("+1 1:1\nnan 1:2\n", [1], d=1)
 
 
 def test_take_rows_parses_only_the_picked_lines():

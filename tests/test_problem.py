@@ -161,12 +161,23 @@ class CountingMatrix:
         return self.X @ v
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_accepted_trial_scores_are_reused(kind):
-    ds = dsc.make_synthetic(3, 200, 12, separation=1.0)
+@pytest.mark.parametrize(
+    "kind, held_out",
+    [pytest.param(kind, None, id=str(kind)) for kind in ALL_KINDS]
+    # a fold solved from the full optimum, where f differences drop below
+    # float resolution long before the gradient norm reaches tol
+    + [pytest.param(LossKind.L2_HINGE, 0, id="held-out-l2-hinge")],
+)
+def test_accepted_trial_scores_are_reused(kind, held_out):
+    if held_out is None:
+        ds = dsc.make_synthetic(3, 200, 12, separation=1.0)
+        start = np.zeros(ds.d)
+    else:
+        ds = dsc.make_synthetic(5, 80, 40, separation=1.0)
+        start = dsc.train(ds, 0.01, kind, tol=1e-10)[0].beta
     counting = CountingMatrix(ds.X)
     view = SimpleNamespace(n=ds.n, d=ds.d, y=ds.y, X=counting, XT=ds.XT)
-    problem = Problem(view, 0.01, kind)
+    problem = Problem(view, 0.01, kind, held_out=held_out)
     calls = {"value": 0, "value_and_grad": 0}
 
     def counted(name):
@@ -179,9 +190,9 @@ def test_accepted_trial_scores_are_reused(kind):
         return wrapper
 
     _, _, iters, _, _ = minimize_smooth(
-        counted("value_and_grad"), counted("value"), np.zeros(ds.d), tol=1e-10
+        counted("value_and_grad"), counted("value"), start, tol=1e-10
     )
-    # one gradient per iteration plus the start, none of them a fallback
+    # one gradient per iteration plus the start
     assert calls["value_and_grad"] == iters + 1
     # every score product is a line-search trial, except the starting point's
     assert counting.products == calls["value"] + 1

@@ -200,3 +200,22 @@ def test_minimize_smooth_on_quadratic():
     assert gnorm <= 1e-12
     assert not early
     np.testing.assert_allclose(beta, target, atol=1e-11)
+
+
+def test_line_search_on_an_ascent_direction_stalls():
+    # the quadratic above with its gradient negated: every trial goes uphill,
+    # so Armijo rejects each one and the solve must fail, not crawl uphill
+    A = np.diag([1.0, 4.0, 9.0])
+    b = np.array([1.0, -2.0, 3.0])
+
+    def val(x):
+        return 0.5 * x @ A @ x - b @ x
+
+    def vag(x):
+        return val(x), b - A @ x
+
+    start = np.array([0.3, 0.1, -0.2])
+    with pytest.raises(SolverError, match="line search stalled") as info:
+        minimize_smooth(vag, val, start, tol=1e-12)
+    assert info.value.iterations == 0
+    np.testing.assert_array_equal(info.value.beta, start)
