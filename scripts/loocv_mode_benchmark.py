@@ -4,8 +4,10 @@
 For each grid value the script runs leave-one-out three ways on the same
 synthetic problem and tabulates how many fold problems each strategy solved,
 the solver iterations it spent, and wall time.  All three strategies must
-report identical error rates — the faster ones only skip work that the fold
-bounds prove unnecessary.
+reach the same verdict on every fold, not only the same error rate: the
+faster ones only skip work that the fold bounds prove unnecessary.  The
+script exits with an error naming the lambda and the folds where any two
+disagree.
 
 Run from the repository root:
 
@@ -64,7 +66,7 @@ def main() -> None:
     for p in powers:
         lam = float(2.0**p)
         full, _ = dsc.train(ds, lam, kind, tol=1e-10)
-        rates = set()
+        verdicts = {}
         for mode in dsc.LoocvMode:
             res = dsc.run_loocv(
                 ds,
@@ -74,7 +76,7 @@ def main() -> None:
                 fold_tol=args.fold_tol,
                 full=full,
             )
-            rates.add(res.error_rate)
+            verdicts[mode] = {o.index: o.correct for o in res.outcomes}
             totals[mode][0] += res.solves_performed
             totals[mode][1] += res.solver_iterations
             totals[mode][2] += res.wall_time
@@ -84,11 +86,17 @@ def main() -> None:
                 f"{res.bound_time:>8.3f} {res.solve_time:>8.3f} "
                 f"{res.wall_time:>8.3f}"
             )
-        if len(rates) != 1:
-            raise SystemExit(f"modes disagree at lambda=2^{p}: {sorted(rates)}")
+        exact = verdicts[dsc.LoocvMode.EXACT]
+        for mode, folds in verdicts.items():
+            differ = [h for h in range(ds.n) if folds.get(h) != exact.get(h)]
+            if differ:
+                raise SystemExit(
+                    f"{mode.value} and exact disagree at lambda=2^{p} on "
+                    f"{len(differ)} fold verdicts, folds {differ[:10]}"
+                )
 
     print()
-    print("totals over the grid (modes agreed on every error rate):")
+    print("totals over the grid (modes agreed on every fold verdict):")
     base_iters = totals[dsc.LoocvMode.EXACT][1]
     for mode in dsc.LoocvMode:
         solves, iters, wall = totals[mode]

@@ -178,7 +178,10 @@ def _parse_grid(spec: str) -> list[tuple[float, str]]:
         tok = tok.strip()
         if not tok:
             continue
-        out.append((float(tok), tok))
+        try:
+            out.append((float(tok), tok))
+        except ValueError:
+            raise ValueError(f"bad grid value {tok!r} in {spec!r} (expected a number)") from None
     if not out:
         raise ValueError(f"empty grid spec {spec!r}")
     return out

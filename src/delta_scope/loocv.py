@@ -27,11 +27,19 @@ downdate is not positive, the fold starts at the full optimum instead. The
 start changes how much work a solve does, never what it certifies: the op2
 gradient ball holds at any iterate.
 
-Undecided folds are solved in increasing full-model margin y_h x_h . beta,
-ties by index; as each fold is solved alone, the order changes no outcome.
-Model selection over a grid can prune a candidate as soon as its running
-error lower bound exceeds the best completed error, and the likely-wrong
-folds come first, so a losing candidate is abandoned early.
+Undecided folds are taken in increasing full-model margin y_h x_h . beta,
+ties by index, in blocks of 16 folds, doubling up to 64. Each block is
+first decided at its Newton starts in one pass: the starts are the columns
+of a d x m matrix B, one ``X @ B`` and one ``X^T @ DL`` give every fold's
+gradient there, and each fold gets the verdict its solve would reach at
+iteration 0 (the op2 gradient ball, then the gradient norm against the
+fold tolerance). Only the folds still undecided are solved, each alone
+from its start. The pass computes every per-fold quantity as the solve
+does, so it changes no outcome and no iteration count, and neither does
+the order. Model selection over a grid can prune a candidate as soon as its
+running error lower bound exceeds the best completed error, tested before
+every fold, and the likely-wrong folds come first, so a losing candidate
+is abandoned early.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,6 +80,11 @@ __all__ = [
 ]
 
 DEFAULT_FOLD_TOL = 1e-6
+# Undecided folds are decided at their starts in blocks of 16 columns,
+# doubling up to 64: a pruned run wastes at most one block of starts, and
+# each block matrix stays at n * 64 floats.
+_BLOCK_START = 16
+_BLOCK_MAX = 64
 
 
 class LoocvMode(Enum):
@@ -168,7 +182,14 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     z, e, dl = terms
     dl = dl / (n - 1)
     c = _d2loss_terms(full.kind, z, e) / (n - 1)
-    hessian = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
+    # X^T diag(c) X against dense column slabs of about nnz(X) entries each;
+    # every entry sums over the rows in the same order as the sparse product
+    Xcsc = ds.X.tocsc()
+    width = max(1, ds.X.nnz // n)
+    hessian = np.empty((d, d))
+    for j0 in range(0, d, width):
+        j1 = min(j0 + width, d)
+        hessian[:, j0:j1] = ds.XT @ (c[:, None] * Xcsc[:, j0:j1].toarray())
     hessian[np.diag_indices(d)] += full.lam
     a_inv = np.linalg.inv(hessian)
     p = a_inv @ (ds.XT @ dl + full.lam * full.beta)
@@ -184,6 +205,61 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
         return full.beta - p + (dl[h] - c[h] * s / denom) * u
 
     return start
+
+
+def _decide_at_starts(
+    ds: SparseDataset,
+    folds: list[int],
+    full: TrainedModel,
+    starts: np.ndarray,
+    *,
+    tol: float,
+    early_stop: bool,
+    eta_norm: np.ndarray,
+    screened: list,
+) -> list[FoldOutcome | None]:
+    """Outcome of each fold whose solve would stop at its start, else None.
+
+    ``starts`` holds the folds' start points as rows. One ``X @ B`` and one
+    ``X^T @ DL`` give every fold gradient, with each fold's own row zeroed in
+    its column of DL, summed as the fold's ``Problem`` sums it; the rule is
+    the one :func:`minimize_smooth` applies at iteration 0: the op2 gradient
+    ball first, then the gradient norm against ``tol``. The scalars per fold
+    are formed by the same calls as the op2 hook's, so every outcome is
+    bit-identical to the one a solve from the same start would give.
+    """
+    n = ds.n
+    B = starts.T
+    z = ds.y[:, None] * (ds.X @ B)
+    e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
+    dl = _dloss_terms(full.kind, ds.y[:, None], z, e)
+    dl[folds, np.arange(len(folds))] = 0.0
+    grads = np.ascontiguousarray(((ds.XT @ dl) / (n - 1) + full.lam * B).T)
+    eta_start = np.empty(len(folds))
+    eta_grad = np.empty(len(folds))
+    grad_norm = np.empty(len(folds))
+    for k, h in enumerate(folds):
+        idx, vals = ds.row(h)
+        y_h = float(ds.y[h])
+        eta_start[k] = y_h * float(vals @ starts[k][idx])
+        eta_grad[k] = y_h * float(vals @ grads[k][idx])
+        grad_norm[k] = float(np.linalg.norm(grads[k]))
+    if early_stop:
+        lower, upper = gradient_ball_bounds(
+            eta_start, eta_grad, eta_norm[folds], grad_norm, full.lam
+        )
+        signs = certified_sign(lower, upper).tolist()
+    else:
+        signs = [0] * len(folds)
+    out: list[FoldOutcome | None] = []
+    for h, sign, eta_h, gnorm in zip(folds, signs, eta_start.tolist(), grad_norm.tolist()):
+        if sign:
+            out.append(FoldOutcome(h, FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0, screened[h]))
+        elif gnorm <= tol:
+            out.append(FoldOutcome(h, FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0, screened[h]))
+        else:
+            out.append(None)
+    return out
 
 
 def _solve_fold(
@@ -253,9 +329,12 @@ def run_loocv(
 
     A fitted full model may be passed to skip the initial training. The
     screen runs in every mode (``bound_time``), but ``exact`` decides no fold
-    by it. Undecided folds are solved lowest margin first, each from its
-    Newton point off the full optimum (see the module docstring);
-    ``solve_time`` includes the one-off Hessian set-up behind those points.
+    by it. Undecided folds are taken lowest margin first, each from its
+    Newton point off the full optimum, and decided in blocks at those points
+    where a solve would stop at iteration 0; only the rest are solved (see
+    the module docstring). ``solves_performed`` and ``solver_iterations``
+    count a block-decided fold as a solve of 0 iterations, as before.
+    ``solve_time`` includes the one-off Hessian set-up behind the starts.
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
@@ -300,6 +379,8 @@ def run_loocv(
 
     unresolved_left = 0
     start = None
+    block_start = block_end = 0
+    width = _BLOCK_START
     t0 = time.perf_counter()
     for pos, h in enumerate(unresolved):
         if prune_above is not None and known_wrong / n > prune_above:
@@ -308,17 +389,35 @@ def run_loocv(
             break
         if start is None:
             start = _newton_starts(full, ds, terms)
-        out = _solve_fold(
-            ds,
-            h,
-            full,
-            init=start(h),
-            tol=fold_tol,
-            max_iter=max_iter,
-            early_stop=mode is LoocvMode.OP2,
-            eta_norm_h=float(eta_norm[h]),
-            screened=screened[h],
-        )
+        if pos == block_end:
+            block = unresolved[pos : pos + width]
+            block_start, block_end = pos, pos + len(block)
+            width = min(2 * width, _BLOCK_MAX)
+            starts = np.array([start(f) for f in block])
+            decided = _decide_at_starts(
+                ds,
+                block,
+                full,
+                starts,
+                tol=fold_tol,
+                early_stop=mode is LoocvMode.OP2,
+                eta_norm=eta_norm,
+                screened=screened,
+            )
+        k = pos - block_start
+        out = decided[k]
+        if out is None:
+            out = _solve_fold(
+                ds,
+                h,
+                full,
+                init=starts[k],
+                tol=fold_tol,
+                max_iter=max_iter,
+                early_stop=mode is LoocvMode.OP2,
+                eta_norm_h=float(eta_norm[h]),
+                screened=screened[h],
+            )
         outcomes[h] = out
         known_wrong += not out.correct
     solve_time = time.perf_counter() - t0
@@ -447,6 +546,10 @@ def rbf_feature_map(
     """Sample ``n_centers`` training rows (seeded) as Gaussian centers."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if isinstance(n_centers, bool) or not isinstance(n_centers, Integral) or n_centers < 1:
+        raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     k = min(n_centers, train_ds.n)
     idx = np.sort(rng.choice(train_ds.n, size=k, replace=False))

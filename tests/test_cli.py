@@ -678,6 +678,11 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["loocv", "--lambda", "0.1", "--fold-tol", "nan"], "fold_tol"),
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "nan"], "gamma"),
         (["train", "--lambda", "0.1", "--max-iter", "-1"], "max_iter"),
+        (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-centers", "-1"],
+         "n_centers"),
+        (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-centers", "0"],
+         "n_centers"),
+        (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-seed", "-3"], "seed"),
     ],
 )
 def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, field):
@@ -691,6 +696,21 @@ def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, f
     assert report is None
     assert err.startswith("delta-scope: error:")
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (["--lambda-grid", "0.1,x"], "bad grid value 'x' in '0.1,x'"),
+        (["--lambda-grid", "0.1", "--gamma-grid", "0.5,,y"], "bad grid value 'y' in '0.5,,y'"),
+    ],
+)
+def test_bad_grid_value_is_named_with_its_spec(paths, capsys, grids, message):
+    _, data, _ = paths
+    code, report, err = run_cli(["loocv", "--data", data, "--loss", "logistic", *grids], capsys)
+    assert code == 1
+    assert report is None
+    assert message in err
 
 
 def test_installed_entry_point_runs():

@@ -270,6 +270,179 @@ def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the block pass decides folds at their starts exactly as their solves would
+
+
+def reference_loocv(
+    ds, lam, kind, mode, full, *, max_iter=loocv_module.MAX_ITER, prune_above=None
+):
+    """(outcomes, solves, iterations, pruned) with every undecided fold solved alone.
+
+    The screen and fold order are run_loocv's; each fold the screen leaves
+    undecided goes through ``_solve_fold`` from its Newton start, lowest
+    margin first, with the prune test before each one.
+    """
+    lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
+    start = loocv_module._newton_starts(full, ds, terms)
+    outcomes, undecided = {}, []
+    for h in np.argsort(terms[0], kind="stable").tolist():
+        screened = None
+        sign = 0
+        if mode is not LoocvMode.EXACT:
+            screened = dsc.ScoreBounds(
+                float(lower[h]), float(upper[h]), float(eta_norm[h]),
+                dsc.BoundMethod.OLD_OPTIMUM_BALL,
+            )
+            sign = int(dsc.certified_sign(lower[h], upper[h]))
+        if sign:
+            decision = FoldDecision.CORRECT_BY_BOUND if sign > 0 else FoldDecision.WRONG_BY_BOUND
+            outcomes[h] = loocv_module.FoldOutcome(h, decision, sign > 0, screened)
+        else:
+            undecided.append((h, screened))
+    known_wrong = sum(not o.correct for o in outcomes.values())
+    solves, pruned = 0, False
+    for h, screened in undecided:
+        if prune_above is not None and known_wrong / ds.n > prune_above:
+            pruned = True
+            break
+        outcomes[h] = loocv_module._solve_fold(
+            ds, h, full, init=start(h), tol=loocv_module.DEFAULT_FOLD_TOL,
+            max_iter=max_iter, early_stop=mode is LoocvMode.OP2,
+            eta_norm_h=float(eta_norm[h]), screened=screened,
+        )
+        known_wrong += not outcomes[h].correct
+        solves += 1
+    ordered = tuple(outcomes[h] for h in sorted(outcomes))
+    return ordered, solves, sum(o.solve_iterations for o in ordered), pruned
+
+
+def count_fold_solves(monkeypatch):
+    """List that collects the fold of every ``_solve_fold`` call."""
+    calls = []
+    solve_fold = loocv_module._solve_fold
+
+    def recording(ds, h, *args, **kwargs):
+        calls.append(h)
+        return solve_fold(ds, h, *args, **kwargs)
+
+    monkeypatch.setattr(loocv_module, "_solve_fold", recording)
+    return calls
+
+
+def assert_matches_reference(ds, lam, kind, mode, full, **kwargs):
+    """run_loocv's result, checked against the reference, and its fold solves."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_fold_solves(m)
+        res = dsc.run_loocv(ds, lam, kind, mode=mode, full=full, **kwargs)
+    outcomes, solves, iterations, pruned = reference_loocv(ds, lam, kind, mode, full, **kwargs)
+    assert res.outcomes == outcomes
+    assert res.solves_performed == solves
+    assert res.solver_iterations == iterations
+    assert res.pruned == pruned
+    # only the folds undecided at their starts reach the solver, and they iterate
+    assert sorted(calls) == [o.index for o in res.outcomes if o.solve_iterations > 0]
+    return res, calls
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_block_pass_matches_solving_every_fold_alone(mode, kind):
+    ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
+    lam = 0.01
+    full, _ = dsc.train(ds, lam, kind, tol=1e-10)
+    res, calls = assert_matches_reference(ds, lam, kind, mode, full)
+    assert res.solves_performed > 112  # blocks of 16, 32 and 64 all ran
+    if mode is LoocvMode.OP2:
+        assert len(calls) < res.solves_performed
+
+
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_prune_in_the_middle_of_a_block_matches_solving_every_fold_alone(kind):
+    ds = dsc.make_synthetic(411, 300, 8, separation=0.6)
+    lam = 0.01
+    full, _ = dsc.train(ds, lam, kind, tol=1e-10)
+    complete = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
+    screen_wrong = sum(o.decision is FoldDecision.WRONG_BY_BOUND for o in complete.outcomes)
+    margins = ds.y * (ds.X @ full.beta)
+    solved = sorted(
+        (o for o in complete.outcomes if o.decision not in
+         (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)),
+        key=lambda o: (margins[o.index], o.index),
+    )
+    block_starts = {0, 16, 48, 112, 176, 240}
+    wrong = 0
+    for pos, o in enumerate(solved[:-1]):
+        wrong += not o.correct
+        if not o.correct and pos > 16 and pos + 1 not in block_starts:
+            break
+    else:
+        pytest.fail("no wrong fold to stop after")
+    # the run stops right after the fold at ``pos``, inside its block
+    res, _ = assert_matches_reference(
+        ds, lam, kind, LoocvMode.OP2, full, prune_above=(screen_wrong + wrong - 0.5) / ds.n
+    )
+    assert res.pruned
+    assert res.solves_performed == pos + 1
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_block_pass_on_wide_sparse_data_matches_solving_every_fold_alone(mode, kind):
+    ds = dsc.make_synthetic(402, 60, 80, separation=1.5, density=0.1)
+    assert ds.d * ds.d > ds.X.nnz  # every fold starts at the full optimum
+    full, _ = dsc.train(ds, 0.05, kind, tol=1e-10)
+    res, _ = assert_matches_reference(ds, 0.05, kind, mode, full)
+    assert res.solves_performed > 0
+
+
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind):
+    # a fold_tol equal to a fold's gradient norm at its start, as its own
+    # Problem computes it, decides that fold in the block pass; one ulp less
+    # sends it to the solver. A block-pass norm off by one ulp either way
+    # moves the fold across that edge.
+    ds = dsc.make_synthetic(412, 80, 6, separation=0.8)
+    lam = 0.05
+    full, _ = dsc.train(ds, lam, kind, tol=1e-12)
+    start = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
+    for h in range(0, ds.n, 8):
+        problem = loocv_module.Problem(ds, lam, kind, held_out=h)
+        gnorm = float(np.linalg.norm(problem.value_and_grad(start(h))[1]))
+        for tol, reaches_solver in ((gnorm, False), (np.nextafter(gnorm, 0.0), True)):
+            with pytest.MonkeyPatch.context() as m:
+                calls = count_fold_solves(m)
+                res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full, fold_tol=tol)
+            assert (h in calls) == reaches_solver
+            assert (res.outcomes[h].solve_iterations > 0) == reaches_solver
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [(dsc.LossKind.LOGISTIC, LoocvMode.OP2), (dsc.LossKind.L2_HINGE, LoocvMode.EXACT)],
+)
+def test_max_iter_zero_fails_on_a_fold_undecided_at_its_start(kind, mode):
+    ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
+    full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_fold_solves(m)
+        with pytest.raises(dsc.SolverError, match="iteration cap 0"):
+            dsc.run_loocv(ds, 0.01, kind, mode=mode, full=full, max_iter=0)
+    assert len(calls) == 1
+    with pytest.raises(dsc.SolverError, match="iteration cap 0"):
+        reference_loocv(ds, 0.01, kind, mode, full, max_iter=0)
+
+
+def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
+    # squared-hinge op2 folds here are all certified at their Newton starts
+    ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
+    kind = dsc.LossKind.L2_HINGE
+    full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
+    res, calls = assert_matches_reference(ds, 0.01, kind, LoocvMode.OP2, full, max_iter=0)
+    assert calls == [] and res.solves_performed > 0
+    assert res.outcomes == dsc.run_loocv(ds, 0.01, kind, mode=LoocvMode.OP2, full=full).outcomes
+
+
+# ---------------------------------------------------------------------------
 # pruning
 
 
@@ -442,6 +615,12 @@ def test_rbf_feature_map_validation():
     ds = dsc.make_synthetic(318, 10, 3)
     with pytest.raises(ValueError, match="gamma"):
         dsc.rbf_feature_map(ds, gamma=0.0)
+    for n_centers in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="n_centers"):
+            dsc.rbf_feature_map(ds, gamma=1.0, n_centers=n_centers)
+    for seed in (-3, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            dsc.rbf_feature_map(ds, gamma=1.0, seed=seed)
     fm = dsc.rbf_feature_map(ds, gamma=1.0, n_centers=4)
     with pytest.raises(ValueError, match="dimension"):
         fm(dsc.make_synthetic(319, 5, 4))

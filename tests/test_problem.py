@@ -21,6 +21,7 @@ from delta_scope.solver import minimize_smooth
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
+BY_BOUND = (dsc.FoldDecision.CORRECT_BY_BOUND, dsc.FoldDecision.WRONG_BY_BOUND)
 
 
 class ReferenceProblem:
@@ -238,9 +239,9 @@ def test_loocv_matches_uncached_reference(mode, kind, monkeypatch):
     def run(m):
         fold_betas = []
 
-        def recording_minimize(*args, **kwargs):
-            out = minimize_smooth(*args, **kwargs)
-            fold_betas.append(out[0])
+        def recording_minimize(value_and_grad, *args, **kwargs):
+            out = minimize_smooth(value_and_grad, *args, **kwargs)
+            fold_betas.append((value_and_grad.__self__.held_out, out[0]))
             return out
 
         m.setattr(loocv_module, "minimize_smooth", recording_minimize)
@@ -252,9 +253,14 @@ def test_loocv_matches_uncached_reference(mode, kind, monkeypatch):
     with monkeypatch.context() as m:
         uncached(m)
         reference, reference_betas = run(m)
-    assert cached.solves_performed == len(cached_betas) > 0
-    assert len(cached_betas) == len(reference_betas)
-    for a, b in zip(cached_betas, reference_betas):
+    # folds decided at their starts by the block pass never reach the solver;
+    # a fold that does reach it was undecided at its start, so it iterates
+    by_solve = [o for o in cached.outcomes if o.decision not in BY_BOUND]
+    assert cached.solves_performed == len(by_solve) > 0
+    iterated = [o.index for o in by_solve if o.solve_iterations > 0]
+    assert sorted(h for h, _ in cached_betas) == iterated
+    assert [h for h, _ in reference_betas] == [h for h, _ in cached_betas]
+    for (_, a), (_, b) in zip(cached_betas, reference_betas):
         assert_same_bits(a, b)
     assert cached.outcomes == reference.outcomes
     assert cached.solver_iterations == reference.solver_iterations
