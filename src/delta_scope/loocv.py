@@ -28,12 +28,13 @@ start changes how much work a solve does, never what it certifies: the op2
 gradient ball holds at any iterate.
 
 Undecided folds are taken in increasing full-model margin y_h x_h . beta,
-ties by index, in blocks of 16 folds, doubling up to 64. Each block is
-first decided at its Newton starts in one pass: the starts are the columns
-of a d x m matrix B, one ``X @ B`` and one ``X^T @ DL`` give every fold's
-gradient there, and each fold gets the verdict its solve would reach at
-iteration 0 (the op2 gradient ball, then the gradient norm against the
-fold tolerance). Only the folds still undecided are solved, each alone
+ties by index, in blocks of up to 64 folds (fewer for large n, so that
+each n x m block matrix stays within 8 MiB). Each block is first decided
+at its Newton starts in one pass: the starts are the columns of a d x m
+matrix B, one ``X @ B`` and one ``X^T @ DL`` give every fold's gradient
+there, and each fold gets the verdict its solve would reach at iteration 0
+(the op2 gradient ball, then the gradient norm against the fold
+tolerance). Only the folds still undecided are solved, each alone
 from its start. The pass computes every per-fold quantity as the solve
 does, so it changes no outcome and no iteration count, and neither does
 the order. Model selection over a grid can prune a candidate as soon as its
@@ -80,11 +81,11 @@ __all__ = [
 ]
 
 DEFAULT_FOLD_TOL = 1e-6
-# Undecided folds are decided at their starts in blocks of 16 columns,
-# doubling up to 64: a pruned run wastes at most one block of starts, and
-# each block matrix stays at n * 64 floats.
-_BLOCK_START = 16
+# Undecided folds are decided at their starts in blocks of up to 64 columns
+# and at most _BLOCK_BYTES per n x m block matrix, so the pass holds a few
+# such matrices at once whatever n is.
 _BLOCK_MAX = 64
+_BLOCK_BYTES = 1 << 23
 
 
 class LoocvMode(Enum):
@@ -182,14 +183,7 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     z, e, dl = terms
     dl = dl / (n - 1)
     c = _d2loss_terms(full.kind, z, e) / (n - 1)
-    # X^T diag(c) X against dense column slabs of about nnz(X) entries each;
-    # every entry sums over the rows in the same order as the sparse product
-    Xcsc = ds.X.tocsc()
-    width = max(1, ds.X.nnz // n)
-    hessian = np.empty((d, d))
-    for j0 in range(0, d, width):
-        j1 = min(j0 + width, d)
-        hessian[:, j0:j1] = ds.XT @ (c[:, None] * Xcsc[:, j0:j1].toarray())
+    hessian = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
     hessian[np.diag_indices(d)] += full.lam
     a_inv = np.linalg.inv(hessian)
     p = a_inv @ (ds.XT @ dl + full.lam * full.beta)
@@ -379,8 +373,7 @@ def run_loocv(
 
     unresolved_left = 0
     start = None
-    block_start = block_end = 0
-    width = _BLOCK_START
+    width = min(_BLOCK_MAX, max(1, _BLOCK_BYTES // (8 * n)))
     t0 = time.perf_counter()
     for pos, h in enumerate(unresolved):
         if prune_above is not None and known_wrong / n > prune_above:
@@ -389,10 +382,8 @@ def run_loocv(
             break
         if start is None:
             start = _newton_starts(full, ds, terms)
-        if pos == block_end:
+        if pos % width == 0:
             block = unresolved[pos : pos + width]
-            block_start, block_end = pos, pos + len(block)
-            width = min(2 * width, _BLOCK_MAX)
             starts = np.array([start(f) for f in block])
             decided = _decide_at_starts(
                 ds,
@@ -404,7 +395,7 @@ def run_loocv(
                 eta_norm=eta_norm,
                 screened=screened,
             )
-        k = pos - block_start
+        k = pos % width
         out = decided[k]
         if out is None:
             out = _solve_fold(

@@ -344,21 +344,38 @@ def assert_matches_reference(ds, lam, kind, mode, full, **kwargs):
     return res, calls
 
 
+@pytest.mark.parametrize("width", [64, 5])
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
-def test_block_pass_matches_solving_every_fold_alone(mode, kind):
+def test_block_pass_matches_solving_every_fold_alone(width, mode, kind, monkeypatch):
     ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
     lam = 0.01
     full, _ = dsc.train(ds, lam, kind, tol=1e-10)
+    # a byte cap below 64 columns at this n narrows every block to ``width``
+    monkeypatch.setattr(loocv_module, "_BLOCK_BYTES", 8 * ds.n * width + 7)
+    blocks = []
+    decide = loocv_module._decide_at_starts
+
+    def recording(ds, folds, *args, **kwargs):
+        blocks.append(len(folds))
+        return decide(ds, folds, *args, **kwargs)
+
+    monkeypatch.setattr(loocv_module, "_decide_at_starts", recording)
     res, calls = assert_matches_reference(ds, lam, kind, mode, full)
-    assert res.solves_performed > 112  # blocks of 16, 32 and 64 all ran
+    assert res.solves_performed > width  # at least two blocks ran
+    assert sum(blocks) == res.solves_performed
+    assert blocks[:-1] == [width] * (len(blocks) - 1) and 0 < blocks[-1] <= width
     if mode is LoocvMode.OP2:
         assert len(calls) < res.solves_performed
 
 
+@pytest.mark.parametrize("width", [64, 16])
 @pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
-def test_prune_in_the_middle_of_a_block_matches_solving_every_fold_alone(kind):
+def test_prune_in_the_middle_of_a_block_matches_solving_every_fold_alone(
+    width, kind, monkeypatch
+):
     ds = dsc.make_synthetic(411, 300, 8, separation=0.6)
+    monkeypatch.setattr(loocv_module, "_BLOCK_BYTES", 8 * ds.n * width)
     lam = 0.01
     full, _ = dsc.train(ds, lam, kind, tol=1e-10)
     complete = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
@@ -369,11 +386,10 @@ def test_prune_in_the_middle_of_a_block_matches_solving_every_fold_alone(kind):
          (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)),
         key=lambda o: (margins[o.index], o.index),
     )
-    block_starts = {0, 16, 48, 112, 176, 240}
     wrong = 0
     for pos, o in enumerate(solved[:-1]):
         wrong += not o.correct
-        if not o.correct and pos > 16 and pos + 1 not in block_starts:
+        if not o.correct and pos > 16 and (pos + 1) % width:
             break
     else:
         pytest.fail("no wrong fold to stop after")
