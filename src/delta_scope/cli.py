@@ -187,6 +187,24 @@ def _parse_grid(spec: str) -> list[tuple[float, str]]:
     return out
 
 
+def _parse_fractions(spec: str) -> list[float]:
+    """The ``--fractions`` list; each value must lie in (0, 1]."""
+    out = []
+    for tok in spec.split(","):
+        if not tok.strip():
+            continue
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"--fractions value {tok.strip()!r} is not a number in (0, 1]")
+        out.append(value)
+    if not out:
+        raise ValueError("no sweep fractions given")
+    return out
+
+
 def _parse_power(tok: str) -> int:
     tok = tok.strip()
     if not tok.startswith("2^"):
@@ -497,6 +515,10 @@ def _bench_rows(args, ds, pool, kind):
 
 def _cmd_bench(args) -> dict:
     kind = LossKind.from_name(args.loss)
+    for field, value in (("repeats", args.repeats), ("timing_repeats", args.timing_repeats)):
+        if value < 1:
+            raise ValueError(f"{field} must be a positive integer, got {value}")
+    args.fraction_values = _parse_fractions(args.fractions)
     inputs = {}
     if args.data:
         ds = load_libsvm(args.data, d=args.dim)
@@ -507,9 +529,6 @@ def _cmd_bench(args) -> dict:
     if args.pool:
         pool = load_libsvm(args.pool, d=ds.d)
         inputs["addition_pool"] = args.pool
-    args.fraction_values = [float(t) for t in args.fractions.split(",") if t.strip()]
-    if not args.fraction_values:
-        raise ValueError("no sweep fractions given")
     fieldnames = [
         "sweep", "fraction", "repeat", "n_old", "n_added", "n_removed",
         "lambda", "loss", "tightness", "fraction_determined",

@@ -93,6 +93,18 @@ class SparseDataset:
             _freeze(arr)
         return XT
 
+    @cached_property
+    def XT_sq(self) -> sp.csr_matrix:
+        """``XT`` with its entries squared, built on first use and kept.
+
+        ``XT_sq @ c`` is the diagonal of ``X^T diag(c) X``.
+        """
+        XT = self.XT
+        XT_sq = sp.csr_matrix((XT.data * XT.data, XT.indices, XT.indptr), shape=XT.shape)
+        for arr in (XT_sq.data, XT_sq.indices, XT_sq.indptr):
+            _freeze(arr)
+        return XT_sq
+
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and values of row ``i`` (views, do not mutate)."""
         lo, hi = self.X.indptr[i], self.X.indptr[i + 1]
@@ -297,8 +309,8 @@ def make_synthetic(
         raise ValueError("n and d must be positive")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and nonnegative, got {separation}")
     rng = np.random.default_rng(seed)
     y = np.ones(n)
     y[: n // 2] = -1.0

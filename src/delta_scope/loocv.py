@@ -294,6 +294,7 @@ def _solve_fold(
         problem.value_and_grad,
         problem.value,
         init,
+        curvature=problem.curvature,
         tol=tol,
         max_iter=max_iter,
         stop_hook=hook,

@@ -9,13 +9,15 @@ Both losses are functions of the margin z = y * score:
 The regularized objective over a dataset is
 mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2; :class:`Problem` is
 its one implementation, for full training and for leave-one-out folds alike:
-``Problem(ds, lam, kind).value(beta)`` and ``.value_and_grad(beta)`` are the
-objective and its gradient for every caller, the solver included.
+``Problem(ds, lam, kind).value(beta)``, ``.value_and_grad(beta)`` and
+``.curvature(beta)`` are the objective, its gradient and its Hessian for
+every caller, the solver included.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -180,3 +182,27 @@ class Problem:
             grad = (ds.XT @ dl) / (ds.n - 1) + self.lam * beta
         return self._value(beta, losses), grad
 
+    def curvature(
+        self, beta: np.ndarray
+    ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """The Hessian at ``beta`` as (v -> H v, diagonal of H).
+
+        H = X^T diag(c) X + lam I with c = loss''(z) / n, or, for a fold,
+        c = loss''(z) / (n - 1) with c_h = 0; for the squared hinge loss''
+        is the generalized second derivative 2 [z < 1]. The weights come
+        from the cached terms, so after ``value_and_grad(beta)`` this costs
+        no score product; each ``H v`` costs one product with X and one with
+        its transpose.
+        """
+        _, z, _, e = self._terms(beta)
+        ds, h, lam = self.ds, self.held_out, self.lam
+        if h is None:
+            c = _d2loss_terms(self.kind, z, e) / ds.n
+        else:
+            c = _d2loss_terms(self.kind, z, e) / (ds.n - 1)
+            c[h] = 0.0
+
+        def hess_vec(v: np.ndarray) -> np.ndarray:
+            return ds.XT @ (c * (ds.X @ v)) + lam * v
+
+        return hess_vec, ds.XT_sq @ c + lam

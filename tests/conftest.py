@@ -32,7 +32,7 @@ def reference_gradient_descent(
     """Plain steepest descent with Armijo backtracking (cross-check oracle).
 
     Written over the public ``Problem.value``/``value_and_grad`` only, so it
-    shares the objective but no code path with the quasi-Newton solver it
+    shares the objective but no code path with the Newton-CG solver it
     checks.
     """
     problem = dsc.Problem(ds, lam, kind)

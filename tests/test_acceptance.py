@@ -165,7 +165,12 @@ def test_every_iterate_ball_contains_the_optimum(suite):
 
         problem = dsc.Problem(case.new_ds, case.lam, case.kind)
         beta, _, _, _, _ = dsc.minimize_smooth(
-            problem.value_and_grad, problem.value, case.old.beta, tol=tol, stop_hook=watch
+            problem.value_and_grad,
+            problem.value,
+            case.old.beta,
+            curvature=problem.curvature,
+            tol=tol,
+            stop_hook=watch,
         )
         iterates += len(overshoots)
         if overshoots:

@@ -214,7 +214,12 @@ def test_gradient_ball_contains_optimum_along_trajectory():
 
     problem = dsc.Problem(case.new_ds, case.lam, case.kind)
     dsc.minimize_smooth(
-        problem.value_and_grad, problem.value, case.old.beta, tol=1e-10, stop_hook=watch
+        problem.value_and_grad,
+        problem.value,
+        case.old.beta,
+        curvature=problem.curvature,
+        tol=1e-10,
+        stop_hook=watch,
     )
     assert len(radii) >= 2
     assert radii[-1] < radii[0]

@@ -683,15 +683,26 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-centers", "0"],
          "n_centers"),
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-seed", "-3"], "seed"),
+        (["bench", "--lambda", "0.1", "--repeats", "0"], "repeats"),
+        (["bench", "--lambda", "0.1", "--repeats", "-1"], "repeats"),
+        (["bench", "--lambda", "0.1", "--timing-repeats", "0"], "timing_repeats"),
+        (["bench", "--lambda", "0.1", "--fractions", "nan"], "--fractions"),
+        (["bench", "--lambda", "0.1", "--fractions", "0.01,2"], "--fractions"),
+        (["bench", "--lambda", "0.1", "--fractions", "0"], "--fractions"),
+        (["bench", "--lambda", "0.1", "--fractions", "x"], "--fractions"),
+        (["gen", "--separation", "nan"], "separation"),
+        (["gen", "--separation", "inf"], "separation"),
     ],
 )
 def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, field):
     tmp_path, data, _ = paths
     command, *settings = argv
-    out = ["--model-out", str(tmp_path / "m.json")] if command == "train" else []
-    code, report, err = run_cli(
-        [command, "--data", data, "--loss", "logistic", *settings, *out], capsys
-    )
+    inputs = {
+        "gen": ["--seed", "0", "--n", "10", "--d", "3", "--out", str(tmp_path / "g.libsvm")],
+        "train": ["--data", data, "--loss", "logistic", "--model-out", str(tmp_path / "m.json")],
+        "bench": ["--data", data, "--loss", "logistic", "--out", str(tmp_path / "b.csv")],
+    }.get(command, ["--data", data, "--loss", "logistic"])
+    code, report, err = run_cli([command, *inputs, *settings], capsys)
     assert code == 1
     assert report is None
     assert err.startswith("delta-scope: error:")

@@ -2,8 +2,9 @@
 
 ``ReferenceProblem`` below restates the objective from the public
 ``loss_values``/``dloss_values`` and a fresh ``X.T`` product on every call,
-with no cache, so it shares no code path with :class:`Problem` beyond the
-per-instance loss formulas.
+and its curvature from the second-derivative formulas, with no cache, so it
+shares no code path with :class:`Problem` beyond the per-instance loss
+formulas.
 """
 from types import SimpleNamespace
 
@@ -45,6 +46,24 @@ class ReferenceProblem:
             dl[h] = 0.0
             grad = (ds.X.T @ dl) / (ds.n - 1) + self.lam * beta
         return self.value(beta), grad
+
+    def curvature(self, beta):
+        ds, h, lam = self.ds, self.held_out, self.lam
+        z = ds.y * (ds.X @ beta)
+        if self.kind is LossKind.LOGISTIC:
+            # sigma(z) sigma(-z) = e / (1 + e)^2 with e = exp(-|z|)
+            e = np.exp(-np.abs(z))
+            c = e / ((1.0 + e) * (1.0 + e))
+        else:
+            # the generalized second derivative of max(0, 1 - z)^2
+            c = np.where(z < 1.0, 2.0, 0.0)
+        if h is None:
+            c = c / ds.n
+        else:
+            c = c / (ds.n - 1)
+            c[h] = 0.0
+        X_sq = ds.X.multiply(ds.X).tocsr()
+        return (lambda v: ds.X.T @ (c * (ds.X @ v)) + lam * v), X_sq.T @ c + lam
 
 
 def bits(x):
@@ -176,9 +195,9 @@ def test_accepted_trial_scores_are_reused(kind, held_out):
         ds = dsc.make_synthetic(5, 80, 40, separation=1.0)
         start = dsc.train(ds, 0.01, kind, tol=1e-10)[0].beta
     counting = CountingMatrix(ds.X)
-    view = SimpleNamespace(n=ds.n, d=ds.d, y=ds.y, X=counting, XT=ds.XT)
+    view = SimpleNamespace(n=ds.n, d=ds.d, y=ds.y, X=counting, XT=ds.XT, XT_sq=ds.XT_sq)
     problem = Problem(view, 0.01, kind, held_out=held_out)
-    calls = {"value": 0, "value_and_grad": 0}
+    calls = {"value": 0, "value_and_grad": 0, "hess_vec": 0}
 
     def counted(name):
         fn = getattr(problem, name)
@@ -189,13 +208,28 @@ def test_accepted_trial_scores_are_reused(kind, held_out):
 
         return wrapper
 
+    def counted_curvature(beta):
+        hess_vec, diag = problem.curvature(beta)
+
+        def wrapper(v):
+            calls["hess_vec"] += 1
+            return hess_vec(v)
+
+        return wrapper, diag
+
     _, _, iters, _, _ = minimize_smooth(
-        counted("value_and_grad"), counted("value"), start, tol=1e-10
+        counted("value_and_grad"),
+        counted("value"),
+        start,
+        curvature=counted_curvature,
+        tol=1e-10,
     )
     # one gradient per iteration plus the start
     assert calls["value_and_grad"] == iters + 1
-    # every score product is a line-search trial, except the starting point's
-    assert counting.products == calls["value"] + 1
+    # every score product is a line-search trial or the X product of a
+    # Hessian-vector product, except the starting point's: neither the
+    # gradient nor the curvature weights recompute an accepted trial's scores
+    assert counting.products == calls["value"] + calls["hess_vec"] + 1
 
 
 # ---------------------------------------------------------------------------

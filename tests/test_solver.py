@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_gradient_descent
-from delta_scope.data import make_synthetic
+from delta_scope.data import SparseDataset, make_synthetic
 from delta_scope.loocv import run_loocv
 from delta_scope.losses import LossKind, Problem
 from delta_scope.solver import SolverError, minimize_smooth, train
@@ -73,6 +76,7 @@ def test_objective_decreases_monotonically():
         problem.value_and_grad,
         problem.value,
         train(ds, lam, kind, tol=1e-2)[0].beta,
+        curvature=problem.curvature,
         tol=1e-9,
         stop_hook=watch,
     )
@@ -151,7 +155,12 @@ def test_incremental_train_stop_hook():
 
     problem = Problem(ds, old.lam, old.kind)
     _, _, iterations, stopped_early, _ = minimize_smooth(
-        problem.value_and_grad, problem.value, old.beta, tol=1e-12, stop_hook=stop_now
+        problem.value_and_grad,
+        problem.value,
+        old.beta,
+        curvature=problem.curvature,
+        tol=1e-12,
+        stop_hook=stop_now,
     )
     assert stopped_early
     assert iterations == 0
@@ -175,7 +184,12 @@ def test_incremental_train_hook_sees_every_iterate():
 
     problem = Problem(ds, old.lam, old.kind)
     _, grad_norm, iterations, stopped_early, _ = minimize_smooth(
-        problem.value_and_grad, problem.value, old.beta, tol=1e-9, stop_hook=watch
+        problem.value_and_grad,
+        problem.value,
+        old.beta,
+        curvature=problem.curvature,
+        tol=1e-9,
+        stop_hook=watch,
     )
     assert not stopped_early
     # the hook is asked before the tolerance test, the final iterate included
@@ -196,7 +210,12 @@ def test_minimize_smooth_on_quadratic():
     def val(x):
         return 0.5 * x @ A @ x - b @ x
 
-    beta, gnorm, iters, early, _ = minimize_smooth(vag, val, np.zeros(3), tol=1e-12)
+    def curvature(x):
+        return (lambda v: A @ v), np.diag(A)
+
+    beta, gnorm, iters, early, _ = minimize_smooth(
+        vag, val, np.zeros(3), curvature=curvature, tol=1e-12
+    )
     assert gnorm <= 1e-12
     assert not early
     np.testing.assert_allclose(beta, target, atol=1e-11)
@@ -214,8 +233,64 @@ def test_line_search_on_an_ascent_direction_stalls():
     def vag(x):
         return val(x), b - A @ x
 
+    def curvature(x):
+        return (lambda v: A @ v), np.diag(A)
+
     start = np.array([0.3, 0.1, -0.2])
     with pytest.raises(SolverError, match="line search stalled") as info:
-        minimize_smooth(vag, val, start, tol=1e-12)
+        minimize_smooth(vag, val, start, curvature=curvature, tol=1e-12)
     assert info.value.iterations == 0
     np.testing.assert_array_equal(info.value.beta, start)
+
+
+def ill_conditioned_blobs(seed, n=2000, d=200, density=0.04, flip=0.3):
+    """Sparse two-class blobs with column scales 1/j and flipped labels."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.permutation(n) < n // 2, -1.0, 1.0)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    X = rng.standard_normal((n, d)) + y[:, None] * u
+    X *= 1.0 / np.arange(1, d + 1)
+    mask = rng.random((n, d)) < density
+    mask[np.arange(n), rng.integers(0, d, size=n)] = True
+    y = np.where(rng.random(n) < flip, -y, y)
+    return SparseDataset(sp.csr_matrix(np.where(mask, X, 0.0)), y)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_ill_conditioned_problem_converges_in_few_newton_steps(kind):
+    # the shape of the benchmark's large training solve: a first-order
+    # method needs hundreds of iterations here
+    ds = ill_conditioned_blobs(20)
+    lam, tol = 1e-6, 1e-8
+    model, report = train(ds, lam, kind, tol=tol)
+    assert report.iterations <= 20
+    assert np.linalg.norm(Problem(ds, lam, kind).value_and_grad(model.beta)[1]) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.2, 0.6]),
+    lam=st.sampled_from([0.01, 0.1, 1.0]),
+    kind=st.sampled_from(ALL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_handles_empty_rows_and_columns(n, d, density, lam, kind, seed):
+    # an all-zero column has Hessian diagonal lam, the smallest the
+    # preconditioner can see; an all-zero row contributes no curvature
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    X[rng.random(n) < 0.3, :] = 0.0
+    X[:, rng.random(d) < 0.3] = 0.0
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    ds = SparseDataset(sp.csr_matrix(X), y)
+    # the reference's plain Armijo search stalls on rounding in f at
+    # gradient norms near 1e-8, so it stops earlier
+    tol, gd_tol = 1e-8, 1e-7
+    model, _ = train(ds, lam, kind, tol=tol)
+    assert np.linalg.norm(Problem(ds, lam, kind).value_and_grad(model.beta)[1]) <= tol
+    # a point lies within its gradient norm / lam of the optimum
+    gd_beta = reference_gradient_descent(ds, lam, kind, tol=gd_tol)
+    assert np.linalg.norm(model.beta - gd_beta) <= (tol + gd_tol) / lam
