@@ -96,11 +96,7 @@ def main() -> None:
         ball = dsc.old_optimum_ball(old, stats)
         box = dsc.coefficient_bounds(ball)
 
-        plan = dsc.UpdatePlan(
-            added if added is not None else dsc.SparseDataset.empty(ds.d),
-            removed_idx,
-        )
-        new_ds = dsc.apply_update(ds, plan)
+        new_ds = dsc.apply_update(ds, added, removed_idx)
         exact, _ = dsc.train(new_ds, args.lam, kind, tol=EXACT_TOL, init=old.beta)
 
         widths = box.upper - box.lower

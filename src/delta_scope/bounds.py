@@ -45,7 +45,6 @@ from .losses import dloss_values
 from .solver import TrainedModel
 
 __all__ = [
-    "BoundMethod",
     "Label",
     "SolutionBall",
     "UpdateStats",
@@ -62,7 +61,6 @@ __all__ = [
     "score_bounds",
     "coefficient_bounds",
     "norm_change_bound",
-    "naive_score_bounds",
     "classify_with_bounds",
     "batch_score_bounds",
 ]
@@ -74,12 +72,6 @@ class StaleOptimumWarning(UserWarning):
     """The old model's gradient residual is too large for tight guarantees."""
 
 
-class BoundMethod(Enum):
-    OLD_OPTIMUM_BALL = "old-optimum-ball"
-    GRADIENT_BALL = "gradient-ball"
-    NAIVE_BOX = "naive-box"
-
-
 class Label(Enum):
     PLUS = 1
     MINUS = -1
@@ -88,14 +80,10 @@ class Label(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SolutionBall:
-    """Closed Euclidean ball certified to contain the re-trained optimum.
-
-    ``method`` is what the score bounds over this ball report.
-    """
+    """Closed Euclidean ball certified to contain the re-trained optimum."""
 
     center: np.ndarray
     radius: float
-    method: BoundMethod
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=np.float64)
@@ -135,7 +123,6 @@ class ScoreBounds:
     lower: float
     upper: float
     eta_norm: float
-    method: BoundMethod
 
     @property
     def width(self) -> float:
@@ -223,8 +210,7 @@ def old_optimum_ball(old: TrainedModel, stats: UpdateStats) -> SolutionBall:
     grad = (old.lam * (stats.n_added - stats.n_removed) / n_new) * old.beta + (
         (stats.n_added + stats.n_removed) / n_new
     ) * stats.delta_s
-    ball = gradient_ball(old.beta, grad, old.lam)
-    return SolutionBall(ball.center, ball.radius, BoundMethod.OLD_OPTIMUM_BALL)
+    return gradient_ball(old.beta, grad, old.lam)
 
 
 def _gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam: float):
@@ -250,7 +236,7 @@ def gradient_ball(candidate: np.ndarray, grad: np.ndarray, lam: float) -> Soluti
     center, radius = _gradient_ball_parts(
         candidate, grad, 1.0, float(np.linalg.norm(grad)), lam
     )
-    return SolutionBall(center, radius, BoundMethod.GRADIENT_BALL)
+    return SolutionBall(center, radius)
 
 
 def gradient_ball_bounds(eta_candidate, eta_grad, eta_norm, grad_norm, lam: float):
@@ -305,7 +291,7 @@ def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
     if row.shape[0] != 1:
         raise ValueError("eta must be a single row")
     lower, upper, norm = _row_bounds(ball, row)
-    return ScoreBounds(float(lower[0]), float(upper[0]), float(norm[0]), ball.method)
+    return ScoreBounds(float(lower[0]), float(upper[0]), float(norm[0]))
 
 
 def coefficient_bounds(ball: SolutionBall) -> CoefficientBounds:
@@ -334,35 +320,6 @@ def norm_change_bound(
     if math.isinf(q):
         return float(dev.max()) if dev.size else 0.0
     return float((dev**q).sum() ** (1.0 / q))
-
-
-def naive_score_bounds(box: CoefficientBounds, eta) -> ScoreBounds:
-    """Interval for eta . beta_new using only the coefficient box.
-
-    Sums the per-coordinate worst cases, so its width is
-    2 * radius * ||eta||_1 — never tighter than the ball interval's
-    2 * radius * ||eta||_2. Kept for comparison.
-    """
-    if sp.issparse(eta):
-        csr = eta.tocsr()
-        if csr.shape[0] != 1 or csr.shape[1] != box.lower.shape[0]:
-            raise ValueError("eta shape does not match the bounds")
-        if not csr.has_canonical_format:  # sum duplicates, as _row_bounds does
-            csr = csr.copy()
-            csr.sum_duplicates()
-        vals = csr.data
-        lo_box = box.lower[csr.indices]
-        hi_box = box.upper[csr.indices]
-        eta_norm = float(np.linalg.norm(vals))
-    else:
-        vals = np.asarray(eta, dtype=np.float64)
-        if vals.shape != box.lower.shape:
-            raise ValueError("eta shape does not match the bounds")
-        lo_box, hi_box = box.lower, box.upper
-        eta_norm = float(np.linalg.norm(vals))
-    lower = float(np.where(vals >= 0, vals * lo_box, vals * hi_box).sum())
-    upper = float(np.where(vals >= 0, vals * hi_box, vals * lo_box).sum())
-    return ScoreBounds(lower, upper, eta_norm, BoundMethod.NAIVE_BOX)
 
 
 def batch_score_bounds(ball: SolutionBall, X: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:

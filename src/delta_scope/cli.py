@@ -29,7 +29,6 @@ from . import bounds as B
 from . import loocv as L
 from .data import (
     SparseDataset,
-    UpdatePlan,
     apply_update,
     load_libsvm,
     make_synthetic,
@@ -172,7 +171,10 @@ def _parse_grid(spec: str) -> list[tuple[float, str]]:
             raise ValueError(f"bad grid range {spec!r} (expected like 2^-20..2^0)") from None
         if lo > hi:
             raise ValueError(f"grid range {spec!r} is reversed")
-        return [(2.0**e, f"2^{e}") for e in range(lo, hi + 1)]
+        try:
+            return [(2.0**e, f"2^{e}") for e in range(lo, hi + 1)]
+        except OverflowError:
+            raise ValueError(f"grid range {spec!r} overflows a float") from None
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
@@ -488,11 +490,7 @@ def _bench_rows(args, ds, pool, kind):
             bound_time, (ball, box) = timed_median(bound_pass, args.timing_repeats)
             lower, upper = B.batch_score_bounds(ball, work.X)
             determined = float(np.mean(B.certified_sign(lower, upper) != 0))
-            plan = UpdatePlan(
-                added if added is not None else SparseDataset.empty(work.d),
-                tuple(int(i) for i in removed_idx),
-            )
-            new_ds = apply_update(work, plan)
+            new_ds = apply_update(work, added, removed_idx)
             retrain_time, _ = timed_median(
                 lambda: train(new_ds, model.lam, model.kind, tol=args.tol, init=model.beta),
                 args.timing_repeats,
@@ -529,27 +527,19 @@ def _cmd_bench(args) -> dict:
     if args.pool:
         pool = load_libsvm(args.pool, d=ds.d)
         inputs["addition_pool"] = args.pool
-    fieldnames = [
-        "sweep", "fraction", "repeat", "n_old", "n_added", "n_removed",
-        "lambda", "loss", "tightness", "fraction_determined",
-        "bound_time", "retrain_time",
-    ]
-    n_rows = 0
+    # every row is computed before the CSV is opened, so a failed sweep
+    # leaves no file behind
+    rows = list(_bench_rows(args, ds, pool, kind))
     sums: dict[float, dict[str, float]] = {}
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in _bench_rows(args, ds, pool, kind):
-            writer.writerow(row)
-            n_rows += 1
-            agg = sums.setdefault(
-                row["fraction"],
-                {"tightness": 0.0, "fraction_determined": 0.0, "speedup": 0.0, "n": 0},
-            )
-            agg["tightness"] += row["tightness"]
-            agg["fraction_determined"] += row["fraction_determined"]
-            agg["speedup"] += row["retrain_time"] / max(row["bound_time"], 1e-12)
-            agg["n"] += 1
+    for row in rows:
+        agg = sums.setdefault(
+            row["fraction"],
+            {"tightness": 0.0, "fraction_determined": 0.0, "speedup": 0.0, "n": 0},
+        )
+        agg["tightness"] += row["tightness"]
+        agg["fraction_determined"] += row["fraction_determined"]
+        agg["speedup"] += row["retrain_time"] / max(row["bound_time"], 1e-12)
+        agg["n"] += 1
     aggregates = [
         {
             "fraction": frac,
@@ -570,8 +560,8 @@ def _cmd_bench(args) -> dict:
         "tol": args.tol,
     }
     results = {
-        "csv": {"path": args.out, "sha256": sha256_file(args.out)},
-        "rows": n_rows,
+        "csv": _write_csv(args.out, list(rows[0]), (row.values() for row in rows)),
+        "rows": len(rows),
         "aggregates": aggregates,
     }
     return build_report("bench", params, inputs, results)

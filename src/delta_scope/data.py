@@ -17,7 +17,6 @@ __all__ = [
     "LibsvmFormatError",
     "SparseDataset",
     "csr_row_sq_norms",
-    "UpdatePlan",
     "parse_libsvm",
     "take_libsvm_rows",
     "load_libsvm",
@@ -118,38 +117,6 @@ class SparseDataset:
     def row_sq_norms(self) -> np.ndarray:
         """Per-row squared Euclidean norms."""
         return csr_row_sq_norms(self.X)
-
-    @classmethod
-    def empty(cls, d: int) -> "SparseDataset":
-        return cls(sp.csr_matrix((0, d)), np.zeros(0))
-
-
-@dataclass(frozen=True, eq=False)
-class UpdatePlan:
-    """A batch update: instances to append and 0-based row indices to drop."""
-
-    added: SparseDataset
-    removed: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        removed = tuple(int(i) for i in self.removed)
-        if len(set(removed)) != len(removed):
-            raise ValueError("duplicate removal index")
-        if any(i < 0 for i in removed):
-            raise ValueError("removal indices must be nonnegative")
-        object.__setattr__(self, "removed", tuple(sorted(removed)))
-
-    @property
-    def n_added(self) -> int:
-        return self.added.n
-
-    @property
-    def n_removed(self) -> int:
-        return len(self.removed)
-
-    @classmethod
-    def empty(cls, d: int) -> "UpdatePlan":
-        return cls(SparseDataset.empty(d), ())
 
 
 def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
@@ -272,23 +239,30 @@ def with_bias_feature(ds: SparseDataset) -> SparseDataset:
     return SparseDataset(sp.hstack([ds.X, ones], format="csr"), ds.y)
 
 
-def apply_update(base: SparseDataset, plan: UpdatePlan) -> SparseDataset:
-    """Materialize the updated dataset: drop removed rows, append added ones."""
-    if plan.added.n and plan.added.d != base.d:
-        raise ValueError(
-            f"added rows have dimension {plan.added.d}, dataset has {base.d}"
-        )
-    for i in plan.removed:
-        if i >= base.n:
+def apply_update(
+    base: SparseDataset, added: SparseDataset | None = None, removed=()
+) -> SparseDataset:
+    """Materialize the updated dataset: drop removed rows, append added ones.
+
+    ``removed`` holds distinct 0-based row indices of ``base``, in any order;
+    ``added`` is None for an update that only removes.
+    """
+    removed = [int(i) for i in removed]
+    if len(set(removed)) != len(removed):
+        raise ValueError("duplicate removal index")
+    for i in removed:
+        if not 0 <= i < base.n:
             raise ValueError(f"removal index {i} out of range for n={base.n}")
+    if added is not None and added.n and added.d != base.d:
+        raise ValueError(f"added rows have dimension {added.d}, dataset has {base.d}")
     keep = np.ones(base.n, dtype=bool)
-    keep[list(plan.removed)] = False
+    keep[removed] = False
     X_kept = base.X[keep]
     y_kept = base.y[keep]
-    if plan.added.n == 0:
+    if added is None or added.n == 0:
         return SparseDataset(X_kept, y_kept)
-    X_new = sp.vstack([X_kept, plan.added.X], format="csr")
-    return SparseDataset(X_new, np.concatenate([y_kept, plan.added.y]))
+    X_new = sp.vstack([X_kept, added.X], format="csr")
+    return SparseDataset(X_new, np.concatenate([y_kept, added.y]))
 
 
 def make_synthetic(

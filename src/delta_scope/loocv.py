@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import BoundMethod, ScoreBounds, certified_sign, gradient_ball_bounds
+from .bounds import ScoreBounds, certified_sign, gradient_ball_bounds
 from .data import SparseDataset
 from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms
 from .solver import (
@@ -62,6 +62,7 @@ from .solver import (
     MAX_ITER,
     TrainedModel,
     _check_max_iter,
+    _check_tol,
     minimize_smooth,
     train,
 )
@@ -336,8 +337,8 @@ def run_loocv(
     t_start = time.perf_counter()
     if ds.n < 2:
         raise ValueError("leave-one-out needs at least 2 instances")
-    if not fold_tol > 0:
-        raise ValueError(f"fold_tol must be positive, got {fold_tol}")
+    _check_tol("fold_tol", fold_tol)
+    _check_tol("full_tol", full_tol)
     _check_max_iter(max_iter)
     if full is None:
         full, _ = train(ds, lam, kind, tol=full_tol, max_iter=max_iter)
@@ -359,7 +360,7 @@ def run_loocv(
     else:
         signs = certified_sign(lower, upper).tolist()
         screened = [
-            ScoreBounds(lo, up, en, BoundMethod.OLD_OPTIMUM_BALL)
+            ScoreBounds(lo, up, en)
             for lo, up, en in zip(lower.tolist(), upper.tolist(), eta_norm.tolist())
         ]
     unresolved = []  # undecided folds, lowest margin z_h first, ties by index

@@ -28,7 +28,6 @@ __all__ = [
     "Problem",
     "loss_values",
     "dloss_values",
-    "instance_gradient",
 ]
 
 
@@ -92,20 +91,6 @@ def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarra
     z = y * scores
     e = np.exp(-np.abs(z)) if kind is LossKind.LOGISTIC else None
     return _dloss_terms(kind, y, z, e)
-
-
-def instance_gradient(kind: LossKind, x, y: float, beta: np.ndarray) -> np.ndarray:
-    """Gradient of loss(y, x . beta) with respect to beta, as a dense vector.
-
-    ``x`` may be a dense 1-d array or a 1-row sparse matrix.
-    """
-    if hasattr(x, "toarray"):
-        dl = float(dloss_values(kind, np.float64(y), (x @ beta)[0]))
-        out = np.zeros(beta.shape[0])
-        out[x.indices] = dl * x.data
-        return out
-    x = np.asarray(x, dtype=np.float64)
-    return float(dloss_values(kind, np.float64(y), x @ beta)) * x
 
 
 class Problem:

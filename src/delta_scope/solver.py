@@ -97,7 +97,6 @@ class TrainedModel:
 class SolveReport:
     iterations: int
     final_grad_norm: float
-    stopped_early: bool
     wall_time: float
 
 
@@ -213,6 +212,12 @@ def minimize_smooth(
         f, g = value_and_grad(beta)
 
 
+def _check_tol(name: str, tol: float) -> None:
+    """Reject a stopping tolerance that is not finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
 def _check_max_iter(max_iter) -> None:
     """Reject an iteration cap that is not a nonnegative integer."""
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 0:
@@ -233,8 +238,7 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     if ds.d < 1:
         raise ValueError("dataset has no features")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol("tol", tol)
     _check_max_iter(max_iter)
     start = np.zeros(ds.d) if init is None else np.asarray(init, dtype=np.float64)
     if start.shape != (ds.d,):
@@ -249,5 +253,5 @@ def train(
         max_iter=max_iter,
     )
     model = TrainedModel(beta, lam, kind, gnorm, ds.n)
-    return model, SolveReport(iters, gnorm, False, wall)
+    return model, SolveReport(iters, gnorm, wall)
 

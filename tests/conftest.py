@@ -53,6 +53,21 @@ def reference_gradient_descent(
     raise dsc.SolverError("gradient descent did not converge", beta, float(np.linalg.norm(g)), max_iter)
 
 
+def instance_gradient(kind, x, y: float, beta: np.ndarray) -> np.ndarray:
+    """Gradient of loss(y, x . beta) with respect to beta, as a dense vector.
+
+    ``x`` may be a dense 1-d array or a 1-row sparse matrix. A one-instance
+    oracle for the library's batched gradients.
+    """
+    if hasattr(x, "toarray"):
+        dl = float(dsc.dloss_values(kind, np.float64(y), (x @ beta)[0]))
+        out = np.zeros(beta.shape[0])
+        out[x.indices] = dl * x.data
+        return out
+    x = np.asarray(x, dtype=np.float64)
+    return float(dsc.dloss_values(kind, np.float64(y), x @ beta)) * x
+
+
 def exact_solve(ds, lam, kind, init=None) -> dsc.TrainedModel:
     model, _ = dsc.train(ds, lam, kind, tol=EXACT_TOL, init=init)
     return model
@@ -111,10 +126,7 @@ def make_update_case(
     removed_idx = tuple(
         int(i) for i in np.sort(rng.choice(n, size=n_remove, replace=False))
     )
-    plan = dsc.UpdatePlan(
-        added if added is not None else dsc.SparseDataset.empty(d), removed_idx
-    )
-    new_ds = dsc.apply_update(ds, plan)
+    new_ds = dsc.apply_update(ds, added, removed_idx)
     new_exact = exact_solve(new_ds, lam, kind, init=old.beta)
     removed = ds.take(list(removed_idx)) if removed_idx else None
     stats = dsc.compute_delta_s(old, added, removed)

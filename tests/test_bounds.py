@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delta_scope as dsc
-from conftest import make_update_case
+from conftest import instance_gradient, make_update_case
 
 # certified inequalities are checked with a slack far below the radii they
 # certify, but above accumulated rounding in the exact reference solve
@@ -34,11 +34,11 @@ def test_delta_s_equals_mean_of_instance_gradients():
     total = np.zeros(case.old.d)
     if case.added is not None:
         for i in range(case.added.n):
-            total += dsc.instance_gradient(
+            total += instance_gradient(
                 case.kind, case.added.X[i], float(case.added.y[i]), case.old.beta
             )
     for h in case.removed_idx:
-        total -= dsc.instance_gradient(
+        total -= instance_gradient(
             case.kind, case.ds.X[h], float(case.ds.y[h]), case.old.beta
         )
     k = case.stats.n_added + case.stats.n_removed
@@ -105,7 +105,6 @@ def test_ball_hand_formula():
     # radius = 0.5 || (1/5) beta + (1/0.25)(3/5) delta || = 0.5 || 0.2 beta + 2.4 delta ||
     expected_r = 0.5 * np.linalg.norm(0.2 * beta + 2.4 * delta)
     assert ball.radius == pytest.approx(expected_r, rel=1e-15)
-    assert ball.method is dsc.BoundMethod.OLD_OPTIMUM_BALL
 
 
 def test_ball_empty_update_is_degenerate():
@@ -178,8 +177,8 @@ def test_radius_nonincreasing_in_lambda_when_drift_terms_align():
 
 def test_solution_ball_validation():
     with pytest.raises(ValueError, match="radius"):
-        dsc.SolutionBall(np.zeros(2), -0.1, dsc.BoundMethod.OLD_OPTIMUM_BALL)
-    ball = dsc.SolutionBall(np.zeros(2), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+        dsc.SolutionBall(np.zeros(2), -0.1)
+    ball = dsc.SolutionBall(np.zeros(2), 0.5)
     with pytest.raises(ValueError):
         ball.center[0] = 1.0
 
@@ -194,7 +193,6 @@ def test_gradient_ball_hand_values():
     ball = dsc.gradient_ball(cand, grad, lam=0.5)
     np.testing.assert_allclose(ball.center, cand - grad)  # grad / (2*0.5)
     assert ball.radius == pytest.approx(0.5, rel=1e-15)  # ||grad|| = 0.5, 2*lam = 1
-    assert ball.method is dsc.BoundMethod.GRADIENT_BALL
 
 
 def test_gradient_ball_contains_optimum_along_trajectory():
@@ -255,10 +253,7 @@ def test_old_optimum_ball_is_the_gradient_ball_at_the_old_optimum(
     n_add, n_remove = int(rng.integers(0, 5)), int(rng.integers(0, min(5, n)))
     added = dsc.make_synthetic(int(rng.integers(2**31)), n_add, d) if n_add else None
     removed_idx = tuple(int(i) for i in np.sort(rng.choice(n, n_remove, replace=False)))
-    plan = dsc.UpdatePlan(
-        added if added is not None else dsc.SparseDataset.empty(d), removed_idx
-    )
-    new_ds = dsc.apply_update(ds, plan)
+    new_ds = dsc.apply_update(ds, added, removed_idx)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dsc.StaleOptimumWarning)
         stats = dsc.compute_delta_s(old, added, ds.take(list(removed_idx)))
@@ -304,7 +299,6 @@ def test_score_bounds_sandwich_random_directions(seed):
         sb = dsc.score_bounds(case.ball, eta)
         truth = float(eta @ case.new_exact.beta)
         assert sb.lower - SOUND_SLACK <= truth <= sb.upper + SOUND_SLACK
-        assert sb.method is dsc.BoundMethod.OLD_OPTIMUM_BALL
 
 
 def test_score_bounds_width_identity():
@@ -342,7 +336,7 @@ def test_score_bounds_unit_vector_reads_one_coefficient():
 
 
 def test_score_bounds_shape_mismatch():
-    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    ball = dsc.SolutionBall(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="eta"):
         dsc.score_bounds(ball, np.zeros(4))
     with pytest.raises(ValueError, match="single row"):
@@ -350,7 +344,7 @@ def test_score_bounds_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# coefficient box, norm change, naive comparison
+# coefficient box, norm change
 
 
 @pytest.mark.parametrize("seed", range(121, 127))
@@ -387,9 +381,8 @@ def test_interval_width_grows_with_nested_update_size():
         )
         box = dsc.coefficient_bounds(dsc.old_optimum_ball(old, stats))
 
-        plan = dsc.UpdatePlan(added, removed_idx)
         exact, _ = dsc.train(
-            dsc.apply_update(ds, plan), lam, dsc.LossKind.LOGISTIC,
+            dsc.apply_update(ds, added, removed_idx), lam, dsc.LossKind.LOGISTIC,
             tol=1e-12, init=old.beta,
         )
         assert (exact.beta >= box.lower - SOUND_SLACK).all()
@@ -418,42 +411,12 @@ def test_norm_change_bound_validity_and_ordering():
 
 def test_norm_change_bound_validation():
     box = dsc.coefficient_bounds(
-        dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+        dsc.SolutionBall(np.zeros(3), 1.0)
     )
     with pytest.raises(ValueError, match="q"):
         dsc.norm_change_bound(np.zeros(3), box, 0.5)
     with pytest.raises(ValueError, match="dimension"):
         dsc.norm_change_bound(np.zeros(4), box, 2)
-
-
-def test_naive_box_is_sound_but_never_tighter():
-    case = make_update_case(128)
-    box = dsc.coefficient_bounds(case.ball)
-    rng = np.random.default_rng(128)
-    for _ in range(15):
-        eta = rng.normal(size=case.old.d)
-        ball_sb = dsc.score_bounds(case.ball, eta)
-        naive_sb = dsc.naive_score_bounds(box, eta)
-        truth = float(eta @ case.new_exact.beta)
-        assert naive_sb.lower - SOUND_SLACK <= truth <= naive_sb.upper + SOUND_SLACK
-        # the box interval encloses the ball interval
-        assert naive_sb.lower <= ball_sb.lower + 1e-12
-        assert naive_sb.upper >= ball_sb.upper - 1e-12
-        # and its width is exactly 2 r ||eta||_1
-        expected = 2.0 * case.ball.radius * np.abs(eta).sum()
-        assert naive_sb.width == pytest.approx(expected, rel=1e-10)
-        assert naive_sb.method is dsc.BoundMethod.NAIVE_BOX
-
-
-def test_naive_box_sparse_eta_matches_dense():
-    ball = dsc.SolutionBall(np.array([1.0, -2.0, 0.5]), 0.3, dsc.BoundMethod.OLD_OPTIMUM_BALL)
-    box = dsc.coefficient_bounds(ball)
-    dense = np.array([0.0, -1.5, 2.0])
-    sparse_eta = sp.csr_matrix(dense.reshape(1, -1))
-    a = dsc.naive_score_bounds(box, dense)
-    b = dsc.naive_score_bounds(box, sparse_eta)
-    assert a.lower == pytest.approx(b.lower, rel=1e-14)
-    assert a.upper == pytest.approx(b.upper, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,12 +429,9 @@ def test_interval_width_identities_hold_for_any_ball(center, eta, radius):
     d = min(len(center), len(eta))
     center_arr = np.asarray(center[:d])
     eta_arr = np.asarray(eta[:d])
-    ball = dsc.SolutionBall(center_arr, radius, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    ball = dsc.SolutionBall(center_arr, radius)
     sb = dsc.score_bounds(ball, eta_arr)
-    nb = dsc.naive_score_bounds(dsc.coefficient_bounds(ball), eta_arr)
     assert sb.width == pytest.approx(2 * radius * np.linalg.norm(eta_arr), abs=1e-9)
-    assert nb.width == pytest.approx(2 * radius * np.abs(eta_arr).sum(), abs=1e-9)
-    assert nb.width >= sb.width - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +439,10 @@ def test_interval_width_identities_hold_for_any_ball(center, eta, radius):
 
 
 def test_label_rule_is_strict():
-    plus = dsc.SolutionBall(np.array([1.0, 0.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
-    minus = dsc.SolutionBall(np.array([-1.0, 0.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
-    wide = dsc.SolutionBall(np.array([1.0, 0.0]), 2.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
-    boundary = dsc.SolutionBall(np.array([1.0, 0.0]), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    plus = dsc.SolutionBall(np.array([1.0, 0.0]), 0.5)
+    minus = dsc.SolutionBall(np.array([-1.0, 0.0]), 0.5)
+    wide = dsc.SolutionBall(np.array([1.0, 0.0]), 2.0)
+    boundary = dsc.SolutionBall(np.array([1.0, 0.0]), 1.0)
     e1 = np.array([1.0, 0.0])
     assert dsc.classify_with_bounds(plus, e1).label is dsc.Label.PLUS
     assert dsc.classify_with_bounds(minus, e1).label is dsc.Label.MINUS
@@ -549,23 +509,8 @@ def test_duplicate_row_entries_are_summed_before_projection():
     assert row.nnz == 2  # summed on a copy; the caller's matrix is untouched
 
 
-def test_naive_box_sums_duplicate_entries():
-    # the same ball; the row (0, 1.0) twice is (2, 0), and (0, 1.0) with
-    # (0, -1.0) is the zero vector, whose score is exactly 0
-    ball = dsc.gradient_ball(np.zeros(2), np.array([-2.0, 0.0]), 1.0)
-    box = dsc.coefficient_bounds(ball)
-    doubled = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
-    nb = dsc.naive_score_bounds(box, doubled)
-    dense = dsc.naive_score_bounds(box, np.array([2.0, 0.0]))
-    assert (nb.lower, nb.upper, nb.eta_norm) == (dense.lower, dense.upper, 2.0)
-    cancelled = sp.csr_matrix((np.array([1.0, -1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
-    nb = dsc.naive_score_bounds(box, cancelled)
-    assert (nb.lower, nb.upper, nb.eta_norm) == (0.0, 0.0, 0.0)
-    assert doubled.nnz == cancelled.nnz == 2  # summed on a copy
-
-
 def test_batch_score_bounds_handles_empty_rows():
-    ball = dsc.SolutionBall(np.array([1.0, 1.0]), 0.5, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    ball = dsc.SolutionBall(np.array([1.0, 1.0]), 0.5)
     X = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
     lower, upper = dsc.batch_score_bounds(ball, X)
     assert lower[0] == upper[0] == 0.0
@@ -574,6 +519,6 @@ def test_batch_score_bounds_handles_empty_rows():
 
 
 def test_batch_score_bounds_dimension_mismatch():
-    ball = dsc.SolutionBall(np.zeros(3), 1.0, dsc.BoundMethod.OLD_OPTIMUM_BALL)
+    ball = dsc.SolutionBall(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="dimension"):
         dsc.batch_score_bounds(ball, sp.csr_matrix(np.zeros((2, 4))))

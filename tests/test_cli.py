@@ -331,8 +331,9 @@ def test_bias_model_answers_agree_with_exact_retrain(tmp_path, capsys):
     code, labels, _ = run_cli(["label-sensitivity", *update, "--test", test_path], capsys)
     assert code == 0
 
-    plan = dsc.UpdatePlan(dsc.with_bias_feature(added), (40,))
-    new_ds = dsc.apply_update(dsc.with_bias_feature(train_ds), plan)
+    new_ds = dsc.apply_update(
+        dsc.with_bias_feature(train_ds), dsc.with_bias_feature(added), (40,)
+    )
     exact, _ = dsc.train(new_ds, 0.01, dsc.LossKind.LOGISTIC, tol=1e-12)
     box = np.asarray(coef["results"]["coefficients"])
     assert box.shape == (5, 2)
@@ -673,9 +674,13 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["train", "--lambda", "nan"], "lambda"),
         (["train", "--lambda", "inf"], "lambda"),
         (["train", "--lambda", "0.1", "--tol", "nan"], "tol"),
+        (["train", "--lambda", "0.1", "--tol", "inf"], "tol must be finite"),
         (["loocv", "--lambda", "0.1", "--fold-tol", "0"], "fold_tol"),
         (["loocv", "--lambda", "0.1", "--fold-tol", "-1"], "fold_tol"),
         (["loocv", "--lambda", "0.1", "--fold-tol", "nan"], "fold_tol"),
+        (["loocv", "--lambda", "0.1", "--fold-tol", "inf"], "fold_tol must be finite"),
+        (["loocv", "--lambda", "0.1", "--full-tol", "inf"], "full_tol must be finite"),
+        (["loocv", "--lambda-grid", "0.1,1", "--full-tol", "inf"], "full_tol must be finite"),
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "nan"], "gamma"),
         (["train", "--lambda", "0.1", "--max-iter", "-1"], "max_iter"),
         (["loocv", "--lambda-grid", "0.1", "--gamma-grid", "0.5", "--rbf-centers", "-1"],
@@ -690,6 +695,10 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["bench", "--lambda", "0.1", "--fractions", "0.01,2"], "--fractions"),
         (["bench", "--lambda", "0.1", "--fractions", "0"], "--fractions"),
         (["bench", "--lambda", "0.1", "--fractions", "x"], "--fractions"),
+        (["bench", "--lambda", "nan"], "lambda"),
+        (["bench", "--lambda", "0.1", "--tol", "inf"], "tol must be finite"),
+        (["bench", "--lambda", "0.1", "--sweep", "train-size", "--tol", "inf"],
+         "tol must be finite"),
         (["gen", "--separation", "nan"], "separation"),
         (["gen", "--separation", "inf"], "separation"),
     ],
@@ -707,6 +716,9 @@ def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, f
     assert report is None
     assert err.startswith("delta-scope: error:")
     assert field in err
+    # rejected before any output file is written
+    for name in ("g.libsvm", "m.json", "b.csv"):
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize(
@@ -714,6 +726,9 @@ def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, f
     [
         (["--lambda-grid", "0.1,x"], "bad grid value 'x' in '0.1,x'"),
         (["--lambda-grid", "0.1", "--gamma-grid", "0.5,,y"], "bad grid value 'y' in '0.5,,y'"),
+        (["--lambda-grid", "2^0..2^1024"], "grid range '2^0..2^1024' overflows"),
+        (["--lambda-grid", "0.1", "--gamma-grid", "2^1024..2^1024"],
+         "grid range '2^1024..2^1024' overflows"),
     ],
 )
 def test_bad_grid_value_is_named_with_its_spec(paths, capsys, grids, message):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from delta_scope.data import (
     LibsvmFormatError,
     SparseDataset,
-    UpdatePlan,
     apply_update,
     make_synthetic,
     parse_libsvm,
@@ -177,20 +176,23 @@ def test_dataset_row_and_take():
     assert sub.X.toarray()[0].tolist() == [5.0, 0.0, 0.0]
 
 
-def test_update_plan_validation():
+def test_apply_update_removal_index_validation():
+    base = make_synthetic(1, 6, 3)
     with pytest.raises(ValueError, match="duplicate"):
-        UpdatePlan(SparseDataset.empty(3), (1, 1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        UpdatePlan(SparseDataset.empty(3), (-1,))
-    plan = UpdatePlan(SparseDataset.empty(3), (5, 2))
-    assert plan.removed == (2, 5)
-    assert plan.n_added == 0 and plan.n_removed == 2
+        apply_update(base, None, (1, 1))
+    # a negative index would otherwise drop a row counted from the end
+    with pytest.raises(ValueError, match="removal index -1 out of range"):
+        apply_update(base, None, (-1,))
+    out = apply_update(base, None, (5, 2))
+    assert out.n == 4
+    assert np.array_equal(out.X.toarray(), apply_update(base, None, (2, 5)).X.toarray())
+    assert np.array_equal(out.y, base.y[[0, 1, 3, 4]])
 
 
 def test_apply_update_hand_case():
     base = parse_libsvm("+1 1:1\n-1 2:2\n+1 3:3\n")
     added = parse_libsvm("-1 1:9\n", d=3)
-    out = apply_update(base, UpdatePlan(added, (1,)))
+    out = apply_update(base, added, (1,))
     assert out.n == 3
     assert out.y.tolist() == [1.0, 1.0, -1.0]
     assert out.X.toarray().tolist() == [
@@ -203,17 +205,17 @@ def test_apply_update_hand_case():
 def test_apply_update_counts():
     base = make_synthetic(1, 10, 4)
     added = make_synthetic(2, 3, 4)
-    out = apply_update(base, UpdatePlan(added, (0, 9)))
+    out = apply_update(base, added, (0, 9))
     assert out.n == 10 + 3 - 2
 
 
 def test_apply_update_errors():
     base = make_synthetic(1, 4, 3)
     with pytest.raises(ValueError, match="out of range"):
-        apply_update(base, UpdatePlan(SparseDataset.empty(3), (4,)))
+        apply_update(base, None, (4,))
     wrong_d = make_synthetic(2, 1, 5)
     with pytest.raises(ValueError, match="dimension"):
-        apply_update(base, UpdatePlan(wrong_d, ()))
+        apply_update(base, wrong_d)
 
 
 def test_with_bias_feature():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -183,6 +185,14 @@ def test_run_loocv_needs_two_instances():
         dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC)
 
 
+@pytest.mark.parametrize("field", ["fold_tol", "full_tol"])
+@pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+def test_run_loocv_rejects_a_tolerance_that_is_not_finite_and_positive(field, tol):
+    ds = dsc.make_synthetic(311, 20, 3)
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, **{field: tol})
+
+
 def test_mode_from_name():
     assert LoocvMode.from_name("exact") is LoocvMode.EXACT
     assert LoocvMode.from_name("op1") is LoocvMode.OP1
@@ -290,8 +300,7 @@ def reference_loocv(
         sign = 0
         if mode is not LoocvMode.EXACT:
             screened = dsc.ScoreBounds(
-                float(lower[h]), float(upper[h]), float(eta_norm[h]),
-                dsc.BoundMethod.OLD_OPTIMUM_BALL,
+                float(lower[h]), float(upper[h]), float(eta_norm[h])
             )
             sign = int(dsc.certified_sign(lower[h], upper[h]))
         if sign:

@@ -10,10 +10,11 @@ from delta_scope.losses import (
     LossKind,
     _d2loss_terms,
     dloss_values,
-    instance_gradient,
     Problem,
     loss_values,
 )
+
+from conftest import instance_gradient
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 

@@ -244,7 +244,7 @@ def uncached(monkeypatch):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_cold_and_warm_train_match_uncached_reference(kind, monkeypatch):
     ds = dsc.make_synthetic(7, 150, 10, separation=1.0, density=0.6)
-    new_ds = dsc.apply_update(ds, dsc.UpdatePlan(dsc.make_synthetic(8, 4, 10), (3, 40)))
+    new_ds = dsc.apply_update(ds, dsc.make_synthetic(8, 4, 10), (3, 40))
 
     def solves():
         model, rep = dsc.train(ds, 0.01, kind, tol=1e-10)
