@@ -76,7 +76,7 @@ def main() -> None:
                 fold_tol=args.fold_tol,
                 full=full,
             )
-            verdicts[mode] = {o.index: o.correct for o in res.outcomes}
+            verdicts[mode] = res.correct
             totals[mode][0] += res.solves_performed
             totals[mode][1] += res.solver_iterations
             totals[mode][2] += res.wall_time
@@ -88,7 +88,7 @@ def main() -> None:
             )
         exact = verdicts[dsc.LoocvMode.EXACT]
         for mode, folds in verdicts.items():
-            differ = [h for h in range(ds.n) if folds.get(h) != exact.get(h)]
+            differ = [h for h in range(ds.n) if folds[h] != exact[h]]
             if differ:
                 raise SystemExit(
                     f"{mode.value} and exact disagree at lambda=2^{p} on "

@@ -40,15 +40,12 @@ from .data import (
 from .loocv import (
     DEFAULT_FOLD_TOL,
     FoldDecision,
-    FoldOutcome,
-    GridCellResult,
     GridPoint,
     LoocvMode,
     LoocvResult,
     ModelSelectResult,
-    RbfFeatureMap,
     model_select,
-    rbf_feature_map,
+    rbf_features,
     run_loocv,
 )
 from .losses import (
@@ -71,8 +68,6 @@ __all__ = [
     "CoefficientBounds",
     "DEFAULT_FOLD_TOL",
     "FoldDecision",
-    "FoldOutcome",
-    "GridCellResult",
     "GridPoint",
     "Label",
     "LabelDecision",
@@ -83,7 +78,6 @@ __all__ = [
     "ModelSelectResult",
     "Problem",
     "RESIDUAL_GUARD",
-    "RbfFeatureMap",
     "ScoreBounds",
     "SolutionBall",
     "SolveReport",
@@ -109,7 +103,7 @@ __all__ = [
     "norm_change_bound",
     "old_optimum_ball",
     "parse_libsvm",
-    "rbf_feature_map",
+    "rbf_features",
     "run_loocv",
     "save_libsvm",
     "save_model",

@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import math
+import re
 import sys
 import warnings as _warnings
 from dataclasses import replace
@@ -40,7 +41,7 @@ from .data import (
 from .losses import LossKind
 from .model_io import load_model, save_model
 from .report import build_report, sha256_file, timed_median, write_report
-from .solver import SolverError, TrainedModel, train
+from .solver import DEFAULT_TRAIN_TOL, MAX_ITER, SolverError, TrainedModel, train
 
 __all__ = ["main"]
 
@@ -80,6 +81,11 @@ def _load_rows(path: str, model) -> SparseDataset:
     return _in_model_space(load_libsvm(path, d=_raw_dim(model)), model)
 
 
+# An optional sign and ASCII digits; int() alone would also take "1_0"
+# and non-ASCII digits.
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _read_removal_indices(path: str) -> list[int]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -87,10 +93,9 @@ def _read_removal_indices(path: str) -> list[int]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: line {ln}: not an integer: {line!r}") from None
+            if not _INDEX_RE.fullmatch(line):
+                raise ValueError(f"{path}: line {ln}: not an integer: {line!r}")
+            out.append(int(line))
     return out
 
 
@@ -365,9 +370,7 @@ def _cmd_label_sensitivity(args) -> dict:
 
 
 def _loocv_result_payload(res: L.LoocvResult) -> dict:
-    counts = {d.value: 0 for d in L.FoldDecision}
-    for o in res.outcomes:
-        counts[o.decision.value] += 1
+    counts = {d.value: res.decisions.count(d) for d in L.FoldDecision}
     return {
         "n": res.n,
         "mode": res.mode.value,
@@ -389,7 +392,7 @@ def _cmd_loocv(args) -> dict:
         raise ValueError("give exactly one of --lambda / --lambda-grid")
     if args.gamma_grid and args.lambda_grid is None:
         raise ValueError("--gamma-grid needs --lambda-grid")
-    ds = _load_data(args)
+    raw = load_libsvm(args.data, d=args.dim)
     kind = LossKind.from_name(args.loss)
     mode = L.LoocvMode.from_name(args.mode)
     common = dict(mode=mode, fold_tol=args.fold_tol, full_tol=args.full_tol)
@@ -401,25 +404,31 @@ def _cmd_loocv(args) -> dict:
         "full_tol": args.full_tol,
         "add_bias": args.add_bias,
     }
+
+    def prepared(ds: SparseDataset) -> SparseDataset:
+        return with_bias_feature(ds) if args.add_bias else ds
+
     if args.lam is not None:
-        result = L.run_loocv(ds, args.lam, kind, **common)
+        result = L.run_loocv(prepared(raw), args.lam, kind, **common)
         params["lambda"] = args.lam
         payload = {"single": _loocv_result_payload(result), "lambda": args.lam}
         return build_report("loocv", params, {"training_data": args.data}, payload)
 
     lam_grid = _parse_grid(args.lambda_grid)
-    grid: list[L.GridPoint] = []
+    datasets = []  # (cell dataset, label suffix), one per feature map
     if args.gamma_grid:
         for gamma, glabel in _parse_grid(args.gamma_grid):
-            fmap = L.rbf_feature_map(
-                ds, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed
-            )
-            for lam, llabel in lam_grid:
-                grid.append(
-                    L.GridPoint(lam, fmap, f"lambda={llabel},gamma={glabel}")
-                )
+            # the bias column goes on after the map: before it, the column
+            # adds 0 to every center distance and the cells lose their bias
+            mapped = L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
+            datasets.append((prepared(mapped), f",gamma={glabel}"))
     else:
-        grid = [L.GridPoint(lam, None, f"lambda={label}") for lam, label in lam_grid]
+        datasets.append((prepared(raw), ""))
+    grid = [
+        L.GridPoint(lam, data, f"lambda={llabel}{suffix}")
+        for data, suffix in datasets
+        for lam, llabel in lam_grid
+    ]
     params.update(
         {
             "lambda_grid": args.lambda_grid,
@@ -428,20 +437,20 @@ def _cmd_loocv(args) -> dict:
             "rbf_seed": args.rbf_seed if args.gamma_grid else None,
         }
     )
-    sel = L.model_select(ds, grid, kind, prune=args.prune, **common)
-    cells = []
-    for cell in sel.cells:
-        entry = {"label": cell.point.describe(), "lambda": cell.point.lam}
-        entry.update(_loocv_result_payload(cell.result))
-        cells.append(entry)
+    sel = L.model_select(grid, kind, prune=args.prune, **common)
+    cells = [
+        {"label": point.describe(), "lambda": point.lam, **_loocv_result_payload(res)}
+        for point, res in zip(grid, sel.results)
+    ]
+    best = grid[sel.best_index]
     payload = {
         "n_cells": len(cells),
         "cells": cells,
         "best": {
             "index": sel.best_index,
-            "label": sel.best.point.describe(),
-            "lambda": sel.best.point.lam,
-            "error_rate": sel.best.result.error_rate,
+            "label": best.describe(),
+            "lambda": best.lam,
+            "error_rate": sel.results[sel.best_index].error_rate,
         },
     }
     return build_report("loocv", params, {"training_data": args.data}, payload)
@@ -593,8 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--loss", required=True, help="logistic or l2-hinge")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TRAIN_TOL)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--model-out", required=True, metavar="FILE")
     _add_report_arg(p)
     p.set_defaults(func=_cmd_train)
@@ -640,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", action="store_true",
                    help="abandon grid cells that cannot beat the incumbent")
     p.add_argument("--fold-tol", type=float, default=L.DEFAULT_FOLD_TOL)
-    p.add_argument("--full-tol", type=float, default=1e-8)
+    p.add_argument("--full-tol", type=float, default=DEFAULT_TRAIN_TOL)
     _add_report_arg(p)
     p.set_defaults(func=_cmd_loocv)
 
@@ -661,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing-repeats", type=int, default=5)
     p.add_argument("--pool", default=None, metavar="FILE",
                    help="libsvm pool that additions are drawn from")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TRAIN_TOL)
     p.add_argument("--out", required=True, metavar="FILE")
     _add_report_arg(p)
     p.set_defaults(func=_cmd_bench)

@@ -37,10 +37,14 @@ there, and each fold gets the verdict its solve would reach at iteration 0
 tolerance). Only the folds still undecided are solved, each alone
 from its start. The pass computes every per-fold quantity as the solve
 does, so it changes no outcome and no iteration count, and neither does
-the order. Model selection over a grid can prune a candidate as soon as its
-running error lower bound exceeds the best completed error, tested before
-every fold, and the likely-wrong folds come first, so a losing candidate
-is abandoned early.
+the order. A result holds each fold's decision, verdict and solver
+iterations as arrays indexed by fold.
+
+Model selection runs over grid cells, each an L2 weight and the dataset
+its folds come from (the raw rows, or their ``rbf_features``). It can
+prune a cell as soon as its running error lower bound exceeds the best
+completed error, tested before every fold, and the likely-wrong folds come
+first, so a losing cell is abandoned early.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import ScoreBounds, certified_sign, gradient_ball_bounds
+from .bounds import certified_sign, gradient_ball_bounds
 from .data import SparseDataset
 from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms
 from .solver import (
@@ -70,15 +74,12 @@ from .solver import (
 __all__ = [
     "LoocvMode",
     "FoldDecision",
-    "FoldOutcome",
     "LoocvResult",
     "GridPoint",
-    "GridCellResult",
     "ModelSelectResult",
-    "RbfFeatureMap",
     "run_loocv",
     "model_select",
-    "rbf_feature_map",
+    "rbf_features",
 ]
 
 DEFAULT_FOLD_TOL = 1e-6
@@ -109,15 +110,6 @@ class FoldDecision(Enum):
     RESOLVED_BY_EARLY_STOP = "resolved-by-early-stop"
 
 
-@dataclass(frozen=True)
-class FoldOutcome:
-    index: int
-    decision: FoldDecision
-    correct: bool
-    bounds: ScoreBounds | None
-    solve_iterations: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class LoocvResult:
     """Outcome of one leave-one-out evaluation.
@@ -125,6 +117,10 @@ class LoocvResult:
     ``error_lower``/``error_upper`` are the engine's final knowledge about
     the true error rate: they coincide with ``error_rate`` once every fold
     is resolved and stay a genuine interval when the run was pruned.
+    ``decisions``, ``correct`` and ``fold_iterations`` are indexed by fold:
+    how each fold was decided (``None`` where pruning left it undecided),
+    whether its held-out score is nonnegative (meaningful only where it was
+    decided), and the solver iterations it took. Both arrays are read-only.
     """
 
     n: int
@@ -132,13 +128,19 @@ class LoocvResult:
     error_rate: float
     error_lower: float
     error_upper: float
-    outcomes: tuple[FoldOutcome, ...]
+    decisions: tuple[FoldDecision | None, ...]
+    correct: np.ndarray
+    fold_iterations: np.ndarray
     solves_performed: int
     solver_iterations: int
     bound_time: float
     solve_time: float
     wall_time: float
     pruned: bool = False
+
+    def __post_init__(self) -> None:
+        self.correct.flags.writeable = False
+        self.fold_iterations.flags.writeable = False
 
 
 def _screen_stats(full: TrainedModel, ds: SparseDataset):
@@ -211,16 +213,15 @@ def _decide_at_starts(
     tol: float,
     early_stop: bool,
     eta_norm: np.ndarray,
-    screened: list,
-) -> list[FoldOutcome | None]:
-    """Outcome of each fold whose solve would stop at its start, else None.
+) -> list[tuple[FoldDecision, bool] | None]:
+    """(decision, correct) of each fold whose solve would stop at its start, else None.
 
     ``starts`` holds the folds' start points as rows. One ``X @ B`` and one
     ``X^T @ DL`` give every fold gradient, with each fold's own row zeroed in
     its column of DL, summed as the fold's ``Problem`` sums it; the rule is
     the one :func:`minimize_smooth` applies at iteration 0: the op2 gradient
     ball first, then the gradient norm against ``tol``. The scalars per fold
-    are formed by the same calls as the op2 hook's, so every outcome is
+    are formed by the same calls as the op2 hook's, so every verdict is
     bit-identical to the one a solve from the same start would give.
     """
     n = ds.n
@@ -246,12 +247,12 @@ def _decide_at_starts(
         signs = certified_sign(lower, upper).tolist()
     else:
         signs = [0] * len(folds)
-    out: list[FoldOutcome | None] = []
-    for h, sign, eta_h, gnorm in zip(folds, signs, eta_start.tolist(), grad_norm.tolist()):
+    out: list[tuple[FoldDecision, bool] | None] = []
+    for sign, eta_h, gnorm in zip(signs, eta_start.tolist(), grad_norm.tolist()):
         if sign:
-            out.append(FoldOutcome(h, FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0, screened[h]))
+            out.append((FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0))
         elif gnorm <= tol:
-            out.append(FoldOutcome(h, FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0, screened[h]))
+            out.append((FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0))
         else:
             out.append(None)
     return out
@@ -267,9 +268,9 @@ def _solve_fold(
     max_iter: int,
     early_stop: bool,
     eta_norm_h: float,
-    screened: ScoreBounds | None,
-) -> FoldOutcome:
-    """Resolve one undecided fold by a (possibly early-stopped) solve from ``init``."""
+) -> tuple[FoldDecision, bool, int]:
+    """(decision, correct, iterations) of one undecided fold, by a (possibly
+    early-stopped) solve from ``init``."""
     idx, vals = ds.row(h)
     y_h = float(ds.y[h])
     problem = Problem(ds, full.lam, full.kind, held_out=h)
@@ -306,7 +307,7 @@ def _solve_fold(
     else:
         correct = y_h * float(vals @ beta[idx]) >= 0.0
         decision = FoldDecision.RESOLVED_BY_SOLVE
-    return FoldOutcome(h, decision, correct, screened, iters)
+    return decision, correct, iters
 
 
 def run_loocv(
@@ -348,30 +349,18 @@ def run_loocv(
         raise ValueError("supplied model disagrees with lam/kind arguments")
 
     n = ds.n
-    outcomes: dict[int, FoldOutcome] = {}
-    known_wrong = 0
-    pruned = False
-
     t0 = time.perf_counter()
     lower, upper, eta_norm, terms = _screen_stats(full, ds)
     bound_time = time.perf_counter() - t0
-    if mode is LoocvMode.EXACT:
-        signs, screened = [0] * n, [None] * n
-    else:
-        signs = certified_sign(lower, upper).tolist()
-        screened = [
-            ScoreBounds(lo, up, en)
-            for lo, up, en in zip(lower.tolist(), upper.tolist(), eta_norm.tolist())
-        ]
-    unresolved = []  # undecided folds, lowest margin z_h first, ties by index
-    for h in np.argsort(terms[0], kind="stable").tolist():
-        if signs[h] > 0:
-            outcomes[h] = FoldOutcome(h, FoldDecision.CORRECT_BY_BOUND, True, screened[h])
-        elif signs[h] < 0:
-            outcomes[h] = FoldOutcome(h, FoldDecision.WRONG_BY_BOUND, False, screened[h])
-            known_wrong += 1
-        else:
-            unresolved.append(h)
+    signs = np.zeros(n, dtype=int) if mode is LoocvMode.EXACT else certified_sign(lower, upper)
+    decisions = np.full(n, None, dtype=object)
+    decisions[signs > 0] = FoldDecision.CORRECT_BY_BOUND
+    decisions[signs < 0] = FoldDecision.WRONG_BY_BOUND
+    correct = signs > 0
+    fold_iterations = np.zeros(n, dtype=int)
+    known_wrong = int(np.count_nonzero(signs < 0))
+    order = np.argsort(terms[0], kind="stable")
+    unresolved = order[signs[order] == 0].tolist()  # lowest margin z_h first, ties by index
 
     unresolved_left = 0
     start = None
@@ -379,7 +368,6 @@ def run_loocv(
     t0 = time.perf_counter()
     for pos, h in enumerate(unresolved):
         if prune_above is not None and known_wrong / n > prune_above:
-            pruned = True
             unresolved_left = len(unresolved) - pos
             break
         if start is None:
@@ -395,12 +383,12 @@ def run_loocv(
                 tol=fold_tol,
                 early_stop=mode is LoocvMode.OP2,
                 eta_norm=eta_norm,
-                screened=screened,
             )
         k = pos % width
-        out = decided[k]
-        if out is None:
-            out = _solve_fold(
+        if decided[k] is not None:
+            decisions[h], correct[h] = decided[k]
+        else:
+            decisions[h], correct[h], fold_iterations[h] = _solve_fold(
                 ds,
                 h,
                 full,
@@ -409,13 +397,10 @@ def run_loocv(
                 max_iter=max_iter,
                 early_stop=mode is LoocvMode.OP2,
                 eta_norm_h=float(eta_norm[h]),
-                screened=screened[h],
             )
-        outcomes[h] = out
-        known_wrong += not out.correct
+        known_wrong += not correct[h]
     solve_time = time.perf_counter() - t0
 
-    ordered = tuple(outcomes[h] for h in sorted(outcomes))
     error_lower = known_wrong / n
     error_upper = (known_wrong + unresolved_left) / n
     return LoocvResult(
@@ -424,22 +409,24 @@ def run_loocv(
         error_rate=error_lower,
         error_lower=error_lower,
         error_upper=error_upper,
-        outcomes=ordered,
+        decisions=tuple(decisions.tolist()),
+        correct=correct,
+        fold_iterations=fold_iterations,
         solves_performed=len(unresolved) - unresolved_left,
-        solver_iterations=sum(o.solve_iterations for o in ordered),
+        solver_iterations=int(fold_iterations.sum()),
         bound_time=bound_time,
         solve_time=solve_time,
         wall_time=time.perf_counter() - t_start,
-        pruned=pruned,
+        pruned=unresolved_left > 0,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class GridPoint:
-    """One model-selection candidate: an L2 weight and an optional feature map."""
+    """One model-selection candidate: an L2 weight and the dataset its folds come from."""
 
     lam: float
-    transform: Callable[[SparseDataset], SparseDataset] | None = None
+    data: SparseDataset
     label: str = ""
 
     def describe(self) -> str:
@@ -447,23 +434,14 @@ class GridPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class GridCellResult:
-    point: GridPoint
-    result: LoocvResult
-
-
-@dataclass(frozen=True, eq=False)
 class ModelSelectResult:
-    best_index: int
-    cells: tuple[GridCellResult, ...]
+    """Leave-one-out result of every grid cell, in grid order, and the winner's index."""
 
-    @property
-    def best(self) -> GridCellResult:
-        return self.cells[self.best_index]
+    best_index: int
+    results: tuple[LoocvResult, ...]
 
 
 def model_select(
-    ds: SparseDataset,
     grid: Sequence[GridPoint],
     kind: LossKind,
     *,
@@ -483,19 +461,11 @@ def model_select(
     """
     if not grid:
         raise ValueError("empty model-selection grid")
-    cells: list[GridCellResult] = []
-    incumbent = math.inf
-    cache: dict[int, SparseDataset] = {}
-    for point in grid:
-        if point.transform is None:
-            work = ds
-        else:
-            key = id(point.transform)
-            if key not in cache:
-                cache[key] = point.transform(ds)
-            work = cache[key]
+    results: list[LoocvResult] = []
+    best_index, incumbent = 0, math.inf
+    for i, point in enumerate(grid):
         result = run_loocv(
-            work,
+            point.data,
             point.lam,
             kind,
             mode=mode,
@@ -504,39 +474,20 @@ def model_select(
             max_iter=max_iter,
             prune_above=incumbent if prune else None,
         )
-        cells.append(GridCellResult(point, result))
-        if not result.pruned:
-            incumbent = min(incumbent, result.error_rate)
-    best_index = -1
-    best_rate = math.inf
-    for i, cell in enumerate(cells):
-        if not cell.result.pruned and cell.result.error_rate < best_rate:
-            best_index = i
-            best_rate = cell.result.error_rate
-    return ModelSelectResult(best_index=best_index, cells=tuple(cells))
+        results.append(result)
+        if not result.pruned and result.error_rate < incumbent:
+            best_index, incumbent = i, result.error_rate
+    return ModelSelectResult(best_index, tuple(results))
 
 
-@dataclass(frozen=True, eq=False)
-class RbfFeatureMap:
-    """Gaussian feature map x -> exp(-gamma * ||x - c_k||^2) over fixed centers."""
+def rbf_features(
+    ds: SparseDataset, gamma: float, *, n_centers: int = 100, seed: int = 0
+) -> SparseDataset:
+    """Gaussian features x -> exp(-gamma * ||x - c_k||^2) of every row of ``ds``.
 
-    centers: np.ndarray
-    gamma: float
-
-    def __call__(self, ds: SparseDataset) -> SparseDataset:
-        if ds.d != self.centers.shape[1]:
-            raise ValueError("dataset dimension does not match the centers")
-        sq = ds.row_sq_norms()
-        c_sq = (self.centers**2).sum(axis=1)
-        cross = np.asarray(ds.X @ self.centers.T)
-        d2 = np.maximum(sq[:, None] - 2.0 * cross + c_sq[None, :], 0.0)
-        return SparseDataset(sp.csr_matrix(np.exp(-self.gamma * d2)), ds.y)
-
-
-def rbf_feature_map(
-    train_ds: SparseDataset, gamma: float, *, n_centers: int = 100, seed: int = 0
-) -> RbfFeatureMap:
-    """Sample ``n_centers`` training rows (seeded) as Gaussian centers."""
+    The centers c_k are ``n_centers`` rows of ``ds`` (all of them if it has
+    fewer), sampled with ``seed``.
+    """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if isinstance(n_centers, bool) or not isinstance(n_centers, Integral) or n_centers < 1:
@@ -544,7 +495,11 @@ def rbf_feature_map(
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    k = min(n_centers, train_ds.n)
-    idx = np.sort(rng.choice(train_ds.n, size=k, replace=False))
-    centers = np.asarray(train_ds.X[idx].todense())
-    return RbfFeatureMap(centers, gamma)
+    k = min(n_centers, ds.n)
+    idx = np.sort(rng.choice(ds.n, size=k, replace=False))
+    centers = np.asarray(ds.X[idx].todense())
+    sq = ds.row_sq_norms()
+    c_sq = (centers**2).sum(axis=1)
+    cross = np.asarray(ds.X @ centers.T)
+    d2 = np.maximum(sq[:, None] - 2.0 * cross + c_sq[None, :], 0.0)
+    return SparseDataset(sp.csr_matrix(np.exp(-gamma * d2)), ds.y)

@@ -26,7 +26,6 @@ from .data import SparseDataset
 __all__ = [
     "LossKind",
     "Problem",
-    "loss_values",
     "dloss_values",
 ]
 
@@ -79,11 +78,6 @@ def _d2loss_terms(kind: LossKind, z: np.ndarray, e) -> np.ndarray:
     if kind is LossKind.L2_HINGE:
         return np.where(z < 1.0, 2.0, 0.0)
     raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def loss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Per-instance loss, vectorized over margins."""
-    return _loss_terms(kind, y * scores)[0]
 
 
 def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:

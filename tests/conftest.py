@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import delta_scope as dsc
+from delta_scope.losses import _loss_terms
 
 # Collected one-line verdicts from the acceptance tests, echoed after the
 # run so they are visible without -s.
@@ -51,6 +52,11 @@ def reference_gradient_descent(
         beta = beta - step * g
         f, g = problem.value_and_grad(beta)
     raise dsc.SolverError("gradient descent did not converge", beta, float(np.linalg.norm(g)), max_iter)
+
+
+def loss_values(kind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per-instance loss, vectorized over margins: an oracle for the objective."""
+    return _loss_terms(kind, y * scores)[0]
 
 
 def instance_gradient(kind, x, y: float, beta: np.ndarray) -> np.ndarray:

@@ -224,13 +224,10 @@ def test_op1_op2_match_exact_loocv():
             for mode in (dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2)
         }
         for mode, res in results.items():
-            for out in res.outcomes:
-                if not mask[out.index]:
-                    continue
-                want = margins[out.index] >= 0
-                assert out.correct == want, (
-                    f"problem {p} fold {out.index} mode {mode.value}: "
-                    f"margin {margins[out.index]:.3e}"
+            for h in np.flatnonzero(mask).tolist():
+                want = margins[h] >= 0
+                assert res.correct[h] == want, (
+                    f"problem {p} fold {h} mode {mode.value}: margin {margins[h]:.3e}"
                 )
                 folds_checked += 1
     elapsed = time.perf_counter() - t0
@@ -383,12 +380,12 @@ def test_reference_fraction_determined_and_tightness():
 @criterion("screening and early stopping save work")
 def test_mode_iteration_ordering_on_model_selection_grid():
     ds = dsc.make_synthetic(60, 208, 60, separation=1.0)
-    grid = [dsc.GridPoint(lam=2.0**p, label=f"2^{p}") for p in range(-10, 1)]
+    grid = [dsc.GridPoint(lam=2.0**p, data=ds, label=f"2^{p}") for p in range(-10, 1)]
     totals = {}
     for mode in (dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2):
-        sel = dsc.model_select(ds, grid, dsc.LossKind.LOGISTIC, mode=mode)
-        totals[mode] = sum(c.result.solver_iterations for c in sel.cells)
-        errors = [c.result.error_rate for c in sel.cells]
+        sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=mode)
+        totals[mode] = sum(r.solver_iterations for r in sel.results)
+        errors = [r.error_rate for r in sel.results]
         if mode is dsc.LoocvMode.EXACT:
             exact_errors = errors
         else:

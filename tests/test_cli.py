@@ -225,6 +225,20 @@ def test_remove_requires_data(paths, capsys):
     assert "--data" in err
 
 
+@pytest.mark.parametrize("bad", ["1_0", "\u0663", "3.0", "x"])
+def test_remove_rejects_a_line_that_is_not_ascii_digits(paths, capsys, bad):
+    tmp_path, data, model_path = paths
+    remove_path = str(tmp_path / "rm.txt")
+    with open(remove_path, "w", encoding="utf-8") as fh:
+        fh.write(f"0\n{bad}\n")
+    code, report, err = run_cli(
+        ["coef-sensitivity", "--model", model_path, "--data", data,
+         "--remove", remove_path], capsys
+    )
+    assert code == 1 and report is None
+    assert f"line 2: not an integer: {bad!r}" in err
+
+
 @pytest.mark.parametrize("command", ["coef-sensitivity", "label-sensitivity"])
 def test_format_csv_needs_out_before_any_work(tmp_path, capsys, command):
     # the model path does not exist: the flag check comes first
@@ -547,18 +561,32 @@ def test_loocv_grid_prune_same_best(paths, capsys):
     assert fast["results"]["best"]["error_rate"] == full["results"]["best"]["error_rate"]
 
 
-def test_loocv_gamma_grid(paths, capsys):
+@pytest.mark.parametrize("add_bias", [False, True])
+def test_loocv_gamma_grid(paths, capsys, add_bias):
     _, data, _ = paths
     code, report, _ = run_cli(
         ["loocv", "--data", data, "--loss", "logistic",
          "--lambda-grid", "0.1,1", "--gamma-grid", "0.5,1",
-         "--rbf-centers", "8", "--mode", "op2"], capsys
+         "--rbf-centers", "8", "--mode", "op2"] + ["--add-bias"] * add_bias, capsys
     )
     assert code == 0
     res = report["results"]
     assert res["n_cells"] == 4
     assert all("gamma=" in c["label"] for c in res["cells"])
     assert report["params"]["rbf_centers"] == 8
+    # each cell maps the raw rows, then appends the bias column
+    raw = dsc.load_libsvm(data)
+    cells = iter(res["cells"])
+    for gamma in (0.5, 1.0):
+        mapped = dsc.rbf_features(raw, gamma, n_centers=8)
+        if add_bias:
+            mapped = dsc.with_bias_feature(mapped)
+        for lam in (0.1, 1.0):
+            cell = next(cells)
+            ref = dsc.run_loocv(mapped, lam, dsc.LossKind.LOGISTIC, mode=dsc.LoocvMode.OP2)
+            assert cell["label"] == f"lambda={lam:g},gamma={gamma:g}"
+            assert cell["error_rate"] == ref.error_rate
+            assert cell["solves_performed"] == ref.solves_performed
 
 
 def test_loocv_lambda_xor_grid(paths, capsys):

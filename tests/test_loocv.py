@@ -9,6 +9,8 @@ from delta_scope import loocv as loocv_module
 from delta_scope.loocv import FoldDecision, LoocvMode
 
 ALL_MODES = [LoocvMode.EXACT, LoocvMode.OP1, LoocvMode.OP2]
+BY_BOUND = (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)
+BY_SOLVE = (FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP)
 
 
 def brute_force_margins(ds, lam, kind):
@@ -26,11 +28,15 @@ def brute_force_margins(ds, lam, kind):
 # single-fold bounds
 
 
-def screen_bounds(ds, lam, kind, full):
-    """Screen interval of every fold, from an op1 run, by fold index."""
-    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, full=full)
-    assert [out.index for out in res.outcomes] == list(range(ds.n))
-    return [out.bounds for out in res.outcomes]
+def screen_bounds(full, ds):
+    """(lower, upper): the screen interval of every fold, by fold index."""
+    lower, upper, _, _ = loocv_module._screen_stats(full, ds)
+    return lower, upper
+
+
+def fold_arrays(result):
+    """A result's per-fold decisions, verdicts and iterations, as lists."""
+    return result.decisions, result.correct.tolist(), result.fold_iterations.tolist()
 
 
 @pytest.mark.parametrize("seed", range(140, 146))
@@ -40,16 +46,15 @@ def test_fold_bounds_match_general_update_path(seed):
     lam = float(rng.choice([0.02, 0.1, 1.0]))
     kind = dsc.LossKind.LOGISTIC if rng.integers(2) else dsc.LossKind.L2_HINGE
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
-    screened = screen_bounds(ds, lam, kind, full)
+    lower, upper = screen_bounds(full, ds)
     for h in rng.choice(ds.n, size=5, replace=False):
         h = int(h)
-        fast = screened[h]
         stats = dsc.compute_delta_s(full, None, ds.take([h]))
         ball = dsc.old_optimum_ball(full, stats)
         eta = ds.X[h].multiply(float(ds.y[h]))
         general = dsc.score_bounds(ball, sp.csr_matrix(eta))
-        assert fast.lower == pytest.approx(general.lower, rel=1e-12, abs=1e-12)
-        assert fast.upper == pytest.approx(general.upper, rel=1e-12, abs=1e-12)
+        assert lower[h] == pytest.approx(general.lower, rel=1e-12, abs=1e-12)
+        assert upper[h] == pytest.approx(general.upper, rel=1e-12, abs=1e-12)
 
 
 def test_fold_bounds_contain_exact_held_out_score():
@@ -57,8 +62,8 @@ def test_fold_bounds_contain_exact_held_out_score():
     lam, kind = 0.1, dsc.LossKind.LOGISTIC
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
     margins = brute_force_margins(ds, lam, kind)
-    for h, sb in enumerate(screen_bounds(ds, lam, kind, full)):
-        assert sb.lower - 1e-9 <= margins[h] <= sb.upper + 1e-9
+    lower, upper = screen_bounds(full, ds)
+    assert (lower - 1e-9 <= margins).all() and (margins <= upper + 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -83,41 +88,38 @@ def test_all_modes_match_brute_force(seed, n, lam, kind, sep):
         assert res.error_rate == oracle
         assert res.error_lower == res.error_upper == oracle
         assert not res.pruned
-        assert len(res.outcomes) == n
+        assert len(res.decisions) == n and None not in res.decisions
         # per-fold verdicts, not just the aggregate, match the oracle
-        for out in res.outcomes:
-            assert out.correct == (margins[out.index] >= 0)
+        np.testing.assert_array_equal(res.correct, margins >= 0)
 
 
 def test_exact_mode_solves_every_fold():
     ds = dsc.make_synthetic(304, 30, 5)
-    res = dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, mode=LoocvMode.EXACT)
+    full, _ = dsc.train(ds, 0.1, dsc.LossKind.LOGISTIC)
+    res = dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, mode=LoocvMode.EXACT, full=full)
     assert res.solves_performed == 30
-    assert all(o.decision is FoldDecision.RESOLVED_BY_SOLVE for o in res.outcomes)
-    assert all(o.bounds is None for o in res.outcomes)
+    assert all(d is FoldDecision.RESOLVED_BY_SOLVE for d in res.decisions)
+    # the screen would have decided folds, but exact decides none by it
+    assert dsc.certified_sign(*screen_bounds(full, ds)).any()
 
 
 def test_op1_solves_only_screen_failures():
     ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
-    res = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP1)
-    by_bound = [
-        o
-        for o in res.outcomes
-        if o.decision in (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)
-    ]
-    solved = [o for o in res.outcomes if o.decision is FoldDecision.RESOLVED_BY_SOLVE]
+    full, _ = dsc.train(ds, 0.05, dsc.LossKind.LOGISTIC)
+    res = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP1, full=full)
+    by_bound = [h for h, d in enumerate(res.decisions) if d in BY_BOUND]
+    solved = [h for h, d in enumerate(res.decisions) if d is FoldDecision.RESOLVED_BY_SOLVE]
     assert len(by_bound) + len(solved) == 60
     assert res.solves_performed == len(solved) < 60
-    # screening produced a usable interval for every fold it touched
-    for o in by_bound:
-        assert o.bounds is not None
-        if o.decision is FoldDecision.CORRECT_BY_BOUND:
-            assert o.bounds.lower > 0
+    # a fold decided by the screen has an interval that excludes 0
+    lower, upper = screen_bounds(full, ds)
+    for h in by_bound:
+        if res.decisions[h] is FoldDecision.CORRECT_BY_BOUND:
+            assert lower[h] > 0 and res.correct[h]
         else:
-            assert o.bounds.upper < 0
-    for o in solved:
-        assert o.bounds is not None  # the inconclusive screen interval
-        assert o.bounds.lower <= 0 <= o.bounds.upper
+            assert upper[h] < 0 and not res.correct[h]
+    for h in solved:
+        assert lower[h] <= 0 <= upper[h]  # the inconclusive screen interval
 
 
 def test_op2_early_stops_and_saves_iterations():
@@ -126,13 +128,9 @@ def test_op2_early_stops_and_saves_iterations():
     op2 = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
     assert op2.error_rate == op1.error_rate
     assert op2.solver_iterations <= op1.solver_iterations
-    early = [
-        o for o in op2.outcomes if o.decision is FoldDecision.RESOLVED_BY_EARLY_STOP
-    ]
-    assert early  # this problem leaves screen-undecided folds that stop early
-    for o_1, o_2 in zip(op1.outcomes, op2.outcomes):
-        assert o_1.index == o_2.index
-        assert o_1.correct == o_2.correct
+    # this problem leaves screen-undecided folds that stop early
+    assert FoldDecision.RESOLVED_BY_EARLY_STOP in op2.decisions
+    np.testing.assert_array_equal(op1.correct, op2.correct)
 
 
 def test_screen_decisions_match_standalone_fold_bounds():
@@ -140,24 +138,21 @@ def test_screen_decisions_match_standalone_fold_bounds():
     lam, kind = 0.2, dsc.LossKind.L2_HINGE
     full, _ = dsc.train(ds, lam, kind, tol=1e-8)
     res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, full=full)
-    for out in res.outcomes:
-        sb = out.bounds
-        if sb.lower > 0:
-            assert out.decision is FoldDecision.CORRECT_BY_BOUND
-        elif sb.upper < 0:
-            assert out.decision is FoldDecision.WRONG_BY_BOUND
+    lower, upper = screen_bounds(full, ds)
+    for h, decision in enumerate(res.decisions):
+        if lower[h] > 0:
+            assert decision is FoldDecision.CORRECT_BY_BOUND
+        elif upper[h] < 0:
+            assert decision is FoldDecision.WRONG_BY_BOUND
         else:
-            assert out.decision in (
-                FoldDecision.RESOLVED_BY_SOLVE,
-                FoldDecision.RESOLVED_BY_EARLY_STOP,
-            )
+            assert decision in BY_SOLVE
         # the standalone one-row removal ball gives the same interval
-        stats = dsc.compute_delta_s(full, None, ds.take([out.index]))
+        stats = dsc.compute_delta_s(full, None, ds.take([h]))
         ball = dsc.old_optimum_ball(full, stats)
-        eta = ds.X[out.index].multiply(float(ds.y[out.index]))
+        eta = ds.X[h].multiply(float(ds.y[h]))
         general = dsc.score_bounds(ball, sp.csr_matrix(eta))
-        assert sb.lower == pytest.approx(general.lower, rel=1e-9, abs=1e-12)
-        assert sb.upper == pytest.approx(general.upper, rel=1e-9, abs=1e-12)
+        assert lower[h] == pytest.approx(general.lower, rel=1e-9, abs=1e-12)
+        assert upper[h] == pytest.approx(general.upper, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +201,8 @@ def test_mode_from_name():
 
 
 def verdicts(result):
-    return [(o.index, o.correct) for o in result.outcomes]
+    assert None not in result.decisions
+    return result.correct.tolist()
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -249,11 +245,13 @@ def test_op2_certifies_folds_whose_start_already_meets_tol():
     # iteration; op2 still decides those folds by the gradient ball
     ds = dsc.make_synthetic(400, 120, 8, separation=1.0)
     lam, kind = 1.0, dsc.LossKind.LOGISTIC
-    op2 = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2)
+    full, _ = dsc.train(ds, lam, kind)
+    op2 = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
     exact = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, fold_tol=1e-10)
-    solved = [o for o in op2.outcomes if o.bounds.lower <= 0.0 <= o.bounds.upper]
+    lower, upper = screen_bounds(full, ds)
+    solved = np.flatnonzero((lower <= 0.0) & (0.0 <= upper)).tolist()
     assert solved
-    assert all(o.decision is FoldDecision.RESOLVED_BY_EARLY_STOP for o in solved)
+    assert all(op2.decisions[h] is FoldDecision.RESOLVED_BY_EARLY_STOP for h in solved)
     assert verdicts(op2) == verdicts(exact)
 
 
@@ -286,7 +284,8 @@ def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
 def reference_loocv(
     ds, lam, kind, mode, full, *, max_iter=loocv_module.MAX_ITER, prune_above=None
 ):
-    """(outcomes, solves, iterations, pruned) with every undecided fold solved alone.
+    """(decisions, correct, fold_iterations, solves, pruned), as run_loocv
+    gives them, with every undecided fold solved alone.
 
     The screen and fold order are run_loocv's; each fold the screen leaves
     undecided goes through ``_solve_fold`` from its Newton start, lowest
@@ -294,35 +293,31 @@ def reference_loocv(
     """
     lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
     start = loocv_module._newton_starts(full, ds, terms)
-    outcomes, undecided = {}, []
+    decisions = [None] * ds.n
+    correct = np.zeros(ds.n, dtype=bool)
+    iterations = np.zeros(ds.n, dtype=int)
+    undecided = []
     for h in np.argsort(terms[0], kind="stable").tolist():
-        screened = None
-        sign = 0
-        if mode is not LoocvMode.EXACT:
-            screened = dsc.ScoreBounds(
-                float(lower[h]), float(upper[h]), float(eta_norm[h])
-            )
-            sign = int(dsc.certified_sign(lower[h], upper[h]))
+        sign = 0 if mode is LoocvMode.EXACT else int(dsc.certified_sign(lower[h], upper[h]))
         if sign:
-            decision = FoldDecision.CORRECT_BY_BOUND if sign > 0 else FoldDecision.WRONG_BY_BOUND
-            outcomes[h] = loocv_module.FoldOutcome(h, decision, sign > 0, screened)
+            decisions[h] = FoldDecision.CORRECT_BY_BOUND if sign > 0 else FoldDecision.WRONG_BY_BOUND
+            correct[h] = sign > 0
         else:
-            undecided.append((h, screened))
-    known_wrong = sum(not o.correct for o in outcomes.values())
+            undecided.append(h)
+    known_wrong = decisions.count(FoldDecision.WRONG_BY_BOUND)
     solves, pruned = 0, False
-    for h, screened in undecided:
+    for h in undecided:
         if prune_above is not None and known_wrong / ds.n > prune_above:
             pruned = True
             break
-        outcomes[h] = loocv_module._solve_fold(
+        decisions[h], correct[h], iterations[h] = loocv_module._solve_fold(
             ds, h, full, init=start(h), tol=loocv_module.DEFAULT_FOLD_TOL,
             max_iter=max_iter, early_stop=mode is LoocvMode.OP2,
-            eta_norm_h=float(eta_norm[h]), screened=screened,
+            eta_norm_h=float(eta_norm[h]),
         )
-        known_wrong += not outcomes[h].correct
+        known_wrong += not correct[h]
         solves += 1
-    ordered = tuple(outcomes[h] for h in sorted(outcomes))
-    return ordered, solves, sum(o.solve_iterations for o in ordered), pruned
+    return tuple(decisions), correct, iterations, solves, pruned
 
 
 def count_fold_solves(monkeypatch):
@@ -343,13 +338,17 @@ def assert_matches_reference(ds, lam, kind, mode, full, **kwargs):
     with pytest.MonkeyPatch.context() as m:
         calls = count_fold_solves(m)
         res = dsc.run_loocv(ds, lam, kind, mode=mode, full=full, **kwargs)
-    outcomes, solves, iterations, pruned = reference_loocv(ds, lam, kind, mode, full, **kwargs)
-    assert res.outcomes == outcomes
+    decisions, correct, iterations, solves, pruned = reference_loocv(
+        ds, lam, kind, mode, full, **kwargs
+    )
+    assert res.decisions == decisions
+    np.testing.assert_array_equal(res.correct, correct)
+    np.testing.assert_array_equal(res.fold_iterations, iterations)
     assert res.solves_performed == solves
-    assert res.solver_iterations == iterations
+    assert res.solver_iterations == iterations.sum()
     assert res.pruned == pruned
     # only the folds undecided at their starts reach the solver, and they iterate
-    assert sorted(calls) == [o.index for o in res.outcomes if o.solve_iterations > 0]
+    assert sorted(calls) == np.flatnonzero(res.fold_iterations).tolist()
     return res, calls
 
 
@@ -388,17 +387,16 @@ def test_prune_in_the_middle_of_a_block_matches_solving_every_fold_alone(
     lam = 0.01
     full, _ = dsc.train(ds, lam, kind, tol=1e-10)
     complete = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
-    screen_wrong = sum(o.decision is FoldDecision.WRONG_BY_BOUND for o in complete.outcomes)
+    screen_wrong = complete.decisions.count(FoldDecision.WRONG_BY_BOUND)
     margins = ds.y * (ds.X @ full.beta)
     solved = sorted(
-        (o for o in complete.outcomes if o.decision not in
-         (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)),
-        key=lambda o: (margins[o.index], o.index),
+        (h for h, d in enumerate(complete.decisions) if d in BY_SOLVE),
+        key=lambda h: (margins[h], h),
     )
     wrong = 0
-    for pos, o in enumerate(solved[:-1]):
-        wrong += not o.correct
-        if not o.correct and pos > 16 and (pos + 1) % width:
+    for pos, h in enumerate(solved[:-1]):
+        wrong += not complete.correct[h]
+        if not complete.correct[h] and pos > 16 and (pos + 1) % width:
             break
     else:
         pytest.fail("no wrong fold to stop after")
@@ -438,7 +436,7 @@ def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind):
                 calls = count_fold_solves(m)
                 res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full, fold_tol=tol)
             assert (h in calls) == reaches_solver
-            assert (res.outcomes[h].solve_iterations > 0) == reaches_solver
+            assert (res.fold_iterations[h] > 0) == reaches_solver
 
 
 @pytest.mark.parametrize(
@@ -464,7 +462,8 @@ def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
     full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
     res, calls = assert_matches_reference(ds, 0.01, kind, LoocvMode.OP2, full, max_iter=0)
     assert calls == [] and res.solves_performed > 0
-    assert res.outcomes == dsc.run_loocv(ds, 0.01, kind, mode=LoocvMode.OP2, full=full).outcomes
+    again = dsc.run_loocv(ds, 0.01, kind, mode=LoocvMode.OP2, full=full)
+    assert fold_arrays(res) == fold_arrays(again)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +485,7 @@ def test_prune_mid_loop_keeps_sound_interval():
     ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
     lam, kind = 0.05, dsc.LossKind.LOGISTIC
     complete = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1)
-    screen_wrong = sum(
-        1 for o in complete.outcomes if o.decision is FoldDecision.WRONG_BY_BOUND
-    )
+    screen_wrong = complete.decisions.count(FoldDecision.WRONG_BY_BOUND)
     # threshold sits exactly at the screen-time error, so the run survives
     # screening and is abandoned at the first wrong solved fold
     threshold = screen_wrong / ds.n
@@ -498,8 +495,28 @@ def test_prune_mid_loop_keeps_sound_interval():
     assert pruned.error_lower > threshold
     assert pruned.error_lower <= complete.error_rate <= pruned.error_upper
     assert pruned.error_upper - pruned.error_lower == pytest.approx(
-        (len(complete.outcomes) - len(pruned.outcomes)) / ds.n
+        pruned.decisions.count(None) / ds.n
     )
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_pruned_interval_width_is_the_undecided_share(mode):
+    ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
+    lam, kind = 0.05, dsc.LossKind.LOGISTIC
+    complete = dsc.run_loocv(ds, lam, kind, mode=mode)
+    # abandoned at the first wrong solved fold, with folds left undecided
+    threshold = complete.decisions.count(FoldDecision.WRONG_BY_BOUND) / ds.n
+    pruned = dsc.run_loocv(ds, lam, kind, mode=mode, prune_above=threshold)
+    assert pruned.pruned
+    undecided = pruned.decisions.count(None)
+    assert 0 < undecided == complete.solves_performed - pruned.solves_performed
+    assert pruned.error_upper - pruned.error_lower == pytest.approx(
+        undecided / ds.n, rel=1e-12
+    )
+    # the lower bound counts the wrong verdicts among the decided folds
+    decided = np.array([d is not None for d in pruned.decisions])
+    assert pruned.error_lower * ds.n == pytest.approx(np.count_nonzero(~pruned.correct & decided))
+    np.testing.assert_array_equal(pruned.correct[decided], complete.correct[decided])
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -508,12 +525,11 @@ def test_pruned_run_solves_the_lowest_margin_folds_first(mode):
     lam, kind = 0.05, dsc.LossKind.LOGISTIC
     full, _ = dsc.train(ds, lam, kind)
     complete = dsc.run_loocv(ds, lam, kind, mode=mode, full=full)
-    solved = (FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP)
-    undecided = [o.index for o in complete.outcomes if o.decision in solved]
+    undecided = [h for h, d in enumerate(complete.decisions) if d in BY_SOLVE]
     margins = ds.y * (ds.X @ full.beta)
     order = sorted(undecided, key=lambda h: (margins[h], h))
-    screen_wrong = sum(1 for o in complete.outcomes if o.decision is FoldDecision.WRONG_BY_BOUND)
-    wrong_at = [pos for pos, h in enumerate(order) if not complete.outcomes[h].correct]
+    screen_wrong = complete.decisions.count(FoldDecision.WRONG_BY_BOUND)
+    wrong_at = [pos for pos, h in enumerate(order) if not complete.correct[h]]
     assert len(wrong_at) >= 2 and wrong_at[1] + 1 < len(order)
     # the threshold abandons the run at its second wrong solved fold
     pruned = dsc.run_loocv(
@@ -521,7 +537,7 @@ def test_pruned_run_solves_the_lowest_margin_folds_first(mode):
     )
     assert pruned.pruned
     first = sorted(order[: wrong_at[1] + 1])
-    assert [o.index for o in pruned.outcomes if o.decision in solved] == first
+    assert [h for h, d in enumerate(pruned.decisions) if d in BY_SOLVE] == first
     assert pruned.error_lower <= complete.error_rate <= pruned.error_upper
 
 
@@ -543,109 +559,107 @@ def test_no_prune_flag_when_everything_resolves_at_screen():
 
 def test_model_select_picks_lowest_error():
     ds = dsc.make_synthetic(312, 60, 6, separation=1.5)
-    grid = [dsc.GridPoint(lam=l) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
-    sel = dsc.model_select(ds, grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    rates = [c.result.error_rate for c in sel.cells]
-    assert len(sel.cells) == 5
+    grid = [dsc.GridPoint(l, ds) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
+    sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    rates = [r.error_rate for r in sel.results]
+    assert len(sel.results) == 5
     assert sel.best_index == int(np.argmin(rates))  # argmin takes the first min
-    assert sel.best.result.error_rate == min(rates)
-    assert sel.best.point.lam == grid[sel.best_index].lam
 
 
 def test_model_select_prune_agrees_with_full_sweep():
     ds = dsc.make_synthetic(313, 60, 6, separation=1.2)
-    grid = [dsc.GridPoint(lam=l) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
-    full = dsc.model_select(ds, grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    fast = dsc.model_select(
-        ds, grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune=True
-    )
+    grid = [dsc.GridPoint(l, ds) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
+    full = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    fast = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune=True)
     assert fast.best_index == full.best_index
-    assert fast.best.result.error_rate == full.best.result.error_rate
-    for cell in fast.cells:
-        if cell.result.pruned:
+    assert fast.results[fast.best_index].error_rate == full.results[full.best_index].error_rate
+    assert any(r.pruned for r in fast.results)
+    for i, (res, exact) in enumerate(zip(fast.results, full.results)):
+        if res.pruned:
             # abandoned cells keep a sound interval and are never selected
-            exact = next(
-                c.result.error_rate
-                for c in full.cells
-                if c.point.lam == cell.point.lam
-            )
-            assert cell.result.error_lower <= exact <= cell.result.error_upper
-            assert fast.cells[fast.best_index] is not cell
-    total_solves_full = sum(c.result.solves_performed for c in full.cells)
-    total_solves_fast = sum(c.result.solves_performed for c in fast.cells)
+            assert res.error_lower <= exact.error_rate <= res.error_upper
+            assert fast.best_index != i
+    total_solves_full = sum(r.solves_performed for r in full.results)
+    total_solves_fast = sum(r.solves_performed for r in fast.results)
     assert total_solves_fast <= total_solves_full
 
 
 def test_model_select_empty_grid():
-    ds = dsc.make_synthetic(314, 20, 4)
     with pytest.raises(ValueError, match="empty"):
-        dsc.model_select(ds, [], dsc.LossKind.LOGISTIC)
+        dsc.model_select([], dsc.LossKind.LOGISTIC)
 
 
-def test_model_select_reuses_shared_transforms():
-    ds = dsc.make_synthetic(315, 30, 4)
-    calls = []
-
-    class CountingMap:
-        def __call__(self, data):
-            calls.append(1)
-            return data
-
-    shared = CountingMap()
+def test_model_select_results_equal_run_loocv_on_each_cell():
+    ds = dsc.make_synthetic(315, 40, 4, separation=1.0)
+    mapped = dsc.rbf_features(ds, gamma=0.5, n_centers=10)
     grid = [
-        dsc.GridPoint(lam=0.1, transform=shared),
-        dsc.GridPoint(lam=1.0, transform=shared),
-        dsc.GridPoint(lam=1.0),
+        dsc.GridPoint(0.1, ds),
+        dsc.GridPoint(0.01, mapped),
+        dsc.GridPoint(1.0, mapped),
     ]
-    sel = dsc.model_select(ds, grid, dsc.LossKind.LOGISTIC)
-    assert len(calls) == 1
-    assert len(sel.cells) == 3
-    assert sel.cells[2].result.error_rate == sel.cells[1].result.error_rate
+    sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    assert len(sel.results) == len(grid)
+    for point, res in zip(grid, sel.results):
+        ref = dsc.run_loocv(point.data, point.lam, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+        assert res.n == point.data.n
+        assert fold_arrays(res) == fold_arrays(ref)
+        assert (res.error_rate, res.solves_performed, res.solver_iterations) == (
+            ref.error_rate,
+            ref.solves_performed,
+            ref.solver_iterations,
+        )
 
 
 def test_grid_point_describe():
-    assert dsc.GridPoint(lam=0.25).describe() == "lambda=0.25"
-    assert dsc.GridPoint(lam=0.25, label="2^-2").describe() == "2^-2"
+    ds = dsc.make_synthetic(314, 5, 2)
+    assert dsc.GridPoint(lam=0.25, data=ds).describe() == "lambda=0.25"
+    assert dsc.GridPoint(lam=0.25, data=ds, label="2^-2").describe() == "2^-2"
+
+
+def test_result_arrays_are_read_only():
+    ds = dsc.make_synthetic(314, 20, 3)
+    res = dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC)
+    for arr in (res.correct, res.fold_iterations):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    assert res.solver_iterations == int(res.fold_iterations.sum())
+    assert type(res.solver_iterations) is int
 
 
 # ---------------------------------------------------------------------------
-# Gaussian feature map
+# Gaussian features
 
 
-def test_rbf_feature_map_values_and_determinism():
+def test_rbf_features_values_and_determinism():
     ds = dsc.make_synthetic(316, 25, 4)
-    fm1 = dsc.rbf_feature_map(ds, gamma=0.5, n_centers=10, seed=3)
-    fm2 = dsc.rbf_feature_map(ds, gamma=0.5, n_centers=10, seed=3)
-    np.testing.assert_array_equal(fm1.centers, fm2.centers)
-    mapped = fm1(ds)
+    mapped = dsc.rbf_features(ds, gamma=0.5, n_centers=10, seed=3)
+    again = dsc.rbf_features(ds, gamma=0.5, n_centers=10, seed=3)
     assert mapped.n == 25 and mapped.d == 10
     dense = np.asarray(mapped.X.todense())
+    np.testing.assert_array_equal(dense, np.asarray(again.X.todense()))
     assert (dense > 0).all() and (dense <= 1.0 + 1e-12).all()
     np.testing.assert_array_equal(mapped.y, ds.y)
-    # a center maps to exactly 1 against itself
-    row0 = np.asarray(ds.X.todense())
-    for k, c in enumerate(fm1.centers):
-        owner = np.where((row0 == c).all(axis=1))[0]
-        assert owner.size >= 1
-        assert dense[owner[0], k] == pytest.approx(1.0)
+    # each column's center is a distinct row of ds, which maps to 1 there
+    rows = np.asarray(ds.X.todense())
+    owners = dense.argmax(axis=0)
+    assert len(set(owners.tolist())) == 10
+    np.testing.assert_allclose(dense[owners, np.arange(10)], 1.0)
+    d2 = ((rows[:, None, :] - rows[owners][None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_allclose(dense, np.exp(-0.5 * d2), rtol=1e-12, atol=1e-12)
 
 
-def test_rbf_feature_map_caps_centers_at_n():
+def test_rbf_features_caps_centers_at_n():
     ds = dsc.make_synthetic(317, 8, 3)
-    fm = dsc.rbf_feature_map(ds, gamma=1.0, n_centers=100)
-    assert fm.centers.shape == (8, 3)
+    assert dsc.rbf_features(ds, gamma=1.0, n_centers=100).d == 8
 
 
-def test_rbf_feature_map_validation():
+def test_rbf_features_validation():
     ds = dsc.make_synthetic(318, 10, 3)
     with pytest.raises(ValueError, match="gamma"):
-        dsc.rbf_feature_map(ds, gamma=0.0)
+        dsc.rbf_features(ds, gamma=0.0)
     for n_centers in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="n_centers"):
-            dsc.rbf_feature_map(ds, gamma=1.0, n_centers=n_centers)
+            dsc.rbf_features(ds, gamma=1.0, n_centers=n_centers)
     for seed in (-3, 1.0):
         with pytest.raises(ValueError, match="seed"):
-            dsc.rbf_feature_map(ds, gamma=1.0, seed=seed)
-    fm = dsc.rbf_feature_map(ds, gamma=1.0, n_centers=4)
-    with pytest.raises(ValueError, match="dimension"):
-        fm(dsc.make_synthetic(319, 5, 4))
+            dsc.rbf_features(ds, gamma=1.0, seed=seed)

@@ -11,10 +11,9 @@ from delta_scope.losses import (
     _d2loss_terms,
     dloss_values,
     Problem,
-    loss_values,
 )
 
-from conftest import instance_gradient
+from conftest import instance_gradient, loss_values
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 

@@ -1,10 +1,10 @@
 """The cached objective: bit-identity with uncached evaluation and solves.
 
-``ReferenceProblem`` below restates the objective from the public
-``loss_values``/``dloss_values`` and a fresh ``X.T`` product on every call,
-and its curvature from the second-derivative formulas, with no cache, so it
-shares no code path with :class:`Problem` beyond the per-instance loss
-formulas.
+``ReferenceProblem`` below restates the objective from the test oracle
+``loss_values``, the public ``dloss_values`` and a fresh ``X.T`` product on
+every call, and its curvature from the second-derivative formulas, with no
+cache, so it shares no code path with :class:`Problem` beyond the
+per-instance loss formulas.
 """
 from types import SimpleNamespace
 
@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 import delta_scope as dsc
 import delta_scope.loocv as loocv_module
 import delta_scope.solver as solver_module
-from delta_scope.losses import LossKind, Problem, dloss_values, loss_values
+from delta_scope.losses import LossKind, Problem, dloss_values
 from delta_scope.solver import minimize_smooth
+
+from conftest import loss_values
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
@@ -296,13 +298,15 @@ def test_loocv_matches_uncached_reference(mode, kind, monkeypatch):
     assert cached.solves_performed == len(reference_betas)
     # folds decided at their starts by the block pass never reach the solver;
     # a fold that does reach it was undecided at its start, so it iterates
-    iterated = [o.index for o in cached.outcomes if o.solve_iterations > 0]
+    iterated = np.flatnonzero(cached.fold_iterations).tolist()
     assert sorted(h for h, _ in cached_betas) == iterated
     assert len(cached_betas) > 0
     reference_by_fold = dict(reference_betas)
     assert [h for h, _ in cached_betas] == [h for h, _ in reference_betas if h in iterated]
     for h, beta in cached_betas:
         assert_same_bits(beta, reference_by_fold[h])
-    assert cached.outcomes == reference.outcomes
+    assert cached.decisions == reference.decisions
+    np.testing.assert_array_equal(cached.correct, reference.correct)
+    np.testing.assert_array_equal(cached.fold_iterations, reference.fold_iterations)
     assert cached.solver_iterations == reference.solver_iterations
     assert cached.error_rate == reference.error_rate
