@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
-from .data import SparseDataset, csr_row_sq_norms
+from .data import SparseDataset, csr_matvec, csr_rmatvec, csr_row_sq_norms
 from .losses import dloss_values
 from .solver import TrainedModel
 
@@ -177,9 +176,9 @@ def compute_delta_s(
             continue
         if part.d != old.d:
             raise ValueError(f"instance dimension {part.d} != model dimension {old.d}")
-        scores = part.X @ old.beta
+        scores = csr_matvec(part, old.beta)
         dl = dloss_values(old.kind, part.y, scores)
-        total += sign * (part.X.T @ dl)
+        total += sign * csr_rmatvec(part, dl)
     delta_s = total / (n_a + n_r) if (n_a + n_r) > 0 else total
     return UpdateStats(
         n_old=old.n_train,
@@ -259,23 +258,25 @@ def certified_sign(lower, upper):
     return np.where(lower > 0.0, 1, np.where(upper < 0.0, -1, 0))
 
 
-def _row_bounds(ball: SolutionBall, X: sp.csr_matrix):
+def _row_bounds(ball: SolutionBall, X):
     """(lower, upper, row norm) of the ball's interval for every row of ``X``.
 
-    The one projection behind every score interval. Rows are read in
-    canonical form, duplicate entries summed, so that each norm is that of
-    the vector ``X @ center`` sees; a matrix not already canonical is summed
-    on a copy, and one that is (every ``SparseDataset`` row) costs nothing
-    extra.
+    The one projection behind every score interval. ``X`` is a
+    ``SparseDataset`` or a SciPy sparse matrix. Rows are read in canonical
+    form, duplicate entries summed, so that each norm is that of the vector
+    ``X @ center`` sees; a matrix not already canonical is summed on a copy,
+    and a dataset (always canonical) costs nothing extra.
     """
     if X.shape[1] != ball.center.shape[0]:
         raise ValueError(
             f"eta rows have dimension {X.shape[1]}, ball has {ball.center.shape[0]}"
         )
-    if not X.has_canonical_format:
-        X = X.copy()
-        X.sum_duplicates()
-    dots = X @ ball.center
+    if not isinstance(X, SparseDataset):
+        X = X.tocsr()
+        if not X.has_canonical_format:
+            X = X.copy()
+            X.sum_duplicates()
+    dots = csr_matvec(X, ball.center)
     norms = np.sqrt(csr_row_sq_norms(X))
     spread = norms * ball.radius
     return dots - spread, dots + spread, norms
@@ -287,6 +288,8 @@ def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
     The interval has width exactly 2 * ||eta|| * radius, attained because the
     extremizers eta . (center +/- radius * eta/||eta||) lie in the ball.
     """
+    import scipy.sparse as sp
+
     row = sp.csr_matrix(eta if sp.issparse(eta) else np.atleast_2d(eta), dtype=np.float64)
     if row.shape[0] != 1:
         raise ValueError("eta must be a single row")
@@ -322,13 +325,13 @@ def norm_change_bound(
     return float((dev**q).sum() ** (1.0 / q))
 
 
-def batch_score_bounds(ball: SolutionBall, X: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Score intervals for every row of a sparse matrix at once.
+def batch_score_bounds(ball: SolutionBall, X) -> tuple[np.ndarray, np.ndarray]:
+    """Score intervals for every row of a ``SparseDataset`` or sparse matrix at once.
 
     Vectorized equivalent of calling :func:`score_bounds` with each row as
     eta; returns (lower, upper) arrays.
     """
-    lower, upper, _ = _row_bounds(ball, X.tocsr())
+    lower, upper, _ = _row_bounds(ball, X)
     return lower, upper
 
 

@@ -336,7 +336,7 @@ def _cmd_label_sensitivity(args) -> dict:
     model, _, ball, inputs = _update_ball(args)
     test = _load_rows(args.test, model)
     inputs = {"model": args.model, "test_data": args.test, **inputs}
-    lower, upper = B.batch_score_bounds(ball, test.X)
+    lower, upper = B.batch_score_bounds(ball, test)
     signs = B.certified_sign(lower, upper)
     n_plus = int(np.count_nonzero(signs > 0))
     n_minus = int(np.count_nonzero(signs < 0))

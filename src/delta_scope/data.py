@@ -1,7 +1,9 @@
 """Sparse datasets for binary linear classification.
 
-Instances live in a CSR matrix with strictly sorted column indices per row;
+Instances live in CSR arrays with strictly ascending column indices per row;
 labels are +1/-1 (any nonpositive input label maps to -1 at ingestion).
+Parsing, row selection and the products the bounds need run on NumPy alone;
+SciPy is imported only where a SciPy matrix is built or given.
 """
 from __future__ import annotations
 
@@ -11,12 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "LibsvmFormatError",
     "SparseDataset",
     "csr_row_sq_norms",
+    "csr_matvec",
+    "csr_rmatvec",
     "parse_libsvm",
     "take_libsvm_rows",
     "load_libsvm",
@@ -36,52 +39,121 @@ def _freeze(arr: np.ndarray) -> None:
     arr.flags.writeable = False
 
 
-def csr_row_sq_norms(X: sp.csr_matrix) -> np.ndarray:
-    """Per-row squared Euclidean norms of a CSR matrix."""
-    csum = np.concatenate([[0.0], np.cumsum(X.data**2)])
-    return csum[X.indptr[1:]] - csum[X.indptr[:-1]]
+# The products below take anything with CSR ``data``, ``indices``,
+# ``indptr`` and ``shape``: a ``SparseDataset`` or a canonical SciPy CSR
+# matrix. ``np.bincount`` adds its weights in input order, so each output
+# sums the same products in the same order as SciPy's CSR kernels.
 
 
-@dataclass(frozen=True, eq=False)
+def _csr_rows(A) -> np.ndarray:
+    """Row number of every stored entry."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def csr_row_sq_norms(A) -> np.ndarray:
+    """Per-row squared Euclidean norms of a CSR matrix, each row summed on its own."""
+    return np.bincount(_csr_rows(A), weights=A.data * A.data, minlength=A.shape[0])
+
+
+def csr_matvec(A, v: np.ndarray) -> np.ndarray:
+    """``A @ v``, bit-identical to SciPy's CSR product."""
+    return np.bincount(_csr_rows(A), weights=A.data * v[A.indices], minlength=A.shape[0])
+
+
+def csr_rmatvec(A, w: np.ndarray) -> np.ndarray:
+    """``A.T @ w``, bit-identical to SciPy's product with the transpose."""
+    return np.bincount(A.indices, weights=A.data * w[_csr_rows(A)], minlength=A.shape[1])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SparseDataset:
-    """Immutable labeled sparse dataset (rows x features)."""
+    """Immutable labeled sparse dataset (rows x features).
 
-    X: sp.csr_matrix
+    Its state is the CSR arrays ``data``, ``indices`` and ``indptr``, the
+    ``shape`` and the labels ``y``, all read-only. ``SparseDataset(X, y)``
+    takes a SciPy sparse matrix, which is converted to CSR and summed and
+    sorted in place as needed; the dataset then shares its arrays.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
     y: np.ndarray
 
-    def __post_init__(self) -> None:
-        X = self.X
+    def __init__(self, X, y) -> None:
+        import scipy.sparse as sp
+
         if not sp.issparse(X):
             raise ValueError("X must be a scipy sparse matrix")
         if X.format != "csr":
-            object.__setattr__(self, "X", X.tocsr())
-            X = self.X
+            X = X.tocsr()
         X.sum_duplicates()
         if not X.has_sorted_indices:
             X.sort_indices()
-        y = np.asarray(self.y, dtype=np.float64)
-        object.__setattr__(self, "y", y)
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"label vector has shape {y.shape}, expected ({X.shape[0]},)"
-            )
+        self._set_arrays(X.data, X.indices, X.indptr, X.shape, y)
+
+    @classmethod
+    def _from_csr(cls, data, indices, indptr, shape, y) -> "SparseDataset":
+        """Dataset of CSR arrays, checked as ``SparseDataset(X, y)`` checks them."""
+        ds = cls.__new__(cls)
+        ds._set_arrays(data, indices, indptr, shape, y)
+        return ds
+
+    @classmethod
+    def _from_dense(cls, X: np.ndarray, y) -> "SparseDataset":
+        """Dataset of the nonzero entries of a dense matrix, as SciPy's
+        ``csr_matrix(X)`` stores them."""
+        nonzero = X != 0
+        idx_dtype = np.int32 if X.size <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(X.shape[0] + 1, dtype=idx_dtype)
+        np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+        indices = np.nonzero(nonzero)[1].astype(idx_dtype)
+        return cls._from_csr(X[nonzero], indices, indptr, X.shape, y)
+
+    def _set_arrays(self, data, indices, indptr, shape, y) -> None:
+        """The one validation path: labels +1/-1, finite values, and
+        strictly ascending column indices in every row."""
+        data = np.asarray(data, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        n, d = int(shape[0]), int(shape[1])
+        if y.ndim != 1 or y.shape[0] != n:
+            raise ValueError(f"label vector has shape {y.shape}, expected ({n},)")
         if y.size and not np.all((y == 1.0) | (y == -1.0)):
             raise ValueError("labels must be +1 or -1")
-        if not np.all(np.isfinite(X.data)):
+        if not np.all(np.isfinite(data)):
             raise ValueError("feature values must be finite")
-        for arr in (X.data, X.indices, X.indptr, y):
-            _freeze(arr)
+        ascending = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        # a step into the first entry of a row is not a step within a row
+        ascending[starts[(starts > 0) & (starts < data.size)] - 1] = True
+        if not ascending.all():
+            raise ValueError("column indices must be strictly ascending in every row")
+        for name, value in (("data", data), ("indices", indices), ("indptr", indptr), ("y", y)):
+            _freeze(value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shape", (n, d))
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.shape[0]
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self.shape[1]
 
     @cached_property
-    def XT(self) -> sp.csr_matrix:
+    def X(self):
+        """The rows as a SciPy CSR matrix over the dataset's own arrays,
+        built on first use and kept."""
+        import scipy.sparse as sp
+
+        X = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        X.has_canonical_format = True
+        return X
+
+    @cached_property
+    def XT(self):
         """CSR copy of ``X.T``, built on first use and kept.
 
         ``XT @ v`` is bit-identical to ``X.T @ v`` (both sum each output in
@@ -93,11 +165,13 @@ class SparseDataset:
         return XT
 
     @cached_property
-    def XT_sq(self) -> sp.csr_matrix:
+    def XT_sq(self):
         """``XT`` with its entries squared, built on first use and kept.
 
         ``XT_sq @ c`` is the diagonal of ``X^T diag(c) X``.
         """
+        import scipy.sparse as sp
+
         XT = self.XT
         XT_sq = sp.csr_matrix((XT.data * XT.data, XT.indices, XT.indptr), shape=XT.shape)
         for arr in (XT_sq.data, XT_sq.indices, XT_sq.indptr):
@@ -106,17 +180,26 @@ class SparseDataset:
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and values of row ``i`` (views, do not mutate)."""
-        lo, hi = self.X.indptr[i], self.X.indptr[i + 1]
-        return self.X.indices[lo:hi], self.X.data[lo:hi]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     def take(self, indices) -> "SparseDataset":
         """Subset of rows, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SparseDataset(self.X[idx], self.y[idx])
+        y = self.y[idx]  # raises IndexError for an index out of range
+        idx = np.where(idx < 0, idx + self.n, idx)
+        starts = self.indptr[idx]
+        counts = self.indptr[idx + 1] - starts
+        indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return SparseDataset._from_csr(
+            self.data[entries], self.indices[entries], indptr, (idx.size, self.d), y
+        )
 
     def row_sq_norms(self) -> np.ndarray:
         """Per-row squared Euclidean norms."""
-        return csr_row_sq_norms(self.X)
+        return csr_row_sq_norms(self)
 
 
 def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
@@ -171,6 +254,9 @@ def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
         tokens = line.split()
         if not tokens:
             continue
+        # int() and float() also take "1_0" and non-ASCII digits
+        if not line.isascii() or "_" in line:
+            raise LibsvmFormatError(f"line {ln}: '_' or a non-ASCII character")
         try:
             raw_label = float(tokens[0])
         except ValueError:
@@ -205,11 +291,13 @@ def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
         raise LibsvmFormatError(
             f"feature index {max_index} exceeds pinned dimension {d}"
         )
-    X = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(labels), d),
+    return SparseDataset._from_csr(
+        np.array(data, dtype=np.float64),
+        np.array(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int32),
+        (len(labels), d),
+        np.array(labels),
     )
-    return SparseDataset(X, np.array(labels))
 
 
 def load_libsvm(path: str | os.PathLike, *, d: int | None = None) -> SparseDataset:
@@ -235,8 +323,14 @@ def save_libsvm(ds: SparseDataset, path: str | os.PathLike) -> None:
 
 def with_bias_feature(ds: SparseDataset) -> SparseDataset:
     """Append a constant-1 feature column (dimension becomes d+1)."""
-    ones = sp.csr_matrix(np.ones((ds.n, 1)))
-    return SparseDataset(sp.hstack([ds.X, ones], format="csr"), ds.y)
+    row_ends = ds.indptr[1:]
+    return SparseDataset._from_csr(
+        np.insert(ds.data, row_ends, 1.0),
+        np.insert(ds.indices, row_ends, ds.d),
+        ds.indptr + np.arange(ds.n + 1, dtype=ds.indptr.dtype),
+        (ds.n, ds.d + 1),
+        ds.y,
+    )
 
 
 def apply_update(
@@ -257,12 +351,16 @@ def apply_update(
         raise ValueError(f"added rows have dimension {added.d}, dataset has {base.d}")
     keep = np.ones(base.n, dtype=bool)
     keep[removed] = False
-    X_kept = base.X[keep]
-    y_kept = base.y[keep]
+    kept = base.take(np.flatnonzero(keep))
     if added is None or added.n == 0:
-        return SparseDataset(X_kept, y_kept)
-    X_new = sp.vstack([X_kept, added.X], format="csr")
-    return SparseDataset(X_new, np.concatenate([y_kept, added.y]))
+        return kept
+    return SparseDataset._from_csr(
+        np.concatenate([kept.data, added.data]),
+        np.concatenate([kept.indices, added.indices]),
+        np.concatenate([kept.indptr, added.indptr[1:] + kept.indptr[-1]]),
+        (kept.n + added.n, base.d),
+        np.concatenate([kept.y, added.y]),
+    )
 
 
 def make_synthetic(
@@ -296,4 +394,4 @@ def make_synthetic(
         mask = rng.random((n, d)) < density
         mask[np.arange(n), rng.integers(0, d, size=n)] = True
         X = np.where(mask, X, 0.0)
-    return SparseDataset(sp.csr_matrix(X), y)
+    return SparseDataset._from_dense(X, y)

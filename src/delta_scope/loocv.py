@@ -56,7 +56,6 @@ from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import certified_sign, gradient_ball_bounds
 from .data import SparseDataset
@@ -180,6 +179,8 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     Falls back to ``full.beta`` when d * d > nnz(X), and for a fold whose
     denominator is not finite and positive.
     """
+    import scipy.sparse as sp
+
     n, d = ds.n, ds.d
     if d * d > ds.X.nnz:
         return lambda h: full.beta
@@ -502,4 +503,4 @@ def rbf_features(
     c_sq = (centers**2).sum(axis=1)
     cross = np.asarray(ds.X @ centers.T)
     d2 = np.maximum(sq[:, None] - 2.0 * cross + c_sq[None, :], 0.0)
-    return SparseDataset(sp.csr_matrix(np.exp(-gamma * d2)), ds.y)
+    return SparseDataset._from_dense(np.exp(-gamma * d2), ds.y)

@@ -518,6 +518,30 @@ def test_batch_score_bounds_handles_empty_rows():
     assert upper[1] == pytest.approx(1.5)
 
 
+def test_row_norms_after_a_large_row_are_not_absorbed():
+    # center (0, -0.5), radius 1: row (0, 1) scores over the ball span
+    # exactly [-1.5, 0.5]; a norm taken from running sums after the 1e8 row
+    # read 0 there and certified -1
+    ball = dsc.gradient_ball(np.array([0.0, 0.5]), np.array([0.0, 2.0]), 1.0)
+    X = sp.csr_matrix(np.array([[1e8, 0.0], [0.0, 1.0], [3.0, 4.0]]))
+    assert dsc.data.csr_row_sq_norms(X).tolist() == [1e16, 1.0, 25.0]
+    sb = dsc.score_bounds(ball, X[1])
+    assert (sb.lower, sb.upper) == (-1.5, 0.5)
+    ds = dsc.SparseDataset(X, np.ones(3))
+    for rows in (X, ds):
+        lower, upper = dsc.batch_score_bounds(ball, rows)
+        assert (lower[1], upper[1]) == (-1.5, 0.5)
+        assert (lower[2], upper[2]) == (-7.0, 3.0)
+
+
+def test_batch_score_bounds_of_a_dataset_equal_those_of_its_matrix():
+    case = make_update_case(135, n=40, d=6)
+    by_dataset = dsc.batch_score_bounds(case.ball, case.new_ds)
+    by_matrix = dsc.batch_score_bounds(case.ball, case.new_ds.X)
+    for a, b in zip(by_dataset, by_matrix):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_batch_score_bounds_dimension_mismatch():
     ball = dsc.SolutionBall(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="dimension"):

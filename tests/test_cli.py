@@ -312,6 +312,29 @@ def test_label_sensitivity_csv(paths, capsys):
     assert all(r.split(",")[3] in ("+1", "-1", "unknown") for r in rows[1:])
 
 
+def test_label_sensitivity_after_a_large_test_row(paths, capsys):
+    # a 1e8 first row must not absorb the norms of the rows after it: every
+    # interval is the one its row gets alone
+    tmp_path, data, model_path = paths
+    add_path, added = write_addition_file(tmp_path, 24, 4, 6)
+    test_ds = dsc.make_synthetic(25, 30, 6)
+    test_path = str(tmp_path / "test.libsvm")
+    with open(test_path, "w") as fh:
+        fh.write("+1 1:1e8\n" + dsc.serialize_libsvm(test_ds))
+    code, report, _ = run_cli(
+        ["label-sensitivity", "--model", model_path, "--add", add_path,
+         "--test", test_path], capsys
+    )
+    assert code == 0
+    model = dsc.load_model(model_path)
+    ball = dsc.old_optimum_ball(model, dsc.compute_delta_s(model, added, None))
+    decisions = report["results"]["decisions"]
+    assert len(decisions) == 31
+    for entry, row in zip(decisions[1:], test_ds.X):
+        sb = dsc.score_bounds(ball, row)
+        assert (entry["lower"], entry["upper"]) == (sb.lower, sb.upper)
+
+
 def shifted_synthetic(seed, n, d):
     """Synthetic rows moved off the origin by +3, so the bias matters."""
     ds = dsc.make_synthetic(seed, n, d)
@@ -776,13 +799,54 @@ def test_installed_entry_point_runs():
     assert "coef-sensitivity" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # importing scipy.linalg costs every CLI process ~0.1 s; numpy.linalg suffices
+# Run in a fresh interpreter: fails with the first step after which SciPy
+# is loaded, and prints "ok" when it never is.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+def check(step):
+    assert "scipy" not in sys.modules, f"scipy loaded by {step}"
+import delta_scope
+check("import delta_scope")
+import delta_scope.cli
+check("import delta_scope.cli")
+for argv in json.loads(sys.argv[1]):
+    assert delta_scope.cli.main(argv) == 0, argv
+    check(" ".join(argv))
+print("ok")
+"""
+
+
+def test_update_commands_run_without_scipy(paths):
+    # importing scipy.sparse costs every update command ~0.2 s, and neither
+    # needs it: the package, the CLI, gen and both commands load NumPy alone
+    tmp_path, data, model_path = paths
+    bias_model = str(tmp_path / "bias.json")
+    assert main(["train", "--data", data, "--loss", "l2-hinge", "--lambda", "0.1",
+                 "--add-bias", "--model-out", bias_model,
+                 "--report", str(tmp_path / "train-bias.json")]) == 0
+    no_digest = str(tmp_path / "no-digest.json")
+    obj = json.loads(open(model_path).read())
+    del obj["training_data_sha256"]
+    with open(no_digest, "w") as fh:
+        json.dump(obj, fh)
+    update = removal_args(paths, [4, 50])[2:]
+    runs = [["gen", "--seed", "1", "--n", "3", "--d", "6", "--out", str(tmp_path / "g.svm"),
+             "--report", str(tmp_path / "g.json")]]
+    for k, model in enumerate((model_path, bias_model, no_digest)):
+        common = ["--model", model, *update]
+        runs += [
+            ["coef-sensitivity", *common, "--report", str(tmp_path / f"c{k}.json")],
+            ["label-sensitivity", *common, "--test", data,
+             "--report", str(tmp_path / f"l{k}.json")],
+            ["label-sensitivity", *common, "--test", data, "--format", "csv",
+             "--out", str(tmp_path / f"l{k}.csv"), "--report", str(tmp_path / f"lc{k}.json")],
+        ]
     src = str(Path(dsc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, delta_scope.cli; print('scipy.linalg' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "ok"
+    assert json.loads(open(tmp_path / "l1.json").read())["results"]["n_test"] == 120

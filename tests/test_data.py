@@ -8,6 +8,9 @@ from delta_scope.data import (
     LibsvmFormatError,
     SparseDataset,
     apply_update,
+    csr_matvec,
+    csr_rmatvec,
+    csr_row_sq_norms,
     make_synthetic,
     parse_libsvm,
     serialize_libsvm,
@@ -85,6 +88,21 @@ def test_parse_rejects_non_finite_values():
         take_libsvm_rows("+1 1:1\nnan 1:2\n", [1], d=1)
 
 
+@pytest.mark.parametrize("line", [
+    "1 1_0:2.5",  # int() reads feature 10
+    "1 \u0663:2",  # an Arabic-Indic three
+    "1 1:2_5",  # float() reads 25.0
+    "1 1:\uff11",  # a full-width one
+    "1_0 1:1",
+])
+def test_parse_rejects_underscores_and_non_ascii(line):
+    text = f"+1 1:1\n{line}\n"
+    with pytest.raises(LibsvmFormatError, match="line 2: '_' or a non-ASCII character"):
+        parse_libsvm(text)
+    with pytest.raises(LibsvmFormatError, match="line 2"):
+        take_libsvm_rows(text, [1], d=20)
+
+
 def test_take_rows_parses_only_the_picked_lines():
     text = "+1 1:1\n\n  \nspam\r\n-1 2:2\x0c+1 3:0.5\n"
     rows, n = take_libsvm_rows(text, [3, 2], d=3)
@@ -146,6 +164,94 @@ def test_round_trip_preserves_arbitrary_floats(values):
     ds = SparseDataset(X, np.ones(1))
     again = parse_libsvm(serialize_libsvm(ds), d=len(values))
     assert np.array_equal(ds.X.toarray(), again.X.toarray())
+
+
+_MAGNITUDES = st.floats(1e-8, 1e8)
+_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), _MAGNITUDES, _MAGNITUDES.map(lambda v: -v))
+
+
+@st.composite
+def csr_matrices(draw, max_n=12, max_d=8):
+    """Canonical CSR matrices with empty rows, stored zeros and -0.0 entries."""
+    n = draw(st.integers(0, max_n))
+    d = draw(st.integers(1, max_d))
+    rows = [sorted(draw(st.sets(st.integers(0, d - 1)))) for _ in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    nnz = int(indptr[-1])
+    data = draw(st.lists(_ENTRIES, min_size=nnz, max_size=nnz))
+    indices = [j for r in rows for j in r]
+    return sp.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), indptr),
+        shape=(n, d),
+    )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@given(X=csr_matrices(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_numpy_products_equal_scipy_bit_for_bit(X, data):
+    n, d = X.shape
+    v = np.array(data.draw(st.lists(_ENTRIES, min_size=d, max_size=d)), dtype=np.float64)
+    w = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)), dtype=np.float64)
+    ds = SparseDataset(X, np.ones(n))
+    for A in (X, ds):
+        assert np.array_equal(_bits(csr_matvec(A, v)), _bits(X @ v))
+        assert np.array_equal(_bits(csr_rmatvec(A, w)), _bits(X.T @ w))
+    # each row summed on its own, in storage order
+    expected = []
+    for i in range(n):
+        total = 0.0
+        for value in X.data[X.indptr[i] : X.indptr[i + 1]]:
+            total += value * value
+        expected.append(total)
+    assert np.array_equal(_bits(csr_row_sq_norms(ds)), _bits(expected))
+
+
+def _same_csr(ds, X):
+    assert ds.shape == X.shape
+    for a, b in ((ds.data, X.data), (ds.indices, X.indices), (ds.indptr, X.indptr)):
+        assert a.tobytes() == b.astype(a.dtype).tobytes()
+
+
+@given(X=csr_matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_bias_and_update_equal_their_scipy_forms(X, data):
+    n = X.shape[0]
+    ds = SparseDataset(X, np.ones(n))
+    idx = data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else []
+    sub = ds.take(idx)
+    _same_csr(sub, X[np.array(idx, dtype=np.intp)])
+    assert np.array_equal(sub.y, ds.y[idx])
+    ones = sp.csr_matrix(np.ones((n, 1)))
+    _same_csr(with_bias_feature(ds), sp.hstack([X, ones], format="csr"))
+    removed = data.draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    keep = np.setdiff1d(np.arange(n), sorted(removed))
+    updated = apply_update(ds, ds.take(idx), removed)
+    _same_csr(updated, sp.vstack([X[keep], X[np.array(idx, dtype=np.intp)]], format="csr"))
+
+
+def test_dataset_matrix_wraps_its_arrays():
+    ds = parse_libsvm(SAMPLE)
+    assert "X" not in vars(ds)  # built on first use
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(ds.X, name), getattr(ds, name))
+    assert ds.X.has_canonical_format
+    assert ds.shape == ds.X.shape == (2, 3)
+
+
+def test_dataset_rejects_unsorted_row_indices():
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SparseDataset._from_csr(
+            np.ones(2), np.array([1, 0], dtype=np.int32), np.array([0, 2]), (1, 2), np.ones(1)
+        )
+    # a step down across a row boundary is allowed
+    ds = SparseDataset._from_csr(
+        np.ones(2), np.array([1, 0], dtype=np.int32), np.array([0, 1, 2]), (2, 2), np.ones(2)
+    )
+    assert ds.X.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_dataset_validation():
