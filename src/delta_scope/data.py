@@ -2,8 +2,9 @@
 
 Instances live in CSR arrays with strictly ascending column indices per row;
 labels are +1/-1 (any nonpositive input label maps to -1 at ingestion).
-Parsing, row selection and the products the bounds need run on NumPy alone;
-SciPy is imported only where a SciPy matrix is built or given.
+Parsing, row selection and every product of a dataset run on NumPy alone;
+SciPy is imported only where a SciPy matrix is built or given, and a
+dataset whose SciPy matrix is built takes its products from SciPy's kernels.
 """
 from __future__ import annotations
 
@@ -55,14 +56,17 @@ def csr_row_sq_norms(A) -> np.ndarray:
     return np.bincount(_csr_rows(A), weights=A.data * A.data, minlength=A.shape[0])
 
 
-def csr_matvec(A, v: np.ndarray) -> np.ndarray:
-    """``A @ v``, bit-identical to SciPy's CSR product."""
-    return np.bincount(_csr_rows(A), weights=A.data * v[A.indices], minlength=A.shape[0])
+def csr_matvec(A, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """``A @ v``, bit-identical to SciPy's CSR product. ``rows`` is
+    ``_csr_rows(A)``, for a caller that keeps it."""
+    rows = _csr_rows(A) if rows is None else rows
+    return np.bincount(rows, weights=A.data * v[A.indices], minlength=A.shape[0])
 
 
-def csr_rmatvec(A, w: np.ndarray) -> np.ndarray:
+def csr_rmatvec(A, w: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """``A.T @ w``, bit-identical to SciPy's product with the transpose."""
-    return np.bincount(A.indices, weights=A.data * w[_csr_rows(A)], minlength=A.shape[1])
+    rows = _csr_rows(A) if rows is None else rows
+    return np.bincount(A.indices, weights=A.data * w[rows], minlength=A.shape[1])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -141,6 +145,43 @@ class SparseDataset:
     @property
     def d(self) -> int:
         return self.shape[1]
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Row number of every stored entry, built on first use and kept."""
+        rows = _csr_rows(self)
+        _freeze(rows)
+        return rows
+
+    @cached_property
+    def _data_sq(self) -> np.ndarray:
+        """``data`` squared entrywise, built on first use and kept."""
+        data_sq = self.data * self.data
+        _freeze(data_sq)
+        return data_sq
+
+    # The three products of the objective. Each takes SciPy's kernel once
+    # ``X`` is built, and NumPy's otherwise, so a dataset whose SciPy
+    # matrix nobody asked for never imports SciPy; the two kernels give
+    # the same bits, so the choice changes only speed.
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``X @ v``."""
+        if "X" in self.__dict__:
+            return self.X @ v
+        return csr_matvec(self, v, self._rows)
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """``X.T @ w``."""
+        if "X" in self.__dict__:
+            return self.XT @ w
+        return csr_rmatvec(self, w, self._rows)
+
+    def sq_rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``."""
+        if "X" in self.__dict__:
+            return self.XT_sq @ c
+        return np.bincount(self.indices, weights=self._data_sq * c[self._rows], minlength=self.d)
 
     @cached_property
     def X(self):
@@ -300,9 +341,17 @@ def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
     )
 
 
-def load_libsvm(path: str | os.PathLike, *, d: int | None = None) -> SparseDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh.read(), d=d)
+def load_libsvm(
+    path: str | os.PathLike, *, d: int | None = None, hasher=None
+) -> SparseDataset:
+    """:func:`parse_libsvm` of the file at ``path``, read once. The bytes
+    parsed are also fed to ``hasher`` (a ``hashlib`` object), if given, so
+    its digest names exactly what was parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if hasher is not None:
+        hasher.update(raw)
+    return parse_libsvm(raw, d=d)
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:

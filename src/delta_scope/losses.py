@@ -93,7 +93,9 @@ class Problem:
     ``value(beta)`` and ``value_and_grad(beta)`` evaluate
     mean_i loss(y_i, x_i . beta) + (lam / 2) * ||beta||^2, or, with
     ``held_out=h``, the leave-one-out problem of fold ``h``: row ``h`` gets
-    weight 0 and the remaining losses are averaged over n - 1.
+    weight 0 and the remaining losses are averaged over n - 1. Its sparse
+    products are the dataset's own (``matvec``, ``rmatvec``, ``sq_rmatvec``),
+    so it loads SciPy only for a dataset whose SciPy matrix is built.
 
     The scores and loss terms of the last point evaluated are kept, keyed by
     a copy of that point's bits. A solver that tries a point with ``value``
@@ -134,7 +136,7 @@ class Problem:
             raise ValueError(f"beta has shape {beta.shape}, expected ({self.ds.d},)")
         last = self._last
         if last is None or not np.array_equal(last[0].view(np.int64), beta.view(np.int64)):
-            z = self.ds.y * (self.ds.X @ beta)
+            z = self.ds.y * self.ds.matvec(beta)
             losses, e = _loss_terms(self.kind, z)
             last = self._last = (beta.copy(), z, losses, e)
         return last
@@ -155,10 +157,10 @@ class Problem:
         ds, h = self.ds, self.held_out
         dl = _dloss_terms(self.kind, ds.y, z, e)
         if h is None:
-            grad = ds.XT @ (dl / ds.n) + self.lam * beta
+            grad = ds.rmatvec(dl / ds.n) + self.lam * beta
         else:
             dl[h] = 0.0
-            grad = (ds.XT @ dl) / (ds.n - 1) + self.lam * beta
+            grad = ds.rmatvec(dl) / (ds.n - 1) + self.lam * beta
         return self._value(beta, losses), grad
 
     def curvature(
@@ -182,6 +184,6 @@ class Problem:
             c[h] = 0.0
 
         def hess_vec(v: np.ndarray) -> np.ndarray:
-            return ds.XT @ (c * (ds.X @ v)) + lam * v
+            return ds.rmatvec(c * ds.matvec(v)) + lam * v
 
-        return hess_vec, ds.XT_sq @ c + lam
+        return hess_vec, ds.sq_rmatvec(c) + lam

@@ -817,21 +817,26 @@ print("ok")
 
 
 def test_update_commands_run_without_scipy(paths):
-    # importing scipy.sparse costs every update command ~0.2 s, and neither
-    # needs it: the package, the CLI, gen and both commands load NumPy alone
+    # importing scipy.sparse costs every command ~0.2 s, and neither train
+    # nor the update commands need it: the package, the CLI, gen, train
+    # (both losses, with and without a bias column) and both update
+    # commands load NumPy alone
     tmp_path, data, model_path = paths
-    bias_model = str(tmp_path / "bias.json")
-    assert main(["train", "--data", data, "--loss", "l2-hinge", "--lambda", "0.1",
-                 "--add-bias", "--model-out", bias_model,
-                 "--report", str(tmp_path / "train-bias.json")]) == 0
+    bias_model = str(tmp_path / "l2-hinge-bias.json")
+    runs = [["gen", "--seed", "1", "--n", "3", "--d", "6", "--out", str(tmp_path / "g.svm"),
+             "--report", str(tmp_path / "g.json")]]
+    for loss in ("logistic", "l2-hinge"):
+        for bias in ([], ["--add-bias"]):
+            name = f"{loss}{'-bias' if bias else ''}"
+            runs.append(["train", "--data", data, "--loss", loss, "--lambda", "0.1", *bias,
+                         "--model-out", str(tmp_path / f"{name}.json"),
+                         "--report", str(tmp_path / f"t-{name}.json")])
     no_digest = str(tmp_path / "no-digest.json")
     obj = json.loads(open(model_path).read())
     del obj["training_data_sha256"]
     with open(no_digest, "w") as fh:
         json.dump(obj, fh)
     update = removal_args(paths, [4, 50])[2:]
-    runs = [["gen", "--seed", "1", "--n", "3", "--d", "6", "--out", str(tmp_path / "g.svm"),
-             "--report", str(tmp_path / "g.json")]]
     for k, model in enumerate((model_path, bias_model, no_digest)):
         common = ["--model", model, *update]
         runs += [
@@ -850,3 +855,33 @@ def test_update_commands_run_without_scipy(paths):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
     assert json.loads(open(tmp_path / "l1.json").read())["results"]["n_test"] == 120
+    assert dsc.load_model(bias_model).add_bias
+
+
+def test_train_reads_data_once_and_records_the_digest_of_what_it_parsed(
+    tmp_path, monkeypatch
+):
+    # the update commands trust the recorded digest to skip a full parse,
+    # so it must name the bytes the model was trained on
+    data = str(tmp_path / "train.libsvm")
+    model = str(tmp_path / "model.json")
+    assert main(["gen", "--seed", "3", "--n", "50", "--d", "4", "--out", data,
+                 "--report", str(tmp_path / "gen.json")]) == 0
+    raw = open(data, "rb").read()
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == data:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(["train", "--data", data, "--loss", "logistic", "--lambda", "0.1",
+                 "--model-out", model, "--report", str(tmp_path / "train.json")]) == 0
+    monkeypatch.undo()
+    assert len(opened) == 1
+    digest = hashlib.sha256(raw).hexdigest()
+    assert dsc.load_model(model).training_data_sha256 == digest
+    report = json.loads(open(tmp_path / "train.json").read())
+    assert report["inputs"]["training_data"]["sha256"] == digest

@@ -6,8 +6,6 @@ every call, and its curvature from the second-derivative formulas, with no
 cache, so it shares no code path with :class:`Problem` beyond the
 per-instance loss formulas.
 """
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -108,6 +106,62 @@ def test_cached_transpose_product_is_bit_identical(n, d, density, seed):
 
 
 # ---------------------------------------------------------------------------
+# the dataset's products: NumPy's kernels or, once X is built, SciPy's
+
+
+def numpy_and_scipy_twins(ds):
+    """Two datasets over the same arrays: one never builds ``X``, one has it built."""
+    twin = dsc.SparseDataset._from_csr(ds.data, ds.indices, ds.indptr, ds.shape, ds.y)
+    twin.X
+    return ds, twin
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    d=st.integers(1, 30),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    kind=st.sampled_from(ALL_KINDS),
+    hold=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_is_bit_identical_with_and_without_scipy_matrix(
+    n, d, density, kind, hold, seed
+):
+    rng = np.random.default_rng(seed)
+    plain, built = numpy_and_scipy_twins(random_dataset(rng, n, d, density))
+    v = rng.standard_normal(d) * 10.0 ** rng.integers(-8, 8, size=d)
+    w = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+    c = rng.random(n) * 10.0 ** rng.integers(-8, 8, size=n)
+    for name, arg in (("matvec", v), ("rmatvec", w), ("sq_rmatvec", c)):
+        assert_same_bits(getattr(plain, name)(arg), getattr(built, name)(arg))
+    if n < 1 or (hold and n < 2):
+        return
+    held_out = int(rng.integers(n)) if hold else None
+    beta = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3, size=d)
+    results = []
+    for ds in (plain, built):
+        problem = Problem(ds, 0.03, kind, held_out=held_out)
+        f, g = problem.value_and_grad(beta)
+        hess_vec, diag = problem.curvature(beta)
+        results.append((problem.value(beta), f, g, hess_vec(v), diag))
+    for a, b in zip(*results):
+        assert_same_bits(a, b)
+    assert "X" not in plain.__dict__
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_train_is_bit_identical_with_and_without_scipy_matrix(kind):
+    rng = np.random.default_rng(17)
+    plain, built = numpy_and_scipy_twins(random_dataset(rng, 300, 40, 0.2))
+    (a, a_rep), (b, b_rep) = (dsc.train(ds, 1e-3, kind, tol=1e-10) for ds in (plain, built))
+    assert a.beta.tobytes() == b.beta.tobytes()
+    assert a_rep.iterations == b_rep.iterations > 1
+    assert_same_bits(a.grad_residual, b.grad_residual)
+    assert "X" not in plain.__dict__
+
+
+# ---------------------------------------------------------------------------
 # the cache never returns stale terms
 
 
@@ -171,15 +225,18 @@ def test_problem_validates_inputs():
         Problem(ds, 0.1, LossKind.LOGISTIC).value(np.zeros(4))
 
 
-class CountingMatrix:
-    """Stands in for ``X`` and counts the score products taken with it."""
+class CountingDataset:
+    """Stands in for a dataset and counts the score products taken with it."""
 
-    def __init__(self, X):
-        self.X, self.products = X, 0
+    def __init__(self, ds):
+        self.ds, self.products = ds, 0
 
-    def __matmul__(self, v):
+    def __getattr__(self, name):
+        return getattr(self.ds, name)
+
+    def matvec(self, v):
         self.products += 1
-        return self.X @ v
+        return self.ds.matvec(v)
 
 
 @pytest.mark.parametrize(
@@ -196,9 +253,8 @@ def test_accepted_trial_scores_are_reused(kind, held_out):
     else:
         ds = dsc.make_synthetic(5, 80, 40, separation=1.0)
         start = dsc.train(ds, 0.01, kind, tol=1e-10)[0].beta
-    counting = CountingMatrix(ds.X)
-    view = SimpleNamespace(n=ds.n, d=ds.d, y=ds.y, X=counting, XT=ds.XT, XT_sq=ds.XT_sq)
-    problem = Problem(view, 0.01, kind, held_out=held_out)
+    counting = CountingDataset(ds)
+    problem = Problem(counting, 0.01, kind, held_out=held_out)
     calls = {"value": 0, "value_and_grad": 0, "hess_vec": 0}
 
     def counted(name):
