@@ -8,8 +8,6 @@ not the dataset size.
 """
 from .bounds import (
     CoefficientBounds,
-    Label,
-    LabelDecision,
     RESIDUAL_GUARD,
     ScoreBounds,
     SolutionBall,
@@ -17,7 +15,6 @@ from .bounds import (
     UpdateStats,
     batch_score_bounds,
     certified_sign,
-    classify_with_bounds,
     coefficient_bounds,
     compute_delta_s,
     gradient_ball,
@@ -69,8 +66,6 @@ __all__ = [
     "DEFAULT_FOLD_TOL",
     "FoldDecision",
     "GridPoint",
-    "Label",
-    "LabelDecision",
     "LibsvmFormatError",
     "LoocvMode",
     "LoocvResult",
@@ -89,7 +84,6 @@ __all__ = [
     "apply_update",
     "batch_score_bounds",
     "certified_sign",
-    "classify_with_bounds",
     "coefficient_bounds",
     "compute_delta_s",
     "dloss_values",

@@ -24,32 +24,32 @@ two sources:
 * the new problem itself, evaluated at any iterate, which makes the ball a
   convergence certificate that shrinks to a point as the iterate converges.
 
-Every interval of a ball over a direction, for one ``eta`` (``score_bounds``,
-``classify_with_bounds``, a dense ``eta`` read as a 1-row matrix) or for
-every row of a matrix (``batch_score_bounds``), comes from one row
-projection that sums duplicate entries first. ``certified_sign`` is the one
-decision rule applied to the intervals.
+Every interval of a ball over a direction, for one ``eta``
+(``score_bounds``) or for every row of a matrix (``batch_score_bounds``),
+comes from one row projection over a ``SparseDataset``: a dataset is read as
+it is, and a SciPy or dense ``eta`` is first read into one, which sums
+duplicate entries. The products are the dataset's own, so this module never
+imports SciPy. ``certified_sign`` is the one label rule applied to the
+intervals.
 """
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .data import SparseDataset, csr_matvec, csr_rmatvec, csr_row_sq_norms
+from .data import SparseDataset
 from .losses import dloss_values
 from .solver import TrainedModel
 
 __all__ = [
-    "Label",
     "SolutionBall",
     "UpdateStats",
     "ScoreBounds",
     "CoefficientBounds",
-    "LabelDecision",
     "StaleOptimumWarning",
     "RESIDUAL_GUARD",
     "compute_delta_s",
@@ -60,7 +60,6 @@ __all__ = [
     "score_bounds",
     "coefficient_bounds",
     "norm_change_bound",
-    "classify_with_bounds",
     "batch_score_bounds",
 ]
 
@@ -69,12 +68,6 @@ RESIDUAL_GUARD = 1e-6
 
 class StaleOptimumWarning(UserWarning):
     """The old model's gradient residual is too large for tight guarantees."""
-
-
-class Label(Enum):
-    PLUS = 1
-    MINUS = -1
-    UNKNOWN = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +134,6 @@ class CoefficientBounds:
         return 2.0 * self.radius
 
 
-@dataclass(frozen=True)
-class LabelDecision:
-    label: Label
-    bounds: ScoreBounds
-
-
 def compute_delta_s(
     old: TrainedModel,
     added: SparseDataset | None,
@@ -176,9 +163,9 @@ def compute_delta_s(
             continue
         if part.d != old.d:
             raise ValueError(f"instance dimension {part.d} != model dimension {old.d}")
-        scores = csr_matvec(part, old.beta)
+        scores = part.matvec(old.beta)
         dl = dloss_values(old.kind, part.y, scores)
-        total += sign * csr_rmatvec(part, dl)
+        total += sign * part.rmatvec(dl)
     delta_s = total / (n_a + n_r) if (n_a + n_r) > 0 else total
     return UpdateStats(
         n_old=old.n_train,
@@ -258,26 +245,37 @@ def certified_sign(lower, upper):
     return np.where(lower > 0.0, 1, np.where(upper < 0.0, -1, 0))
 
 
+def _as_rows(X) -> SparseDataset:
+    """``X`` as a dataset of its rows, labels all +1.
+
+    A ``SparseDataset`` is used as it is, a SciPy sparse matrix is read by
+    the dataset constructor (on a copy, duplicate entries summed) and a
+    dense vector or matrix by ``SparseDataset._from_dense``. A SciPy matrix
+    can only be given once SciPy is loaded, so it is not imported here.
+    """
+    if isinstance(X, SparseDataset):
+        return X
+    sp = sys.modules.get("scipy.sparse")
+    if sp is not None and sp.issparse(X):
+        return SparseDataset(X, np.ones(X.shape[0]))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2:
+        raise ValueError(f"eta must be a vector or a matrix, got {X.ndim} dimensions")
+    return SparseDataset._from_dense(X, np.ones(X.shape[0]))
+
+
 def _row_bounds(ball: SolutionBall, X):
     """(lower, upper, row norm) of the ball's interval for every row of ``X``.
 
-    The one projection behind every score interval. ``X`` is a
-    ``SparseDataset`` or a SciPy sparse matrix. Rows are read in canonical
-    form, duplicate entries summed, so that each norm is that of the vector
-    ``X @ center`` sees; a matrix not already canonical is summed on a copy,
-    and a dataset (always canonical) costs nothing extra.
+    The one projection behind every score interval, over the rows as
+    ``_as_rows`` reads them, so that each norm is that of the vector
+    ``X @ center`` sees.
     """
-    if X.shape[1] != ball.center.shape[0]:
-        raise ValueError(
-            f"eta rows have dimension {X.shape[1]}, ball has {ball.center.shape[0]}"
-        )
-    if not isinstance(X, SparseDataset):
-        X = X.tocsr()
-        if not X.has_canonical_format:
-            X = X.copy()
-            X.sum_duplicates()
-    dots = csr_matvec(X, ball.center)
-    norms = np.sqrt(csr_row_sq_norms(X))
+    X = _as_rows(X)
+    if X.d != ball.center.shape[0]:
+        raise ValueError(f"eta rows have dimension {X.d}, ball has {ball.center.shape[0]}")
+    dots = X.matvec(ball.center)
+    norms = np.sqrt(X.row_sq_norms())
     spread = norms * ball.radius
     return dots - spread, dots + spread, norms
 
@@ -285,13 +283,13 @@ def _row_bounds(ball: SolutionBall, X):
 def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
     """Sharp interval for eta . beta_new over the ball.
 
-    The interval has width exactly 2 * ||eta|| * radius, attained because the
-    extremizers eta . (center +/- radius * eta/||eta||) lie in the ball.
+    ``eta`` is a dense vector, or a one-row SciPy matrix, dense matrix or
+    ``SparseDataset``. The interval has width exactly 2 * ||eta|| * radius,
+    attained because the extremizers eta . (center +/- radius * eta/||eta||)
+    lie in the ball.
     """
-    import scipy.sparse as sp
-
-    row = sp.csr_matrix(eta if sp.issparse(eta) else np.atleast_2d(eta), dtype=np.float64)
-    if row.shape[0] != 1:
+    row = _as_rows(eta)
+    if row.n != 1:
         raise ValueError("eta must be a single row")
     lower, upper, norm = _row_bounds(ball, row)
     return ScoreBounds(float(lower[0]), float(upper[0]), float(norm[0]))
@@ -326,20 +324,11 @@ def norm_change_bound(
 
 
 def batch_score_bounds(ball: SolutionBall, X) -> tuple[np.ndarray, np.ndarray]:
-    """Score intervals for every row of a ``SparseDataset`` or sparse matrix at once.
+    """Score intervals for every row of a ``SparseDataset``, SciPy sparse
+    matrix or dense matrix at once.
 
     Vectorized equivalent of calling :func:`score_bounds` with each row as
     eta; returns (lower, upper) arrays.
     """
     lower, upper, _ = _row_bounds(ball, X)
     return lower, upper
-
-
-def classify_with_bounds(ball: SolutionBall, x) -> LabelDecision:
-    """Predicted label of x under beta_new, when the ball already decides it.
-
-    The label is the :func:`certified_sign` of the score interval, so a bound
-    exactly 0 stays UNKNOWN.
-    """
-    sb = score_bounds(ball, x)
-    return LabelDecision(Label(int(certified_sign(sb.lower, sb.upper))), sb)

@@ -30,6 +30,7 @@ from . import bounds as B
 from . import loocv as L
 from .data import (
     SparseDataset,
+    _check_removal_indices,
     apply_update,
     load_libsvm,
     make_synthetic,
@@ -142,12 +143,7 @@ def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | Non
     if args.remove:
         if not args.data:
             raise ValueError("--remove needs --data to resolve 0-based row indices")
-        idx = _read_removal_indices(args.remove)
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate removal index")
-        for i in idx:
-            if not 0 <= i < model.n_train:
-                raise ValueError(f"removal index {i} out of range for n={model.n_train}")
+        idx = _check_removal_indices(_read_removal_indices(args.remove), model.n_train)
         removed, digest = _removed_rows(args.data, idx, model)
         inputs["training_data"] = (args.data, digest)
         inputs["removals"] = args.remove
@@ -413,20 +409,32 @@ def _cmd_loocv(args) -> dict:
         return build_report("loocv", params, {"training_data": args.data}, payload)
 
     lam_grid = _parse_grid(args.lambda_grid)
-    datasets = []  # (cell dataset, label suffix), one per feature map
-    if args.gamma_grid:
-        for gamma, glabel in _parse_grid(args.gamma_grid):
-            # the bias column goes on after the map: before it, the column
-            # adds 0 to every center distance and the cells lose their bias
-            mapped = L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
-            datasets.append((prepared(mapped), f",gamma={glabel}"))
-    else:
-        datasets.append((prepared(raw), ""))
-    grid = [
-        L.GridPoint(lam, data, f"lambda={llabel}{suffix}")
-        for data, suffix in datasets
-        for lam, llabel in lam_grid
-    ]
+    # every gamma and map setting is checked before the first cell runs
+    gammas = _parse_grid(args.gamma_grid) if args.gamma_grid else []
+    for gamma, _ in gammas:
+        L._check_rbf_args(gamma, args.rbf_centers, args.rbf_seed)
+    cells = []  # (label, lambda) of every cell handed to model_select
+
+    def grid():
+        """The grid's cells, one feature map at a time: a gamma's map is
+        built only after the previous gamma's cells ran, and dropped before
+        the next map is built."""
+        for gamma, glabel in gammas or [(None, "")]:
+            if gamma is None:
+                data, suffix = prepared(raw), ""
+            else:
+                # the bias column goes on after the map: before it, the column
+                # adds 0 to every center distance and the cells lose their bias
+                data = prepared(
+                    L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
+                )
+                suffix = f",gamma={glabel}"
+            for lam, llabel in lam_grid:
+                label = f"lambda={llabel}{suffix}"
+                cells.append((label, lam))
+                yield L.GridPoint(lam, data, label)
+            del data
+
     params.update(
         {
             "lambda_grid": args.lambda_grid,
@@ -435,19 +443,18 @@ def _cmd_loocv(args) -> dict:
             "rbf_seed": args.rbf_seed if args.gamma_grid else None,
         }
     )
-    sel = L.model_select(grid, kind, prune=args.prune, **common)
-    cells = [
-        {"label": point.describe(), "lambda": point.lam, **_loocv_result_payload(res)}
-        for point, res in zip(grid, sel.results)
-    ]
-    best = grid[sel.best_index]
+    sel = L.model_select(grid(), kind, prune=args.prune, **common)
+    best_label, best_lam = cells[sel.best_index]
     payload = {
         "n_cells": len(cells),
-        "cells": cells,
+        "cells": [
+            {"label": label, "lambda": lam, **_loocv_result_payload(res)}
+            for (label, lam), res in zip(cells, sel.results)
+        ],
         "best": {
             "index": sel.best_index,
-            "label": best.describe(),
-            "lambda": best.lam,
+            "label": best_label,
+            "lambda": best_lam,
             "error_rate": sel.results[sel.best_index].error_rate,
         },
     }
@@ -495,7 +502,7 @@ def _bench_rows(args, ds, pool, kind):
                 return ball, B.coefficient_bounds(ball)
 
             bound_time, (ball, box) = timed_median(bound_pass, args.timing_repeats)
-            lower, upper = B.batch_score_bounds(ball, work.X)
+            lower, upper = B.batch_score_bounds(ball, work)
             determined = float(np.mean(B.certified_sign(lower, upper) != 0))
             new_ds = apply_update(work, added, removed_idx)
             # the retrain baseline takes SciPy's faster products, so the

@@ -2,9 +2,13 @@
 
 Instances live in CSR arrays with strictly ascending column indices per row;
 labels are +1/-1 (any nonpositive input label maps to -1 at ingestion).
-Parsing, row selection and every product of a dataset run on NumPy alone;
-SciPy is imported only where a SciPy matrix is built or given, and a
-dataset whose SciPy matrix is built takes its products from SciPy's kernels.
+``SparseDataset`` is the one place that reads, canonicalizes and multiplies
+sparse rows: a SciPy matrix is copied, summed and sorted by its constructor,
+a dense matrix is read by ``SparseDataset._from_dense``, and every product
+of the rows is a dataset method. Parsing, row selection and the products run
+on NumPy alone; SciPy is imported only where a SciPy matrix is built or
+given, and a dataset whose SciPy matrix is built takes its products from
+SciPy's kernels.
 """
 from __future__ import annotations
 
@@ -18,9 +22,6 @@ import numpy as np
 __all__ = [
     "LibsvmFormatError",
     "SparseDataset",
-    "csr_row_sq_norms",
-    "csr_matvec",
-    "csr_rmatvec",
     "parse_libsvm",
     "take_libsvm_rows",
     "load_libsvm",
@@ -40,33 +41,9 @@ def _freeze(arr: np.ndarray) -> None:
     arr.flags.writeable = False
 
 
-# The products below take anything with CSR ``data``, ``indices``,
-# ``indptr`` and ``shape``: a ``SparseDataset`` or a canonical SciPy CSR
-# matrix. ``np.bincount`` adds its weights in input order, so each output
-# sums the same products in the same order as SciPy's CSR kernels.
-
-
-def _csr_rows(A) -> np.ndarray:
-    """Row number of every stored entry."""
-    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-
-
-def csr_row_sq_norms(A) -> np.ndarray:
-    """Per-row squared Euclidean norms of a CSR matrix, each row summed on its own."""
-    return np.bincount(_csr_rows(A), weights=A.data * A.data, minlength=A.shape[0])
-
-
-def csr_matvec(A, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """``A @ v``, bit-identical to SciPy's CSR product. ``rows`` is
-    ``_csr_rows(A)``, for a caller that keeps it."""
-    rows = _csr_rows(A) if rows is None else rows
-    return np.bincount(rows, weights=A.data * v[A.indices], minlength=A.shape[0])
-
-
-def csr_rmatvec(A, w: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """``A.T @ w``, bit-identical to SciPy's product with the transpose."""
-    rows = _csr_rows(A) if rows is None else rows
-    return np.bincount(A.indices, weights=A.data * w[rows], minlength=A.shape[1])
+def _row_numbers(indptr: np.ndarray) -> np.ndarray:
+    """Row number of every stored entry of the CSR rows ``indptr`` bounds."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -75,8 +52,9 @@ class SparseDataset:
 
     Its state is the CSR arrays ``data``, ``indices`` and ``indptr``, the
     ``shape`` and the labels ``y``, all read-only. ``SparseDataset(X, y)``
-    takes a SciPy sparse matrix, which is converted to CSR and summed and
-    sorted in place as needed; the dataset then shares its arrays.
+    takes a SciPy sparse matrix and keeps a CSR copy of it, duplicate
+    entries summed and column indices sorted, and a copy of ``y``; the
+    caller's matrix and labels are left as they were.
     """
 
     data: np.ndarray
@@ -90,12 +68,9 @@ class SparseDataset:
 
         if not sp.issparse(X):
             raise ValueError("X must be a scipy sparse matrix")
-        if X.format != "csr":
-            X = X.tocsr()
-        X.sum_duplicates()
-        if not X.has_sorted_indices:
-            X.sort_indices()
-        self._set_arrays(X.data, X.indices, X.indptr, X.shape, y)
+        X = X.tocsr(copy=True)
+        X.sum_duplicates()  # also sorts the indices of every row
+        self._set_arrays(X.data, X.indices, X.indptr, X.shape, np.array(y, dtype=np.float64))
 
     @classmethod
     def _from_csr(cls, data, indices, indptr, shape, y) -> "SparseDataset":
@@ -149,7 +124,7 @@ class SparseDataset:
     @cached_property
     def _rows(self) -> np.ndarray:
         """Row number of every stored entry, built on first use and kept."""
-        rows = _csr_rows(self)
+        rows = _row_numbers(self.indptr)
         _freeze(rows)
         return rows
 
@@ -162,20 +137,21 @@ class SparseDataset:
 
     # The three products of the objective. Each takes SciPy's kernel once
     # ``X`` is built, and NumPy's otherwise, so a dataset whose SciPy
-    # matrix nobody asked for never imports SciPy; the two kernels give
-    # the same bits, so the choice changes only speed.
+    # matrix nobody asked for never imports SciPy. ``np.bincount`` adds its
+    # weights in input order, so each output sums the same products in the
+    # same order as SciPy's CSR kernels: the choice changes only speed.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X @ v``."""
         if "X" in self.__dict__:
             return self.X @ v
-        return csr_matvec(self, v, self._rows)
+        return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=self.n)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """``X.T @ w``."""
         if "X" in self.__dict__:
             return self.XT @ w
-        return csr_rmatvec(self, w, self._rows)
+        return np.bincount(self.indices, weights=self.data * w[self._rows], minlength=self.d)
 
     def sq_rmatvec(self, c: np.ndarray) -> np.ndarray:
         """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``."""
@@ -239,8 +215,13 @@ class SparseDataset:
         )
 
     def row_sq_norms(self) -> np.ndarray:
-        """Per-row squared Euclidean norms."""
-        return csr_row_sq_norms(self)
+        """Per-row squared Euclidean norms, each row summed on its own.
+
+        The row numbers are kept only by a dataset on NumPy's kernels, whose
+        products use them again.
+        """
+        rows = self._rows if "X" not in self.__dict__ else _row_numbers(self.indptr)
+        return np.bincount(rows, weights=self.data * self.data, minlength=self.n)
 
 
 def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
@@ -382,6 +363,18 @@ def with_bias_feature(ds: SparseDataset) -> SparseDataset:
     )
 
 
+def _check_removal_indices(removed, n: int) -> list[int]:
+    """``removed`` as a list of ints, checked to be distinct row indices of
+    an ``n``-row dataset."""
+    removed = [int(i) for i in removed]
+    if len(set(removed)) != len(removed):
+        raise ValueError("duplicate removal index")
+    for i in removed:
+        if not 0 <= i < n:
+            raise ValueError(f"removal index {i} out of range for n={n}")
+    return removed
+
+
 def apply_update(
     base: SparseDataset, added: SparseDataset | None = None, removed=()
 ) -> SparseDataset:
@@ -390,12 +383,7 @@ def apply_update(
     ``removed`` holds distinct 0-based row indices of ``base``, in any order;
     ``added`` is None for an update that only removes.
     """
-    removed = [int(i) for i in removed]
-    if len(set(removed)) != len(removed):
-        raise ValueError("duplicate removal index")
-    for i in removed:
-        if not 0 <= i < base.n:
-            raise ValueError(f"removal index {i} out of range for n={base.n}")
+    removed = _check_removal_indices(removed, base.n)
     if added is not None and added.n and added.d != base.d:
         raise ValueError(f"added rows have dimension {added.d}, dataset has {base.d}")
     keep = np.ones(base.n, dtype=bool)

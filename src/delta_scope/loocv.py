@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -448,7 +448,7 @@ class ModelSelectResult:
 
 
 def model_select(
-    grid: Sequence[GridPoint],
+    grid: Iterable[GridPoint],
     kind: LossKind,
     *,
     mode: LoocvMode = LoocvMode.OP1,
@@ -464,12 +464,14 @@ def model_select(
     partial results and are never selected. Each cell solves its undecided
     folds lowest margin first, so a losing cell meets its wrong folds, and
     is abandoned, early. Ties go to the earliest cell.
+
+    ``grid`` may be any iterable, a generator included, and is walked once;
+    a cell is not referenced after its run, so a generator that builds each
+    cell's dataset when asked holds only the dataset in use.
     """
-    if not grid:
-        raise ValueError("empty model-selection grid")
     results: list[LoocvResult] = []
     best_index, incumbent = 0, math.inf
-    for i, point in enumerate(grid):
+    for point in grid:
         result = run_loocv(
             point.data,
             point.lam,
@@ -480,10 +482,23 @@ def model_select(
             max_iter=max_iter,
             prune_above=incumbent if prune else None,
         )
-        results.append(result)
+        del point  # let the cell's dataset go before the next cell is made
         if not result.pruned and result.error_rate < incumbent:
-            best_index, incumbent = i, result.error_rate
+            best_index, incumbent = len(results), result.error_rate
+        results.append(result)
+    if not results:
+        raise ValueError("empty model-selection grid")
     return ModelSelectResult(best_index, tuple(results))
+
+
+def _check_rbf_args(gamma: float, n_centers: int, seed: int) -> None:
+    """Reject the ``rbf_features`` settings it cannot map with."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if isinstance(n_centers, bool) or not isinstance(n_centers, Integral) or n_centers < 1:
+        raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def rbf_features(
@@ -494,12 +509,7 @@ def rbf_features(
     The centers c_k are ``n_centers`` rows of ``ds`` (all of them if it has
     fewer), sampled with ``seed``.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if isinstance(n_centers, bool) or not isinstance(n_centers, Integral) or n_centers < 1:
-        raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_rbf_args(gamma, n_centers, seed)
     rng = np.random.default_rng(seed)
     k = min(n_centers, ds.n)
     idx = np.sort(rng.choice(ds.n, size=k, replace=False))

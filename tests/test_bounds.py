@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,13 +448,17 @@ def test_label_rule_is_strict():
     wide = dsc.SolutionBall(np.array([1.0, 0.0]), 2.0)
     boundary = dsc.SolutionBall(np.array([1.0, 0.0]), 1.0)
     e1 = np.array([1.0, 0.0])
-    assert dsc.classify_with_bounds(plus, e1).label is dsc.Label.PLUS
-    assert dsc.classify_with_bounds(minus, e1).label is dsc.Label.MINUS
-    assert dsc.classify_with_bounds(wide, e1).label is dsc.Label.UNKNOWN
+
+    def sign(ball):
+        sb = dsc.score_bounds(ball, e1)
+        return int(dsc.certified_sign(sb.lower, sb.upper))
+
+    assert sign(plus) == 1
+    assert sign(minus) == -1
+    assert sign(wide) == 0
     # a certified bound of exactly zero is not a decision
-    decision = dsc.classify_with_bounds(boundary, e1)
-    assert decision.bounds.lower == 0.0
-    assert decision.label is dsc.Label.UNKNOWN
+    assert dsc.score_bounds(boundary, e1).lower == 0.0
+    assert sign(boundary) == 0
 
 
 def test_certified_sign_is_elementwise_and_strict():
@@ -467,20 +475,20 @@ def test_decided_labels_match_exact_retrained_model(seed):
     case = make_update_case(seed)
     exact_scores = case.new_ds.X @ case.new_exact.beta
     for i in range(case.new_ds.n):
-        decision = dsc.classify_with_bounds(case.ball, case.new_ds.X[i])
-        if decision.label is dsc.Label.PLUS:
+        sb = dsc.score_bounds(case.ball, case.new_ds.X[i])
+        sign = dsc.certified_sign(sb.lower, sb.upper)
+        if sign == 1:
             assert exact_scores[i] > -SOUND_SLACK
-        elif decision.label is dsc.Label.MINUS:
+        elif sign == -1:
             assert exact_scores[i] < SOUND_SLACK
 
 
 def test_single_swap_update_decides_most_labels():
     case = make_update_case(135, n=200, lam=0.5, n_add=1, n_remove=1)
-    decided = sum(
-        dsc.classify_with_bounds(case.ball, case.new_ds.X[i]).label
-        is not dsc.Label.UNKNOWN
-        for i in range(case.new_ds.n)
-    )
+    decided = 0
+    for i in range(case.new_ds.n):
+        sb = dsc.score_bounds(case.ball, case.new_ds.X[i])
+        decided += int(dsc.certified_sign(sb.lower, sb.upper) != 0)
     assert decided > case.new_ds.n // 2
 
 
@@ -505,7 +513,7 @@ def test_duplicate_row_entries_are_summed_before_projection():
     assert (sb.lower, sb.upper, sb.eta_norm) == (0.0, 4.0, 2.0)
     lower, upper = dsc.batch_score_bounds(ball, row)
     assert (lower[0], upper[0]) == (0.0, 4.0)
-    assert dsc.classify_with_bounds(ball, row).label is dsc.Label.UNKNOWN
+    assert dsc.certified_sign(sb.lower, sb.upper) == 0
     assert row.nnz == 2  # summed on a copy; the caller's matrix is untouched
 
 
@@ -524,10 +532,11 @@ def test_row_norms_after_a_large_row_are_not_absorbed():
     # read 0 there and certified -1
     ball = dsc.gradient_ball(np.array([0.0, 0.5]), np.array([0.0, 2.0]), 1.0)
     X = sp.csr_matrix(np.array([[1e8, 0.0], [0.0, 1.0], [3.0, 4.0]]))
-    assert dsc.data.csr_row_sq_norms(X).tolist() == [1e16, 1.0, 25.0]
+    ds = dsc.SparseDataset(X, np.ones(3))
+    assert ds.row_sq_norms().tolist() == [1e16, 1.0, 25.0]
+    assert "X" not in vars(ds)  # NumPy's kernel gave the norms
     sb = dsc.score_bounds(ball, X[1])
     assert (sb.lower, sb.upper) == (-1.5, 0.5)
-    ds = dsc.SparseDataset(X, np.ones(3))
     for rows in (X, ds):
         lower, upper = dsc.batch_score_bounds(ball, rows)
         assert (lower[1], upper[1]) == (-1.5, 0.5)
@@ -546,3 +555,46 @@ def test_batch_score_bounds_dimension_mismatch():
     ball = dsc.SolutionBall(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="dimension"):
         dsc.batch_score_bounds(ball, sp.csr_matrix(np.zeros((2, 4))))
+
+
+@pytest.mark.parametrize(
+    "bounds, eta",
+    [
+        (dsc.score_bounds, np.array([1.0, np.nan, 0.0])),
+        (dsc.score_bounds, sp.csr_matrix(np.array([[0.0, -np.inf, 1.0]]))),
+        (dsc.batch_score_bounds, np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]])),
+        (dsc.batch_score_bounds, sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]))),
+    ],
+)
+def test_non_finite_eta_is_rejected(bounds, eta):
+    ball = dsc.SolutionBall(np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        bounds(ball, eta)
+
+
+_LIBRARY_UPDATE = """
+import sys
+import numpy as np
+import delta_scope as dsc
+
+ds = dsc.make_synthetic(seed=0, n=200, d=8)
+model, _ = dsc.train(ds, lam=0.1, kind=dsc.LossKind.LOGISTIC, tol=1e-10)
+stats = dsc.compute_delta_s(model, dsc.make_synthetic(seed=1, n=3, d=8), ds.take([5, 17]))
+ball = dsc.old_optimum_ball(model, stats)
+sb = dsc.score_bounds(ball, np.eye(8)[3])
+lower, upper = dsc.batch_score_bounds(ball, ds.take(range(20)))
+signs = dsc.certified_sign(lower, upper)
+assert sb.lower <= sb.upper and signs.shape == (20,)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_library_update_path_loads_no_scipy():
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_UPDATE], capture_output=True, text=True, timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 import delta_scope as dsc
 from delta_scope import cli
+from delta_scope import loocv as L
 from delta_scope.cli import main
-from delta_scope.report import report_schema
+from delta_scope.report import build_report, report_schema
 
 SCHEMA = report_schema()
 
@@ -291,8 +293,8 @@ def test_label_sensitivity_matches_library(paths, capsys):
     )
     name_for = {1: "+1", -1: "-1", 0: "unknown"}
     for entry in res["decisions"]:
-        decision = dsc.classify_with_bounds(ball, test_ds.X[entry["instance"]])
-        assert entry["decision"] == name_for[decision.label.value]
+        sb = dsc.score_bounds(ball, test_ds.X[entry["instance"]])
+        assert entry["decision"] == name_for[int(dsc.certified_sign(sb.lower, sb.upper))]
         assert entry["lower"] == pytest.approx(lower[entry["instance"]], rel=1e-12)
 
 
@@ -612,6 +614,66 @@ def test_loocv_gamma_grid(paths, capsys, add_bias):
             assert cell["solves_performed"] == ref.solves_performed
 
 
+def test_gamma_grid_builds_each_map_after_the_previous_cells_ran(paths, capsys, monkeypatch):
+    _, data, _ = paths
+    events = []
+    built = []  # weak references to every map built so far
+    real_map, real_loocv = L.rbf_features, L.run_loocv
+
+    def rbf_features(ds, gamma, **kwargs):
+        # no earlier map is still held when the next one is built
+        assert sum(ref() is not None for ref in built) == 0
+        mapped = real_map(ds, gamma, **kwargs)
+        built.append(weakref.ref(mapped))
+        events.append(("map", gamma))
+        return mapped
+
+    def run_loocv(ds, lam, *args, **kwargs):
+        events.append(("cell", lam))
+        return real_loocv(ds, lam, *args, **kwargs)
+
+    monkeypatch.setattr(L, "rbf_features", rbf_features)
+    monkeypatch.setattr(L, "run_loocv", run_loocv)
+    code, report, _ = run_cli(
+        ["loocv", "--data", data, "--loss", "logistic", "--lambda-grid", "0.1,1",
+         "--gamma-grid", "0.5,1,2", "--rbf-centers", "8", "--mode", "op2"], capsys
+    )
+    assert code == 0
+    assert events == [
+        event
+        for gamma in (0.5, 1.0, 2.0)
+        for event in (("map", gamma), ("cell", 0.1), ("cell", 1.0))
+    ]
+    labels = [cell["label"] for cell in report["results"]["cells"]]
+    assert labels == [
+        f"lambda={lam},gamma={gamma}" for gamma in ("0.5", "1", "2") for lam in ("0.1", "1")
+    ]
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        (["--gamma-grid", "0.5,nan"], "gamma"),
+        (["--gamma-grid", "0.5,1", "--rbf-centers", "0"], "n_centers"),
+        (["--gamma-grid", "0.5,1", "--rbf-seed", "-1"], "seed"),
+    ],
+)
+def test_gamma_grid_settings_are_checked_before_any_cell_runs(
+    paths, capsys, monkeypatch, settings, field
+):
+    _, data, _ = paths
+    calls = []
+    monkeypatch.setattr(L, "rbf_features", lambda *a, **k: calls.append("map"))
+    monkeypatch.setattr(L, "run_loocv", lambda *a, **k: calls.append("cell"))
+    code, report, err = run_cli(
+        ["loocv", "--data", data, "--loss", "logistic", "--lambda-grid", "0.1", *settings],
+        capsys,
+    )
+    assert code == 1 and report is None
+    assert field in err
+    assert calls == []
+
+
 def test_loocv_lambda_xor_grid(paths, capsys):
     _, data, _ = paths
     both = ["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1",
@@ -667,8 +729,56 @@ def test_bench_train_size_sweep(tmp_path, capsys):
     assert n_old == [90, 270]
 
 
+def test_bench_draws_additions_from_pool_and_reads_data_at_dim(tmp_path, capsys, monkeypatch):
+    data, pool = str(tmp_path / "train.libsvm"), str(tmp_path / "pool.libsvm")
+    dsc.save_libsvm(dsc.make_synthetic(8, 150, 5), data)
+    dsc.save_libsvm(dsc.make_synthetic(9, 40, 5), pool)
+    trained_dims = []
+    real_train = cli.train
+
+    def train(ds, *args, **kwargs):
+        trained_dims.append(ds.d)
+        return real_train(ds, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = str(tmp_path / "bench.csv")
+    argv = ["bench", "--data", data, "--pool", pool, "--loss", "logistic", "--lambda", "0.1",
+            "--fractions", "0.02,0.1", "--repeats", "2", "--timing-repeats", "1", "--out", out]
+    code, report, _ = run_cli(argv + ["--dim", "7"], capsys)
+    assert code == 0
+    assert set(trained_dims) == {7}
+    assert report["inputs"]["training_data"]["path"] == data
+    assert report["inputs"]["addition_pool"]["path"] == pool
+    header, *rows = [r.split(",") for r in open(out).read().strip().splitlines()]
+    rows = [dict(zip(header, r)) for r in rows]
+    assert len(rows) == 4
+    assert all(int(r["n_old"]) == 150 for r in rows)
+    assert all(int(r["n_added"]) > 0 for r in rows)
+    assert [int(r["n_added"]) + int(r["n_removed"]) for r in rows] == [3, 3, 15, 15]
+    # a pinned dimension below the data's is an input error
+    code, report, err = run_cli(argv + ["--dim", "4"], capsys)
+    assert code == 1 and report is None
+    assert "exceeds pinned dimension 4" in err
+
+
 # ---------------------------------------------------------------------------
 # report plumbing and errors
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_report_rejects_non_finite_numbers_by_path(bad):
+    results = {"cells": [{"lower": 0.0}, {"lower": -1.0, "upper": bad}]}
+    with pytest.raises(ValueError, match=r"non-finite number at \$\.results\.cells\[1\]\.upper"):
+        build_report("loocv", {}, {}, results)
+    with pytest.raises(ValueError, match=r"non-finite number at \$\.params\.lambda"):
+        build_report("train", {"lambda": bad}, {}, {})
+
+
+def test_build_report_rejects_a_non_json_value():
+    with pytest.raises(TypeError, match=r"non-JSON value at \$\.results\.radius: float32"):
+        build_report("coef-sensitivity", {}, {}, {"radius": np.float32(1.0)})
+    with pytest.raises(TypeError, match=r"non-JSON value at \$\.results\.rows\[0\]: set"):
+        build_report("bench", {}, {}, {"rows": [set()]})
 
 
 def test_report_written_to_file_not_stdout(tmp_path, capsys):

@@ -8,9 +8,6 @@ from delta_scope.data import (
     LibsvmFormatError,
     SparseDataset,
     apply_update,
-    csr_matvec,
-    csr_rmatvec,
-    csr_row_sq_norms,
     make_synthetic,
     parse_libsvm,
     serialize_libsvm,
@@ -197,9 +194,8 @@ def test_numpy_products_equal_scipy_bit_for_bit(X, data):
     v = np.array(data.draw(st.lists(_ENTRIES, min_size=d, max_size=d)), dtype=np.float64)
     w = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)), dtype=np.float64)
     ds = SparseDataset(X, np.ones(n))
-    for A in (X, ds):
-        assert np.array_equal(_bits(csr_matvec(A, v)), _bits(X @ v))
-        assert np.array_equal(_bits(csr_rmatvec(A, w)), _bits(X.T @ w))
+    assert np.array_equal(_bits(ds.matvec(v)), _bits(X @ v))
+    assert np.array_equal(_bits(ds.rmatvec(w)), _bits(X.T @ w))
     # each row summed on its own, in storage order
     expected = []
     for i in range(n):
@@ -207,7 +203,8 @@ def test_numpy_products_equal_scipy_bit_for_bit(X, data):
         for value in X.data[X.indptr[i] : X.indptr[i + 1]]:
             total += value * value
         expected.append(total)
-    assert np.array_equal(_bits(csr_row_sq_norms(ds)), _bits(expected))
+    assert np.array_equal(_bits(ds.row_sq_norms()), _bits(expected))
+    assert "X" not in vars(ds)  # so the products above took NumPy's kernels
 
 
 def _same_csr(ds, X):
@@ -270,6 +267,27 @@ def test_dataset_arrays_are_read_only():
         ds.y[0] = -ds.y[0]
     with pytest.raises(ValueError):
         ds.X.data[0] = 99.0
+
+
+def test_dataset_leaves_the_callers_matrix_and_labels_as_they_were():
+    # row 0 holds column 1 twice and row 1 is unsorted: the dataset sums and
+    # sorts its own copy
+    X = sp.csr_matrix(
+        (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 1, 2, 0]), np.array([0, 2, 4])),
+        shape=(2, 3),
+    )
+    y = np.array([1.0, -1.0])
+    before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+    ds = SparseDataset(X, y)
+    assert ds.X.toarray().tolist() == [[0.0, 3.0, 0.0], [4.0, 0.0, 3.0]]
+    assert X.nnz == 4
+    for a, b in zip((X.data, X.indices, X.indptr), before):
+        assert np.array_equal(a, b)
+    X.data[0] = 5.0
+    X *= 2
+    y[0] = -1.0
+    assert ds.X.toarray().tolist() == [[0.0, 3.0, 0.0], [4.0, 0.0, 3.0]]
+    assert ds.y.tolist() == [1.0, -1.0]
 
 
 def test_dataset_row_and_take():
