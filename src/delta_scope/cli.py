@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import math
+import os
 import re
 import sys
 import warnings as _warnings
@@ -70,9 +72,18 @@ def _raw_dim(model) -> int:
     return model.d - 1 if model.add_bias else model.d
 
 
-def _load_rows(path: str, model) -> SparseDataset:
-    """Rows of a libsvm file in the model's feature space, bias column included."""
-    return _in_model_space(load_libsvm(path, d=_raw_dim(model)), model)
+def _hashed(load, path: str, **kwargs):
+    """``load(path, hasher=..., **kwargs)``, and the report entry of the file:
+    its path and the SHA-256 of the bytes ``load`` read from it."""
+    hasher = hashlib.sha256()
+    return load(path, hasher=hasher, **kwargs), (path, hasher.hexdigest())
+
+
+def _load_rows(path: str, model) -> tuple[SparseDataset, tuple[str, str]]:
+    """Rows of a libsvm file in the model's feature space, bias column
+    included, and the file's report entry."""
+    rows, entry = _hashed(load_libsvm, path, d=_raw_dim(model))
+    return _in_model_space(rows, model), entry
 
 
 # An optional sign and ASCII digits; int() alone would also take "1_0"
@@ -80,16 +91,19 @@ def _load_rows(path: str, model) -> SparseDataset:
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _read_removal_indices(path: str) -> list[int]:
+def _read_removal_indices(path: str, *, hasher) -> list[int]:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    hasher.update(raw)
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if not _INDEX_RE.fullmatch(line):
-                raise ValueError(f"{path}: line {ln}: not an integer: {line!r}")
-            out.append(int(line))
+    # newline=None reads lines as a file opened in text mode does
+    for ln, line in enumerate(io.StringIO(raw.decode("utf-8"), newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if not _INDEX_RE.fullmatch(line):
+            raise ValueError(f"{path}: line {ln}: not an integer: {line!r}")
+        out.append(int(line))
     return out
 
 
@@ -138,15 +152,14 @@ def _load_update(args, model) -> tuple[SparseDataset | None, SparseDataset | Non
     added = None
     removed = None
     if args.add:
-        added = _load_rows(args.add, model)
-        inputs["additions"] = args.add
+        added, inputs["additions"] = _load_rows(args.add, model)
     if args.remove:
         if not args.data:
             raise ValueError("--remove needs --data to resolve 0-based row indices")
-        idx = _check_removal_indices(_read_removal_indices(args.remove), model.n_train)
+        idx, inputs["removals"] = _hashed(_read_removal_indices, args.remove)
+        idx = _check_removal_indices(idx, model.n_train)
         removed, digest = _removed_rows(args.data, idx, model)
         inputs["training_data"] = (args.data, digest)
-        inputs["removals"] = args.remove
     return added, removed, inputs
 
 
@@ -234,9 +247,8 @@ def _cmd_gen(args) -> dict:
 def _cmd_train(args) -> dict:
     # the digest is of the bytes parsed, which the update commands trust
     # to name the training rows
-    hasher = hashlib.sha256()
-    ds = load_libsvm(args.data, d=args.dim, hasher=hasher)
-    digest = hasher.hexdigest()
+    ds, entry = _hashed(load_libsvm, args.data, d=args.dim)
+    digest = entry[1]
     if args.add_bias:
         ds = with_bias_feature(ds)
     kind = LossKind.from_name(args.loss)
@@ -252,7 +264,7 @@ def _cmd_train(args) -> dict:
             "max_iter": args.max_iter,
             "add_bias": args.add_bias,
         },
-        {"training_data": (args.data, digest)},
+        {"training_data": entry},
         {
             "n": ds.n,
             "d": ds.d,
@@ -273,27 +285,31 @@ def _update_ball(args) -> tuple[TrainedModel, B.UpdateStats, B.SolutionBall, dic
         raise ValueError("--format csv needs --out")
     if args.out and args.format != "csv":
         raise ValueError("--out needs --format csv")
-    model = load_model(args.model)
+    model, model_entry = _hashed(load_model, args.model)
     added, removed, inputs = _load_update(args, model)
     if added is None and removed is None:
         raise ValueError("nothing to do: give --add and/or --remove")
+    inputs["model"] = model_entry
     stats = B.compute_delta_s(model, added, removed)
     return model, stats, B.old_optimum_ball(model, stats), inputs
 
 
 def _write_csv(path: str, header: list[str], rows) -> dict:
-    """Write ``rows`` under ``header``; return the report entry of the file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return {"path": path, "sha256": sha256_file(path)}
+    """Write ``rows`` under ``header``; return the report entry of the file,
+    whose digest is of the bytes written."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    raw = text.getvalue().encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _cmd_coef_sensitivity(args) -> dict:
     model, stats, ball, inputs = _update_ball(args)
     box = B.coefficient_bounds(ball)
-    inputs = {"model": args.model, **inputs}
     norm_change = {
         "q=1": B.norm_change_bound(model.beta, box, 1),
         "q=2": B.norm_change_bound(model.beta, box, 2),
@@ -312,11 +328,11 @@ def _cmd_coef_sensitivity(args) -> dict:
         results["csv"] = _write_csv(
             args.out,
             ["coefficient", "lower", "upper"],
-            ([j, repr(float(box.lower[j])), repr(float(box.upper[j]))] for j in range(model.d)),
+            zip(range(model.d), map(repr, box.lower.tolist()), map(repr, box.upper.tolist())),
         )
     else:
         results["coefficients"] = [
-            [float(lo), float(hi)] for lo, hi in zip(box.lower, box.upper)
+            [lo, hi] for lo, hi in zip(box.lower.tolist(), box.upper.tolist())
         ]
     return build_report(
         "coef-sensitivity",
@@ -328,8 +344,7 @@ def _cmd_coef_sensitivity(args) -> dict:
 
 def _cmd_label_sensitivity(args) -> dict:
     model, _, ball, inputs = _update_ball(args)
-    test = _load_rows(args.test, model)
-    inputs = {"model": args.model, "test_data": args.test, **inputs}
+    test, inputs["test_data"] = _load_rows(args.test, model)
     lower, upper = B.batch_score_bounds(ball, test)
     signs = B.certified_sign(lower, upper)
     n_plus = int(np.count_nonzero(signs > 0))
@@ -348,17 +363,12 @@ def _cmd_label_sensitivity(args) -> dict:
         results["csv"] = _write_csv(
             args.out,
             ["instance", "lower", "upper", "decision"],
-            ([i, repr(float(lower[i])), repr(float(upper[i])), names[i]] for i in range(test.n)),
+            zip(range(test.n), map(repr, lower.tolist()), map(repr, upper.tolist()), names),
         )
     else:
         results["decisions"] = [
-            {
-                "instance": i,
-                "lower": float(lower[i]),
-                "upper": float(upper[i]),
-                "decision": names[i],
-            }
-            for i in range(test.n)
+            {"instance": i, "lower": lo, "upper": hi, "decision": name}
+            for i, lo, hi, name in zip(range(test.n), lower.tolist(), upper.tolist(), names)
         ]
     return build_report("label-sensitivity", {"format": args.format}, inputs, results)
 
@@ -386,7 +396,8 @@ def _cmd_loocv(args) -> dict:
         raise ValueError("give exactly one of --lambda / --lambda-grid")
     if args.gamma_grid and args.lambda_grid is None:
         raise ValueError("--gamma-grid needs --lambda-grid")
-    raw = load_libsvm(args.data, d=args.dim)
+    raw, entry = _hashed(load_libsvm, args.data, d=args.dim)
+    inputs = {"training_data": entry}
     kind = LossKind.from_name(args.loss)
     mode = L.LoocvMode.from_name(args.mode)
     common = dict(mode=mode, fold_tol=args.fold_tol, full_tol=args.full_tol)
@@ -406,7 +417,7 @@ def _cmd_loocv(args) -> dict:
         result = L.run_loocv(prepared(raw), args.lam, kind, **common)
         params["lambda"] = args.lam
         payload = {"single": _loocv_result_payload(result), "lambda": args.lam}
-        return build_report("loocv", params, {"training_data": args.data}, payload)
+        return build_report("loocv", params, inputs, payload)
 
     lam_grid = _parse_grid(args.lambda_grid)
     # every gamma and map setting is checked before the first cell runs
@@ -458,7 +469,7 @@ def _cmd_loocv(args) -> dict:
             "error_rate": sel.results[sel.best_index].error_rate,
         },
     }
-    return build_report("loocv", params, {"training_data": args.data}, payload)
+    return build_report("loocv", params, inputs, payload)
 
 
 def _bench_rows(args, ds, pool, kind):
@@ -537,14 +548,12 @@ def _cmd_bench(args) -> dict:
     args.fraction_values = _parse_fractions(args.fractions)
     inputs = {}
     if args.data:
-        ds = load_libsvm(args.data, d=args.dim)
-        inputs["training_data"] = args.data
+        ds, inputs["training_data"] = _hashed(load_libsvm, args.data, d=args.dim)
     else:
         ds = make_synthetic(args.seed, args.n, args.d, density=args.density)
     pool = None
     if args.pool:
-        pool = load_libsvm(args.pool, d=ds.d)
-        inputs["addition_pool"] = args.pool
+        pool, inputs["addition_pool"] = _hashed(load_libsvm, args.pool, d=ds.d)
     # every row is computed before the CSV is opened, so a failed sweep
     # leaves no file behind
     rows = list(_bench_rows(args, ds, pool, kind))
@@ -687,10 +696,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags naming files a command reads, and flags naming files it writes.
+_INPUT_FLAGS = ("model", "data", "add", "remove", "test", "pool")
+_OUTPUT_FLAGS = ("out", "report", "model_out")
+
+
+def _check_output_paths(args) -> None:
+    """Reject an output path that names an input file or another output.
+
+    Paths are compared by the file they name: the same inode for an
+    existing file, the same resolved path otherwise.
+    """
+    named: dict = {}
+    for name in _INPUT_FLAGS + _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        try:
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:
+            key = os.path.realpath(path)
+        if name in _OUTPUT_FLAGS and key in named:
+            raise ValueError(f"{flag} {path} names the same file as {named[key]}")
+        named.setdefault(key, flag)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             report = args.func(args)

@@ -67,12 +67,17 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
     _atomic_write_text(path, text + "\n")
 
 
-def load_model(path: str | os.PathLike) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+def load_model(path: str | os.PathLike, *, hasher=None) -> TrainedModel:
+    """The model artifact at ``path``, read once. The bytes read are also
+    fed to ``hasher`` (a ``hashlib`` object), if given."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if hasher is not None:
+        hasher.update(raw)
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if obj.get("version") != MODEL_VERSION:

@@ -63,24 +63,23 @@ def check_finite(obj, *, _path: str = "$") -> None:
 def build_report(
     command: str,
     params: dict,
-    inputs: dict[str, str | os.PathLike | tuple[str | os.PathLike, str]],
+    inputs: dict[str, tuple[str | os.PathLike, str]],
     results: dict,
     warnings: list[str] | None = None,
 ) -> dict:
     """Assemble and sanity-check a report.
 
-    ``inputs`` maps name -> file path, which is hashed here, or -> a
-    ``(path, sha256)`` pair for a file the command has already hashed.
+    ``inputs`` maps name -> ``(path, sha256)``, the digest of the bytes the
+    command read from that file.
     """
-    entries = {}
-    for name, entry in inputs.items():
-        path, digest = entry if isinstance(entry, tuple) else (entry, sha256_file(entry))
-        entries[name] = {"path": os.fspath(path), "sha256": digest}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": params,
-        "inputs": entries,
+        "inputs": {
+            name: {"path": os.fspath(path), "sha256": digest}
+            for name, (path, digest) in inputs.items()
+        },
         "results": results,
         "warnings": list(warnings or []),
     }
@@ -94,8 +93,8 @@ def report_schema() -> dict:
 
 
 def write_report(report: dict, path: str | os.PathLike | None) -> None:
-    """Write the report to ``path``, or pretty-print it to stdout."""
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write the report as one line of JSON to ``path``, or to stdout."""
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
     else:

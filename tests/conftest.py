@@ -1,11 +1,13 @@
 """Shared helpers: random problem construction and exact reference solves."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 import delta_scope as dsc
+from delta_scope.data import LibsvmFormatError, SparseDataset
 from delta_scope.losses import _loss_terms
 
 # Collected one-line verdicts from the acceptance tests, echoed after the
@@ -139,4 +141,87 @@ def make_update_case(
     ball = dsc.old_optimum_ball(old, stats)
     return UpdateCase(
         ds, lam, kind, old, added, removed_idx, new_ds, new_exact, stats, ball
+    )
+
+
+# ---------------------------------------------------------------------------
+# libsvm reference parser: the line-by-line loop the vectorized parser
+# replaced, kept verbatim as the oracle it is checked against.
+
+
+def oracle_parse_libsvm(text, *, d=None):
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    ds = _oracle_parse_lines(enumerate(text.splitlines(), 1), d)
+    if ds.n == 0:
+        raise LibsvmFormatError("no instances found")
+    return ds
+
+
+def oracle_take_libsvm_rows(text, indices, *, d):
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line and not line.isspace()]
+    n = len(rows)
+    picked = []
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"row index {i} out of range for {n} rows")
+        picked.append((rows[i] + 1, lines[rows[i]]))
+    return _oracle_parse_lines(picked, d), n
+
+
+def _oracle_parse_lines(numbered_lines, d):
+    labels = []
+    data = []
+    indices = []
+    indptr = [0]
+    max_index = 0
+    for ln, line in numbered_lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        if not line.isascii() or "_" in line:
+            raise LibsvmFormatError(f"line {ln}: '_' or a non-ASCII character")
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise LibsvmFormatError(f"line {ln}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(raw_label):
+            raise LibsvmFormatError(f"line {ln}: non-finite label {tokens[0]!r}")
+        labels.append(1.0 if raw_label > 0 else -1.0)
+        prev = 0
+        for tok in tokens[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise LibsvmFormatError(f"line {ln}: bad pair {tok!r}") from None
+            if idx <= 0:
+                raise LibsvmFormatError(f"line {ln}: index {idx} is not positive")
+            if idx <= prev:
+                raise LibsvmFormatError(
+                    f"line {ln}: index {idx} not strictly ascending"
+                )
+            if not math.isfinite(val):
+                raise LibsvmFormatError(f"line {ln}: non-finite value {val_s!r}")
+            indices.append(idx - 1)
+            data.append(val)
+            prev = idx
+        max_index = max(max_index, prev)
+        indptr.append(len(data))
+    if d is None:
+        d = max_index
+    elif max_index > d:
+        raise LibsvmFormatError(
+            f"feature index {max_index} exceeds pinned dimension {d}"
+        )
+    return SparseDataset._from_csr(
+        np.array(data, dtype=np.float64),
+        np.array(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int32),
+        (len(labels), d),
+        np.array(labels),
     )

@@ -995,3 +995,108 @@ def test_train_reads_data_once_and_records_the_digest_of_what_it_parsed(
     assert dsc.load_model(model).training_data_sha256 == digest
     report = json.loads(open(tmp_path / "train.json").read())
     assert report["inputs"]["training_data"]["sha256"] == digest
+
+
+def _counting_opens(monkeypatch, paths):
+    """Record every ``open`` of one of ``paths``; returns the list of names."""
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in paths:
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
+
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_update_commands_read_each_input_once_and_record_what_they_parsed(
+    paths, capsys, monkeypatch
+):
+    tmp_path, data, model_path = paths
+    update = removal_args(paths, [4, 50])
+    test = str(tmp_path / "test.libsvm")
+    shutil.copyfile(data, test)
+    inputs = {"model": model_path, "training_data": data, "additions": update[5],
+              "removals": update[7], "test_data": test}
+    out, rpt = str(tmp_path / "labels.csv"), str(tmp_path / "labels.json")
+    digests = {name: _sha256(path) for name, path in inputs.items()}
+    opened = _counting_opens(monkeypatch, set(inputs.values()))
+    assert main(["label-sensitivity", *update, "--test", test, "--format", "csv",
+                 "--out", out, "--report", rpt]) == 0
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(inputs.values())
+    report = json.loads(open(rpt).read())
+    assert {name: e["sha256"] for name, e in report["inputs"].items()} == digests
+    assert report["results"]["csv"]["sha256"] == _sha256(out)
+    assert report["warnings"] == []  # valid files parse without a warning
+
+
+@pytest.mark.parametrize("command", ["loocv", "bench"])
+def test_loocv_and_bench_read_each_input_once(tmp_path, capsys, monkeypatch, command):
+    data, pool = str(tmp_path / "train.libsvm"), str(tmp_path / "pool.libsvm")
+    dsc.save_libsvm(dsc.make_synthetic(8, 60, 4), data)
+    dsc.save_libsvm(dsc.make_synthetic(9, 20, 4), pool)
+    if command == "loocv":
+        argv = ["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1"]
+        inputs = {"training_data": data}
+    else:
+        argv = ["bench", "--data", data, "--pool", pool, "--loss", "logistic",
+                "--lambda", "0.1", "--fractions", "0.1", "--repeats", "1",
+                "--timing-repeats", "1", "--out", str(tmp_path / "bench.csv")]
+        inputs = {"training_data": data, "addition_pool": pool}
+    opened = _counting_opens(monkeypatch, set(inputs.values()))
+    code, report, _ = run_cli(argv, capsys)
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(opened) == sorted(inputs.values())
+    assert {name: e["sha256"] for name, e in report["inputs"].items()} == {
+        name: _sha256(path) for name, path in inputs.items()
+    }
+
+
+def test_output_path_naming_an_input_or_another_output_is_rejected(paths, capsys):
+    tmp_path, data, model_path = paths
+    update = removal_args(paths, [4])
+    test = str(tmp_path / "test.libsvm")
+    shutil.copyfile(data, test)
+    alias = str(tmp_path / "alias.libsvm")
+    os.symlink(test, alias)
+    before = {p: open(p, "rb").read() for p in (data, model_path, test)}
+    out, rpt = str(tmp_path / "out.csv"), str(tmp_path / "report.json")
+    label = ["label-sensitivity", *update, "--test", test, "--format", "csv"]
+    cases = [
+        (label + ["--out", test], f"--out {test} names the same file as --test"),
+        (label + ["--out", alias], f"--out {alias} names the same file as --test"),
+        (label + ["--out", data], f"--out {data} names the same file as --data"),
+        (label + ["--out", out, "--report", out], f"--report {out} names the same file as --out"),
+        (label + ["--out", out, "--report", model_path],
+         f"--report {model_path} names the same file as --model"),
+        (["train", "--data", data, "--loss", "logistic", "--lambda", "0.1",
+          "--model-out", data], f"--model-out {data} names the same file as --data"),
+        (["train", "--data", data, "--loss", "logistic", "--lambda", "0.1",
+          "--model-out", rpt, "--report", rpt], f"--model-out {rpt} names the same file as --report"),
+        (["gen", "--seed", "1", "--n", "5", "--d", "2", "--out", out, "--report", out],
+         f"--report {out} names the same file as --out"),
+    ]
+    for argv, message in cases:
+        code, report, err = run_cli(argv, capsys)
+        assert (code, report) == (1, None)
+        assert message in err
+        # nothing was read or written
+        assert {p: open(p, "rb").read() for p in before} == before
+        assert not os.path.exists(out) and not os.path.exists(rpt)
+
+
+def test_a_report_on_stdout_is_one_line_of_json(paths, capsys):
+    _, _, model_path = paths
+    update = removal_args(paths, [4, 50])
+    assert main(["coef-sensitivity", *update]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    jsonschema.validate(json.loads(out), SCHEMA)

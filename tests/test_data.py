@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import oracle_parse_libsvm, oracle_take_libsvm_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delta_scope import data as data_module
 from delta_scope.data import (
     LibsvmFormatError,
     SparseDataset,
@@ -115,6 +119,111 @@ def test_take_rows_parses_only_the_picked_lines():
         take_libsvm_rows(text, [-1], d=3)
     empty, n = take_libsvm_rows(text.encode(), [], d=3)
     assert (empty.n, empty.d, n) == (0, 3, 4)
+
+
+# Differential tests against the line-by-line oracle in conftest: the same
+# arrays bit for bit (dtypes included), or the same error and message, and a
+# valid text never reaches the line loop that words the errors.
+
+_OK_LABELS = ["+1", "-1", "1", "0", "-0", "2.5", ".5", "5.", "1e5", "-3E-2"]
+_BAD_LABELS = ["nan", "inf", "-inf", "1:2", "x", "0x10", "1_0", "+", "1e", "1..2", "1e400",
+               "\u0661", "\xe9"]
+_OK_VALUES = ["2", ".5", "5.", "-0", "1e5", "-1.25", "0.0", "1e-320", "+7", "0.1234567890123456789012"]
+_BAD_VALUES = ["", "nan", "inf", "1e400", "0x10", "x", "1e", "1..2", "2_5", "1:2", "\uff11"]
+_BAD_PAIRS = ["1.0:2", "1e2:3", "1:", ":1", "1:2:3", "1::2", "12", "0:1", "-1:1", "+:1",
+              "1 :2", "1: 2", "\u0661:2", "1_0:2", "2147483649:1", "99999999999999999999:1"]
+_BLANK_LINES = ["", " ", "\t", "\x1f ", "\xa0", " \u3000 "]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", "\x1f", " \t"]
+_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+def _sometimes(draw, good, bad):
+    """Mostly a good token, sometimes a bad one."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 19)) == 0 else good))
+
+
+@st.composite
+def _index_form(draw, i):
+    return draw(st.sampled_from(["", "", "+", "0", "00"])) + str(i)
+
+
+@st.composite
+def libsvm_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(_BLANK_LINES)))
+            continue
+        tokens = [_sometimes(draw, _OK_LABELS, _BAD_LABELS)]
+        for i in sorted(draw(st.sets(st.integers(1, 12), max_size=4))):
+            tokens.append(draw(_index_form(i)) + ":" + _sometimes(draw, _OK_VALUES, _BAD_VALUES))
+        if draw(st.integers(0, 7)) == 0:
+            tokens.append(draw(st.sampled_from(["2147483648:1"] + _BAD_PAIRS)))
+        if draw(st.integers(0, 9)) == 0:
+            tokens.reverse()
+        seps = [_sometimes(draw, _SEPARATORS, ["\xa0", ":", ""]) for _ in tokens]
+        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        lines.append(line[draw(st.integers(0, 1)) * len(seps[0]):] + draw(st.sampled_from(["", " "])))
+    text = "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -1]  # no final line break (or half of a "\r\n")
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+def _outcome(fn, *args, **kwargs):
+    """The dataset's arrays and shape, or the error's type and message."""
+    try:
+        ds = fn(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(ds, tuple):
+        ds, n = ds
+    else:
+        n = None
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (ds.data, ds.indices, ds.indptr, ds.y))
+    return arrays, ds.shape, n
+
+
+def _loop_calls(fn, *args, **kwargs):
+    """``_outcome`` of the call, and how many times it ran the line loop."""
+    with mock.patch.object(data_module, "_parse_lines", wraps=data_module._parse_lines) as loop:
+        out = _outcome(fn, *args, **kwargs)
+    return out, loop.call_count
+
+
+@settings(max_examples=400, deadline=None)
+@given(libsvm_texts(), st.sampled_from([None, None, 3, 12, 2**31]))
+def test_parse_matches_the_line_loop(text, d):
+    expected = _outcome(oracle_parse_libsvm, text, d=d)
+    got, loop_calls = _loop_calls(parse_libsvm, text, d=d)
+    assert got == expected
+    if not isinstance(expected[0], type):
+        assert loop_calls == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(libsvm_texts(), st.lists(st.integers(-1, 6), max_size=4), st.sampled_from([3, 12, 2**31]))
+def test_take_rows_matches_the_line_loop(text, picks, d):
+    expected = _outcome(oracle_take_libsvm_rows, text, picks, d=d)
+    got, loop_calls = _loop_calls(take_libsvm_rows, text, picks, d=d)
+    assert got == expected
+    if not isinstance(expected[0], type):
+        assert loop_calls == 0
+
+
+@pytest.mark.parametrize("text, rows, pairs", [
+    ("+1 1:2\x0c-1 3:4", 2, 2),  # \x0c (like \x0b, \x1c-\x1e and \r\n) breaks a line
+    ("+1 1:2\x1f2:3", 1, 2),  # \x1f separates tokens
+    ("+1 +1:2 03:4\r\n\r\n-1 1:.5 2:5. 3:-0 4:1e5\n", 2, 6),
+    ("  \n\xa0\n+1 1:1\u2028-1 1:2\x85", 2, 2),  # non-ASCII breaks and blank lines
+])
+def test_parse_reads_every_accepted_form(text, rows, pairs):
+    expected = _outcome(oracle_parse_libsvm, text)
+    for form in (text, text.encode("utf-8")):
+        got, loop_calls = _loop_calls(parse_libsvm, form)
+        assert (got, loop_calls) == (expected, 0)
+        ds = parse_libsvm(form)
+        assert (ds.n, ds.data.size) == (rows, pairs)
 
 
 def test_parse_pinned_dimension():
