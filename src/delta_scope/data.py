@@ -7,8 +7,9 @@ sparse rows: a SciPy matrix is copied, summed and sorted by its constructor,
 a dense matrix is read by ``SparseDataset._from_dense``, and every product
 of the rows is a dataset method. Parsing, row selection and the products run
 on NumPy alone; SciPy is imported only where a SciPy matrix is built or
-given, and a dataset whose SciPy matrix is built takes its products from
-SciPy's kernels.
+given. A dataset whose SciPy matrix is built takes its products from
+SciPy's kernels, and one whose dense copy is built (free for a dataset that
+stores every entry) takes them from BLAS.
 """
 from __future__ import annotations
 
@@ -80,11 +81,27 @@ class SparseDataset:
         return ds
 
     @classmethod
-    def _from_dense(cls, X: np.ndarray, y) -> "SparseDataset":
+    def _from_dense(cls, X: np.ndarray, y, *, own: bool = False) -> "SparseDataset":
         """Dataset of the nonzero entries of a dense matrix, as SciPy's
-        ``csr_matrix(X)`` stores them."""
+        ``csr_matrix(X)`` stores them.
+
+        With ``own``, the caller gives ``X`` up: a C-contiguous ``X`` with no
+        zero entry is frozen and kept, uncopied, as the dataset's ``data``
+        and so as its dense copy.
+        """
         nonzero = X != 0
         idx_dtype = np.int32 if X.size <= np.iinfo(np.int32).max else np.int64
+        if nonzero.all():  # every entry stored, row after row
+            n, d = X.shape
+            if own:
+                X.flags.writeable = False
+            return cls._from_csr(
+                X.reshape(-1) if own else X.flatten(),
+                np.tile(np.arange(d, dtype=idx_dtype), n),
+                np.arange(n + 1, dtype=idx_dtype) * d,
+                X.shape,
+                y,
+            )
         indptr = np.zeros(X.shape[0] + 1, dtype=idx_dtype)
         np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
         indices = np.nonzero(nonzero)[1].astype(idx_dtype)
@@ -131,29 +148,96 @@ class SparseDataset:
         _freeze(data_sq)
         return data_sq
 
-    # The three products of the objective. Each takes SciPy's kernel once
-    # ``X`` is built, and NumPy's otherwise, so a dataset whose SciPy
-    # matrix nobody asked for never imports SciPy. ``np.bincount`` adds its
-    # weights in input order, so each output sums the same products in the
-    # same order as SciPy's CSR kernels: the choice changes only speed.
+    # The products of the rows. Each takes SciPy's kernel once ``X`` is
+    # built, BLAS's once ``dense`` is built, and NumPy's otherwise, so a
+    # dataset whose SciPy matrix nobody asked for never imports SciPy.
+    # ``np.bincount`` adds its weights in input order, so each output sums
+    # the same products in the same order as SciPy's CSR kernels: that
+    # choice changes only speed. BLAS sums in its own order, so a dense
+    # product may differ from the sparse one in the last bits.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X @ v``."""
         if "X" in self.__dict__:
             return self.X @ v
+        if "dense" in self.__dict__:
+            return self.dense @ v
         return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=self.n)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """``X.T @ w``."""
         if "X" in self.__dict__:
             return self.XT @ w
+        if "dense" in self.__dict__:
+            return self.dense.T @ w
         return np.bincount(self.indices, weights=self.data * w[self._rows], minlength=self.d)
 
     def sq_rmatvec(self, c: np.ndarray) -> np.ndarray:
         """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``."""
         if "X" in self.__dict__:
             return self.XT_sq @ c
+        if "dense" in self.__dict__:
+            return self._dense_sq.T @ c
         return np.bincount(self.indices, weights=self._data_sq * c[self._rows], minlength=self.d)
+
+    def matmat(self, B: np.ndarray) -> np.ndarray:
+        """``X @ B``, whose column j is ``matvec(B[:, j])`` bit for bit.
+
+        SciPy's kernel runs all columns in one pass. BLAS's runs one matrix-
+        vector product per column, because a matrix-matrix product sums in
+        another order than the matrix-vector one.
+        """
+        if "X" in self.__dict__:
+            return self.X @ B
+        return self._by_column(self.matvec, B, self.n)
+
+    def rmatmat(self, W: np.ndarray) -> np.ndarray:
+        """``X.T @ W``, whose column j is ``rmatvec(W[:, j])`` bit for bit."""
+        if "X" in self.__dict__:
+            return self.XT @ W
+        return self._by_column(self.rmatvec, W, self.d)
+
+    @staticmethod
+    def _by_column(product, B: np.ndarray, rows: int) -> np.ndarray:
+        """``product`` of each column of ``B``, as the columns of a ``rows``-row array."""
+        out = np.empty((rows, B.shape[1]))
+        for j, column in enumerate(np.ascontiguousarray(B.T)):
+            out[:, j] = product(column)
+        return out
+
+    def weighted_gram(self, c: np.ndarray) -> np.ndarray:
+        """``X^T diag(c) X`` as a dense array: from SciPy's kernels once
+        ``X`` is built, and from BLAS's on ``dense`` (built if need be)
+        otherwise."""
+        if "X" in self.__dict__:
+            import scipy.sparse as sp
+
+            return (self.XT @ (sp.diags(c, format="csr") @ self.X)).toarray()
+        return self.dense.T @ (c[:, None] * self.dense)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The rows as a read-only dense array, built on first use and kept.
+
+        A dataset that stores every entry is its own dense array: ``data``
+        holds it in row-major order, and this is a view of it.
+        """
+        return self._to_dense(self.data)
+
+    @cached_property
+    def _dense_sq(self) -> np.ndarray:
+        """``dense`` squared entrywise, built on first use and kept."""
+        return self._to_dense(self._data_sq)
+
+    def _to_dense(self, values: np.ndarray) -> np.ndarray:
+        """The dense matrix whose stored entries are ``values``, read-only."""
+        if values.size == self.n * self.d:
+            dense = values.reshape(self.shape)
+        else:
+            dense = np.zeros(self.shape)
+            dense[_row_numbers(self.indptr), self.indices] = values
+        _freeze(dense)
+        return dense
 
     @cached_property
     def X(self):
@@ -216,7 +300,8 @@ class SparseDataset:
         The row numbers are kept only by a dataset on NumPy's kernels, whose
         products use them again.
         """
-        rows = self._rows if "X" not in self.__dict__ else _row_numbers(self.indptr)
+        on_numpy = "X" not in self.__dict__ and "dense" not in self.__dict__
+        rows = self._rows if on_numpy else _row_numbers(self.indptr)
         return np.bincount(rows, weights=self.data * self.data, minlength=self.n)
 
 
@@ -242,6 +327,8 @@ _CLASS_OF = np.frombuffer(_BYTE_CLASS, dtype=np.uint8)
 # bytes.split() splits at " \t\n\r\x0b\x0c"; the rest of the separators map to " "
 _TO_SPACE = bytes.maketrans(b":\x1c\x1d\x1e\x1f", b"     ")
 _PIECE = 1 << 18
+# the largest 1-based index whose 0-based column fits the int32 index arrays
+_MAX_INDEX = 2**31
 
 
 def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
@@ -370,8 +457,7 @@ def _parse_ascii(raw: bytes, d: int | None) -> SparseDataset | None:
     # a row's pairs start after the tokens of the rows before it
     indptr = np.append((labels - np.arange(labels.size)) // 2, idx.size).astype(np.int32)
     max_index = idx.max() if idx.size else 0
-    # past 2**31 an index overflows int32, as it does in _parse_lines
-    limit = 2**31 if d is None else min(d, 2**31)
+    limit = _MAX_INDEX if d is None else min(d, _MAX_INDEX)
     if (idx.size and idx.min() <= 0) or max_index > limit or not _ascending_in_rows(idx, indptr):
         return None
     return SparseDataset._from_csr(
@@ -459,6 +545,10 @@ def _parse_lines(numbered_lines, d: int | None) -> SparseDataset:
                 raise LibsvmFormatError(f"line {ln}: bad pair {tok!r}") from None
             if idx <= 0:
                 raise LibsvmFormatError(f"line {ln}: index {idx} is not positive")
+            if idx > _MAX_INDEX:
+                raise LibsvmFormatError(
+                    f"line {ln}: index {idx} exceeds the largest supported index {_MAX_INDEX}"
+                )
             if idx <= prev:
                 raise LibsvmFormatError(
                     f"line {ln}: index {idx} not strictly ascending"
@@ -594,4 +684,4 @@ def make_synthetic(
         mask = rng.random((n, d)) < density
         mask[np.arange(n), rng.integers(0, d, size=n)] = True
         X = np.where(mask, X, 0.0)
-    return SparseDataset._from_dense(X, y)
+    return SparseDataset._from_dense(X, y, own=True)

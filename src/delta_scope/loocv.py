@@ -40,6 +40,12 @@ does, so it changes no outcome and no iteration count, and neither does
 the order. A result holds each fold's decision, verdict and solver
 iterations as arrays indexed by fold.
 
+Every product of a run is taken by one kernel, picked before the run's
+clock starts: BLAS on the dataset's dense copy when the dataset stores every
+entry (so such a run never imports SciPy), and SciPy's sparse kernels
+otherwise. The block products run column by column on BLAS, so each column
+equals the product a fold's own solve takes, bit for bit, on either kernel.
+
 Model selection runs over grid cells, each an L2 weight and the dataset
 its folds come from (the raw rows, or their ``rbf_features``). It can
 prune a cell as soon as its running error lower bound exceeds the best
@@ -152,7 +158,7 @@ def _screen_stats(full: TrainedModel, ds: SparseDataset):
     """
     n1 = ds.n - 1.0
     lam = full.lam
-    scores = ds.X @ full.beta
+    scores = ds.matvec(full.beta)
     z = ds.y * scores
     e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
     dl = _dloss_terms(full.kind, ds.y, z, e)
@@ -179,18 +185,16 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     Falls back to ``full.beta`` when d * d > nnz(X), and for a fold whose
     denominator is not finite and positive.
     """
-    import scipy.sparse as sp
-
     n, d = ds.n, ds.d
-    if d * d > ds.X.nnz:
+    if d * d > ds.data.size:
         return lambda h: full.beta
     z, e, dl = terms
     dl = dl / (n - 1)
     c = _d2loss_terms(full.kind, z, e) / (n - 1)
-    hessian = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
+    hessian = ds.weighted_gram(c)
     hessian[np.diag_indices(d)] += full.lam
     a_inv = np.linalg.inv(hessian)
-    p = a_inv @ (ds.XT @ dl + full.lam * full.beta)
+    p = a_inv @ (ds.rmatvec(dl) + full.lam * full.beta)
 
     def start(h: int) -> np.ndarray:
         idx, vals = ds.row(h)
@@ -227,11 +231,11 @@ def _decide_at_starts(
     """
     n = ds.n
     B = starts.T
-    z = ds.y[:, None] * (ds.X @ B)
+    z = ds.y[:, None] * ds.matmat(B)
     e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
     dl = _dloss_terms(full.kind, ds.y[:, None], z, e)
     dl[folds, np.arange(len(folds))] = 0.0
-    grads = np.ascontiguousarray(((ds.XT @ dl) / (n - 1) + full.lam * B).T)
+    grads = np.ascontiguousarray((ds.rmatmat(dl) / (n - 1) + full.lam * B).T)
     eta_start = np.empty(len(folds))
     eta_grad = np.empty(len(folds))
     grad_norm = np.empty(len(folds))
@@ -311,6 +315,17 @@ def _solve_fold(
     return decision, correct, iters
 
 
+def _choose_kernel(ds: SparseDataset) -> None:
+    """Build the matrix whose kernels every product of a run takes, the full
+    training's too: the dense copy (BLAS) when every entry is stored, else
+    SciPy's CSR matrix. ``run_loocv`` calls this before its clock starts, so
+    no timer counts the build or SciPy's import."""
+    if ds.data.size == ds.n * ds.d:
+        ds.dense
+    else:
+        ds.X
+
+
 def run_loocv(
     ds: SparseDataset,
     lam: float,
@@ -336,11 +351,7 @@ def run_loocv(
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
-    # The block pass and the Newton starts need SciPy's matrix; once built,
-    # every product of the run, the full training's too, takes SciPy's
-    # kernels. It is built before the clock starts, so no timer counts the
-    # import.
-    ds.X
+    _choose_kernel(ds)
     t_start = time.perf_counter()
     if ds.n < 2:
         raise ValueError("leave-one-out needs at least 2 instances")
@@ -507,7 +518,8 @@ def rbf_features(
     """Gaussian features x -> exp(-gamma * ||x - c_k||^2) of every row of ``ds``.
 
     The centers c_k are ``n_centers`` rows of ``ds`` (all of them if it has
-    fewer), sampled with ``seed``.
+    fewer), sampled with ``seed``. The map stores every entry unless one
+    underflows to 0, and its n x k array is then the dataset's dense copy.
     """
     _check_rbf_args(gamma, n_centers, seed)
     rng = np.random.default_rng(seed)
@@ -516,6 +528,13 @@ def rbf_features(
     centers = np.asarray(ds.X[idx].todense())
     sq = ds.row_sq_norms()
     c_sq = (centers**2).sum(axis=1)
-    cross = np.asarray(ds.X @ centers.T)
-    d2 = np.maximum(sq[:, None] - 2.0 * cross + c_sq[None, :], 0.0)
-    return SparseDataset._from_dense(np.exp(-gamma * d2), ds.y)
+    # exp(-gamma * max(sq - 2 cross + c_sq, 0)), formed in the one n x k
+    # buffer that the map then keeps as its data
+    m = np.asarray(ds.X @ centers.T)
+    m *= -2.0
+    m += sq[:, None]
+    m += c_sq[None, :]
+    np.maximum(m, 0.0, out=m)
+    m *= -gamma
+    np.exp(m, out=m)
+    return SparseDataset._from_dense(m, ds.y, own=True)

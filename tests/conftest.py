@@ -146,7 +146,9 @@ def make_update_case(
 
 # ---------------------------------------------------------------------------
 # libsvm reference parser: the line-by-line loop the vectorized parser
-# replaced, kept verbatim as the oracle it is checked against.
+# replaced, kept verbatim as the oracle it is checked against, plus the one
+# rule added since: an index past 2**31, which no int32 column holds, is an
+# error naming its line (it used to raise NumPy's OverflowError).
 
 
 def oracle_parse_libsvm(text, *, d=None):
@@ -201,6 +203,10 @@ def _oracle_parse_lines(numbered_lines, d):
                 raise LibsvmFormatError(f"line {ln}: bad pair {tok!r}") from None
             if idx <= 0:
                 raise LibsvmFormatError(f"line {ln}: index {idx} is not positive")
+            if idx > 2**31:
+                raise LibsvmFormatError(
+                    f"line {ln}: index {idx} exceeds the largest supported index {2**31}"
+                )
             if idx <= prev:
                 raise LibsvmFormatError(
                     f"line {ln}: index {idx} not strictly ascending"

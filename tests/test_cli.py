@@ -105,6 +105,21 @@ def test_train_writes_canonical_model(tmp_path, capsys):
     assert model.lam == 0.5 and model.kind is dsc.LossKind.L2_HINGE
 
 
+def test_train_names_the_line_of_an_index_past_int32(tmp_path, capsys):
+    data = tmp_path / "big.libsvm"
+    data.write_text("-1 2:3\n+1 1:1 2147483649:2\n")
+    code, report, err = run_cli(
+        ["train", "--data", str(data), "--loss", "logistic", "--lambda", "0.1",
+         "--model-out", str(tmp_path / "m.json")], capsys
+    )
+    assert code == 1 and report is None
+    assert err == (
+        "delta-scope: error: line 2: index 2147483649 exceeds the largest supported "
+        "index 2147483648\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_add_bias_extends_dimension(tmp_path, capsys):
     data = str(tmp_path / "d.libsvm")
     run_cli(["gen", "--seed", "5", "--n", "40", "--d", "3", "--out", data], capsys)

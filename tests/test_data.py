@@ -226,6 +226,24 @@ def test_parse_reads_every_accepted_form(text, rows, pairs):
         assert (ds.n, ds.data.size) == (rows, pairs)
 
 
+@pytest.mark.parametrize("index", [2**31 + 1, 10**20])
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_index_past_int32_names_its_line(index, as_bytes):
+    # 1-based 2**31 is the largest index an int32 column holds
+    text = f"-1 2:3\n+1 1:1 {index}:2\n"
+    text = text.encode() if as_bytes else text
+    message = f"line 2: index {index} exceeds the largest supported index 2147483648"
+    with pytest.raises(LibsvmFormatError, match=message):
+        parse_libsvm(text)
+    with pytest.raises(LibsvmFormatError, match=message):
+        parse_libsvm(text, d=10)
+    with pytest.raises(LibsvmFormatError, match=message):
+        take_libsvm_rows(text, [1], d=3)
+    assert take_libsvm_rows(text, [0], d=3)[0].n == 1  # an unpicked row goes unread
+    ds = parse_libsvm("+1 1:1 2147483648:2\n")
+    assert ds.d == 2**31 and ds.indices.tolist() == [0, 2**31 - 1]
+
+
 def test_parse_pinned_dimension():
     ds = parse_libsvm("+1 2:1\n", d=10)
     assert ds.d == 10
@@ -277,11 +295,15 @@ _ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), _MAGNITUDES, _MAGNITUDES.map(l
 
 
 @st.composite
-def csr_matrices(draw, max_n=12, max_d=8):
-    """Canonical CSR matrices with empty rows, stored zeros and -0.0 entries."""
+def csr_matrices(draw, max_n=12, max_d=8, full=False):
+    """Canonical CSR matrices with empty rows, stored zeros and -0.0 entries;
+    with ``full``, every entry is stored."""
     n = draw(st.integers(0, max_n))
     d = draw(st.integers(1, max_d))
-    rows = [sorted(draw(st.sets(st.integers(0, d - 1)))) for _ in range(n)]
+    if full:
+        rows = [list(range(d))] * n
+    else:
+        rows = [sorted(draw(st.sets(st.integers(0, d - 1)))) for _ in range(n)]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     nnz = int(indptr[-1])
     data = draw(st.lists(_ENTRIES, min_size=nnz, max_size=nnz))
@@ -314,6 +336,75 @@ def test_numpy_products_equal_scipy_bit_for_bit(X, data):
         expected.append(total)
     assert np.array_equal(_bits(ds.row_sq_norms()), _bits(expected))
     assert "X" not in vars(ds)  # so the products above took NumPy's kernels
+
+
+def _with_kernel(X, kernel):
+    """Dataset of ``X`` whose products take ``kernel``'s: "numpy" (neither
+    matrix built), "dense" (BLAS) or "X" (SciPy)."""
+    ds = SparseDataset(X, np.ones(X.shape[0]))
+    if kernel != "numpy":
+        getattr(ds, kernel)
+    return ds
+
+
+@given(
+    X=st.booleans().flatmap(lambda full: csr_matrices(full=full)),
+    m=st.integers(0, 5),
+    kernel=st.sampled_from(["numpy", "dense", "X"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_products_equal_their_columns_bit_for_bit(X, m, kernel, data):
+    n, d = X.shape
+    B = np.array(data.draw(st.lists(_ENTRIES, min_size=d * m, max_size=d * m)))
+    W = np.array(data.draw(st.lists(_ENTRIES, min_size=n * m, max_size=n * m)))
+    B, W = B.reshape(d, m), W.reshape(n, m)
+    ds = _with_kernel(X, kernel)
+    XB, XtW = ds.matmat(B), ds.rmatmat(W)
+    assert XB.shape == (n, m) and XtW.shape == (d, m)
+    for j in range(m):
+        assert np.array_equal(_bits(XB[:, j]), _bits(ds.matvec(B[:, j].copy())))
+        assert np.array_equal(_bits(XtW[:, j]), _bits(ds.rmatvec(W[:, j].copy())))
+    assert ("X" in vars(ds)) == (kernel == "X")
+    assert ("dense" in vars(ds)) == (kernel == "dense")
+
+
+@given(X=st.booleans().flatmap(lambda full: csr_matrices(full=full)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_copy_and_its_products(X, data):
+    n, d = X.shape
+    ds = _with_kernel(X, "dense")
+    dense = ds.dense
+    assert np.array_equal(dense, X.toarray())  # a stored -0.0 stays -0.0
+    assert not dense.flags.writeable
+    # every entry stored: the dense copy is ``data`` itself
+    assert np.shares_memory(dense, ds.data) == (ds.data.size == n * d > 0)
+    v = np.array(data.draw(st.lists(_ENTRIES, min_size=d, max_size=d)))
+    w = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    assert np.array_equal(_bits(ds.matvec(v)), _bits(dense @ v))
+    assert np.array_equal(_bits(ds.rmatvec(w)), _bits(dense.T @ w))
+    assert np.array_equal(_bits(ds.sq_rmatvec(w)), _bits((dense * dense).T @ w))
+    # the dense products sum in BLAS's order, so they match SciPy's within
+    # the rounding bound of a sum of |terms| (2 gamma_k, k terms a sum)
+    eps = np.finfo(np.float64).eps
+    A = abs(X.toarray())
+    for got, exact, scale, k in (
+        (ds.matvec(v), X @ v, A @ abs(v), d),
+        (ds.rmatvec(w), X.T @ w, A.T @ abs(w), n),
+        (ds.weighted_gram(w), (X.T @ sp.diags(w) @ X).toarray(), A.T @ (abs(w)[:, None] * A), n + 1),
+    ):
+        assert np.all(abs(got - exact) <= 4 * k * eps * scale)
+    assert "X" not in vars(ds)
+
+
+def test_weighted_gram_takes_scipy_once_its_matrix_is_built():
+    # the sparse leave-one-out Newton starts keep the bits of this product
+    ds = make_synthetic(3, 30, 4, density=0.5)
+    c = np.linspace(0.1, 2.0, ds.n)
+    ds.X
+    expected = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
+    assert np.array_equal(_bits(ds.weighted_gram(c)), _bits(expected))
+    assert "dense" not in vars(ds)
 
 
 def _same_csr(ds, X):
@@ -457,6 +548,30 @@ def test_with_bias_feature():
     assert out.d == 3
     assert out.X.toarray()[:, 2].tolist() == [1.0, 1.0]
     assert np.array_equal(out.y, ds.y)
+
+
+@given(
+    n=st.integers(0, 6),
+    d=st.integers(0, 5),
+    zero=st.floats(0.0, 1.0),
+    own=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_dense_matrices_are_stored_as_scipy_stores_them(n, d, zero, own, seed):
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((n, d)) < zero, 0.0, rng.standard_normal((n, d)))
+    expected = sp.csr_matrix(X)
+    values = X.copy()
+    ds = SparseDataset._from_dense(X, np.ones(n), own=own)
+    _same_csr(ds, expected)
+    assert ds.indices.dtype == ds.indptr.dtype == np.int32
+    assert np.array_equal(ds.dense, values)
+    # an owned matrix with every entry stored is kept as the data, frozen;
+    # any other matrix is copied and left writable
+    kept = own and np.all(X != 0)
+    assert np.shares_memory(ds.data, X) == (kept and X.size > 0)
+    assert X.flags.writeable != kept
 
 
 def test_make_synthetic_deterministic():

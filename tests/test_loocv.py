@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,15 +422,19 @@ def test_block_pass_on_wide_sparse_data_matches_solving_every_fold_alone(mode, k
     assert res.solves_performed > 0
 
 
+@pytest.mark.parametrize("density", [1.0, 0.5], ids=["dense", "sparse"])
 @pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
-def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind):
+def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind, density):
     # a fold_tol equal to a fold's gradient norm at its start, as its own
     # Problem computes it, decides that fold in the block pass; one ulp less
     # sends it to the solver. A block-pass norm off by one ulp either way
     # moves the fold across that edge.
-    ds = dsc.make_synthetic(412, 80, 6, separation=0.8)
+    ds = dsc.make_synthetic(412, 80, 6, separation=0.8, density=density)
     lam = 0.05
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
+    # the starts and norms below take the products run_loocv takes: BLAS on
+    # fully dense data, SciPy's kernels on sparse data
+    loocv_module._choose_kernel(ds)
     start = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
     for h in range(0, ds.n, 8):
         problem = loocv_module.Problem(ds, lam, kind, held_out=h)
@@ -648,6 +656,19 @@ def test_rbf_features_values_and_determinism():
     np.testing.assert_allclose(dense, np.exp(-0.5 * d2), rtol=1e-12, atol=1e-12)
 
 
+def test_rbf_map_keeps_the_bits_of_its_formula_as_its_dense_copy():
+    ds = dsc.make_synthetic(316, 25, 4, density=0.6)
+    mapped = dsc.rbf_features(ds, gamma=0.5, n_centers=10, seed=3)
+    idx = np.sort(np.random.default_rng(3).choice(ds.n, size=10, replace=False))
+    centers = ds.X[idx].toarray()
+    cross = ds.X @ centers.T
+    sq, c_sq = ds.row_sq_norms(), (centers**2).sum(axis=1)
+    expected = np.exp(-0.5 * np.maximum(sq[:, None] - 2.0 * cross + c_sq[None, :], 0.0))
+    np.testing.assert_array_equal(mapped.dense.view(np.int64), expected.view(np.int64))
+    assert np.shares_memory(mapped.dense, mapped.data)
+    assert not mapped.dense.flags.writeable
+
+
 def test_rbf_features_caps_centers_at_n():
     ds = dsc.make_synthetic(317, 8, 3)
     assert dsc.rbf_features(ds, gamma=1.0, n_centers=100).d == 8
@@ -663,3 +684,40 @@ def test_rbf_features_validation():
     for seed in (-3, 1.0):
         with pytest.raises(ValueError, match="seed"):
             dsc.rbf_features(ds, gamma=1.0, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the products a run takes
+
+
+@pytest.mark.parametrize("density, kernel", [(1.0, "dense"), (0.5, "X")])
+def test_run_loocv_takes_blas_on_fully_dense_data_and_scipy_otherwise(density, kernel):
+    ds = dsc.make_synthetic(5, 40, 4, density=density)
+    dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    assert {"dense", "X"} & set(vars(ds)) == {kernel}
+
+
+_DENSE_LOOCV = """
+import sys
+import delta_scope as dsc
+
+ds = dsc.make_synthetic(5, 120, 6, separation=0.8)
+for kind in dsc.LossKind:
+    for mode in dsc.LoocvMode:
+        dsc.run_loocv(ds, 0.01, kind, mode=mode)
+grid = [dsc.GridPoint(lam, ds) for lam in (0.001, 0.1)]
+dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=dsc.LoocvMode.OP2, prune=True)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_loocv_on_fully_dense_data_loads_no_scipy():
+    # importing scipy.sparse costs ~0.2 s, and fully dense rows take BLAS
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DENSE_LOOCV], capture_output=True, text=True, timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

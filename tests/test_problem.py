@@ -4,7 +4,9 @@
 ``loss_values``, the public ``dloss_values`` and a fresh ``X.T`` product on
 every call, and its curvature from the second-derivative formulas, with no
 cache, so it shares no code path with :class:`Problem` beyond the
-per-instance loss formulas.
+per-instance loss formulas. Its products are taken with the kernel the
+dataset's own products take: BLAS on ``ds.dense`` once that is built, SciPy's
+on ``ds.X`` otherwise.
 """
 import numpy as np
 import pytest
@@ -24,6 +26,12 @@ ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
 
 
+def rows_matrix(ds):
+    """The matrix whose kernels ``ds``'s products take (NumPy's kernels give
+    SciPy's bits)."""
+    return ds.dense if "dense" in ds.__dict__ and "X" not in ds.__dict__ else ds.X
+
+
 class ReferenceProblem:
     """Uncached objective with the same interface as :class:`Problem`."""
 
@@ -31,25 +39,25 @@ class ReferenceProblem:
         self.ds, self.lam, self.kind, self.held_out = ds, lam, kind, held_out
 
     def value(self, beta):
-        ds, h = self.ds, self.held_out
-        losses = loss_values(self.kind, ds.y, ds.X @ beta)
+        ds, h, X = self.ds, self.held_out, rows_matrix(self.ds)
+        losses = loss_values(self.kind, ds.y, X @ beta)
         if h is None:
             return float(losses.mean() + 0.5 * self.lam * (beta @ beta))
         return float((losses.sum() - losses[h]) / (ds.n - 1) + 0.5 * self.lam * (beta @ beta))
 
     def value_and_grad(self, beta):
-        ds, h = self.ds, self.held_out
-        dl = dloss_values(self.kind, ds.y, ds.X @ beta)
+        ds, h, X = self.ds, self.held_out, rows_matrix(self.ds)
+        dl = dloss_values(self.kind, ds.y, X @ beta)
         if h is None:
-            grad = ds.X.T @ (dl / ds.n) + self.lam * beta
+            grad = X.T @ (dl / ds.n) + self.lam * beta
         else:
             dl[h] = 0.0
-            grad = (ds.X.T @ dl) / (ds.n - 1) + self.lam * beta
+            grad = (X.T @ dl) / (ds.n - 1) + self.lam * beta
         return self.value(beta), grad
 
     def curvature(self, beta):
-        ds, h, lam = self.ds, self.held_out, self.lam
-        z = ds.y * (ds.X @ beta)
+        ds, h, lam, X = self.ds, self.held_out, self.lam, rows_matrix(self.ds)
+        z = ds.y * (X @ beta)
         if self.kind is LossKind.LOGISTIC:
             # sigma(z) sigma(-z) = e / (1 + e)^2 with e = exp(-|z|)
             e = np.exp(-np.abs(z))
@@ -62,8 +70,8 @@ class ReferenceProblem:
         else:
             c = c / (ds.n - 1)
             c[h] = 0.0
-        X_sq = ds.X.multiply(ds.X).tocsr()
-        return (lambda v: ds.X.T @ (c * (ds.X @ v)) + lam * v), X_sq.T @ c + lam
+        X_sq = X.multiply(X).tocsr() if sp.issparse(X) else X * X
+        return (lambda v: X.T @ (c * (X @ v)) + lam * v), X_sq.T @ c + lam
 
 
 def bits(x):
@@ -321,11 +329,14 @@ def test_cold_and_warm_train_match_uncached_reference(kind, monkeypatch):
         assert_same_bits(a.grad_residual, b.grad_residual)
 
 
+@pytest.mark.parametrize("density", [1.0, 0.5], ids=["dense", "sparse"])
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_loocv_matches_uncached_reference(mode, kind, monkeypatch):
-    # at lam 0.002 every case sends at least one fold to the solver
-    ds = dsc.make_synthetic(11, 80, 6, separation=0.8)
+def test_loocv_matches_uncached_reference(mode, kind, density, monkeypatch):
+    # at lam 0.002 every case sends at least one fold to the solver; the
+    # reference takes the products of the kernel the run picks, BLAS on fully
+    # dense data and SciPy's kernels on sparse data
+    ds = dsc.make_synthetic(11, 80, 6, separation=0.8, density=density)
     lam = 0.002
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
 
