@@ -297,10 +297,18 @@ class SparseDataset:
     def row_sq_norms(self) -> np.ndarray:
         """Per-row squared Euclidean norms, each row summed on its own.
 
-        The row numbers are kept only by a dataset on NumPy's kernels, whose
-        products use them again.
+        On BLAS's kernels the squared columns of ``dense`` are added left to
+        right, which adds each row's entries in the order ``np.bincount``
+        does and holds one column at a time. Otherwise the row numbers are
+        kept only by a dataset on NumPy's kernels, whose products use them
+        again.
         """
-        on_numpy = "X" not in self.__dict__ and "dense" not in self.__dict__
+        on_numpy = "X" not in self.__dict__
+        if on_numpy and "dense" in self.__dict__:
+            norms = np.zeros(self.n)
+            for column in self.dense.T:
+                norms += column * column
+            return norms
         rows = self._rows if on_numpy else _row_numbers(self.indptr)
         return np.bincount(rows, weights=self.data * self.data, minlength=self.n)
 

@@ -27,18 +27,19 @@ downdate is not positive, the fold starts at the full optimum instead. The
 start changes how much work a solve does, never what it certifies: the op2
 gradient ball holds at any iterate.
 
-Undecided folds are taken in increasing full-model margin y_h x_h . beta,
-ties by index, in blocks of up to 64 folds (fewer for large n, so that
-each n x m block matrix stays within 8 MiB). Each block is first decided
-at its Newton starts in one pass: the starts are the columns of a d x m
-matrix B, one ``X @ B`` and one ``X^T @ DL`` give every fold's gradient
-there, and each fold gets the verdict its solve would reach at iteration 0
-(the op2 gradient ball, then the gradient norm against the fold
-tolerance). Only the folds still undecided are solved, each alone
-from its start. The pass computes every per-fold quantity as the solve
-does, so it changes no outcome and no iteration count, and neither does
-the order. A result holds each fold's decision, verdict and solver
-iterations as arrays indexed by fold.
+One stop rule decides a fold at any iterate: in op2 the iterate's gradient
+ball, if its interval excludes 0; then a gradient norm within the fold
+tolerance, by the sign of the fold's margin. Undecided folds are taken in
+increasing full-model margin y_h x_h . beta, ties by index, in blocks of up
+to 64 folds (fewer for large n, so that each n x m block matrix stays
+within 8 MiB). The rule runs first on a whole block at its Newton starts:
+the starts are the columns of a d x m matrix B, and one ``X @ B`` and one
+``X^T @ DL`` give every fold's gradient there. Each fold still undecided
+is then solved alone from its start, with the same rule as the solve's stop
+hook at every iterate. The block pass computes every per-fold quantity as
+the hook does, so it changes no outcome and no iteration count, and
+neither does the order. A result holds each fold's decision, verdict and
+solver iterations as arrays indexed by fold.
 
 Every product of a run is taken by one kernel, picked before the run's
 clock starts: BLAS on the dataset's dense copy when the dataset stores every
@@ -209,6 +210,44 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     return start
 
 
+def _fold_verdicts(
+    ds: SparseDataset,
+    folds: list[int],
+    full: TrainedModel,
+    betas: np.ndarray,
+    grads: np.ndarray,
+    *,
+    tol: float,
+    early_stop: bool,
+    eta_norm: np.ndarray,
+) -> list[tuple[FoldDecision, bool] | None]:
+    """(decision, correct) of each fold whose solve stops at its iterate, else None.
+
+    The one fold stop rule. Row k of ``betas`` and ``grads`` is fold
+    ``folds[k]``'s iterate and its fold gradient there, and ``eta_norm``
+    holds every ||x_h||. With ``early_stop`` (op2), a gradient ball whose
+    interval for the held-out score excludes 0 decides the fold; then a
+    gradient norm within ``tol`` does, by the sign of the fold's margin.
+    """
+    eta_beta, eta_grad, grad_norm = np.empty((3, len(folds)))
+    for k, h in enumerate(folds):
+        idx, vals = ds.row(h)
+        y_h = float(ds.y[h])
+        eta_beta[k] = y_h * float(vals @ betas[k][idx])
+        eta_grad[k] = y_h * float(vals @ grads[k][idx])
+        grad_norm[k] = float(np.linalg.norm(grads[k]))
+    signs = [0] * len(folds)
+    if early_stop:
+        bounds = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
+        signs = certified_sign(*bounds).tolist()
+    return [
+        (FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0) if sign
+        else (FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0) if gnorm <= tol
+        else None
+        for sign, eta_h, gnorm in zip(signs, eta_beta.tolist(), grad_norm.tolist())
+    ]
+
+
 def _decide_at_starts(
     ds: SparseDataset,
     folds: list[int],
@@ -219,48 +258,23 @@ def _decide_at_starts(
     early_stop: bool,
     eta_norm: np.ndarray,
 ) -> list[tuple[FoldDecision, bool] | None]:
-    """(decision, correct) of each fold whose solve would stop at its start, else None.
+    """:func:`_fold_verdicts` of a block of folds at their starts, the rows of
+    ``starts``.
 
-    ``starts`` holds the folds' start points as rows. One ``X @ B`` and one
-    ``X^T @ DL`` give every fold gradient, with each fold's own row zeroed in
-    its column of DL, summed as the fold's ``Problem`` sums it; the rule is
-    the one :func:`minimize_smooth` applies at iteration 0: the op2 gradient
-    ball first, then the gradient norm against ``tol``. The scalars per fold
-    are formed by the same calls as the op2 hook's, so every verdict is
-    bit-identical to the one a solve from the same start would give.
+    One ``X @ B`` and one ``X^T @ DL`` give every fold gradient, with each
+    fold's own row zeroed in its column of DL, summed as the fold's
+    ``Problem`` sums it, so each verdict is the one its solve would reach at
+    iteration 0, bit for bit.
     """
-    n = ds.n
     B = starts.T
     z = ds.y[:, None] * ds.matmat(B)
     e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
     dl = _dloss_terms(full.kind, ds.y[:, None], z, e)
     dl[folds, np.arange(len(folds))] = 0.0
-    grads = np.ascontiguousarray((ds.rmatmat(dl) / (n - 1) + full.lam * B).T)
-    eta_start = np.empty(len(folds))
-    eta_grad = np.empty(len(folds))
-    grad_norm = np.empty(len(folds))
-    for k, h in enumerate(folds):
-        idx, vals = ds.row(h)
-        y_h = float(ds.y[h])
-        eta_start[k] = y_h * float(vals @ starts[k][idx])
-        eta_grad[k] = y_h * float(vals @ grads[k][idx])
-        grad_norm[k] = float(np.linalg.norm(grads[k]))
-    if early_stop:
-        lower, upper = gradient_ball_bounds(
-            eta_start, eta_grad, eta_norm[folds], grad_norm, full.lam
-        )
-        signs = certified_sign(lower, upper).tolist()
-    else:
-        signs = [0] * len(folds)
-    out: list[tuple[FoldDecision, bool] | None] = []
-    for sign, eta_h, gnorm in zip(signs, eta_start.tolist(), grad_norm.tolist()):
-        if sign:
-            out.append((FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0))
-        elif gnorm <= tol:
-            out.append((FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0))
-        else:
-            out.append(None)
-    return out
+    grads = np.ascontiguousarray((ds.rmatmat(dl) / (ds.n - 1) + full.lam * B).T)
+    return _fold_verdicts(
+        ds, folds, full, starts, grads, tol=tol, early_stop=early_stop, eta_norm=eta_norm
+    )
 
 
 def _solve_fold(
@@ -272,32 +286,21 @@ def _solve_fold(
     tol: float,
     max_iter: int,
     early_stop: bool,
-    eta_norm_h: float,
+    eta_norm: np.ndarray,
 ) -> tuple[FoldDecision, bool, int]:
-    """(decision, correct, iterations) of one undecided fold, by a (possibly
-    early-stopped) solve from ``init``."""
-    idx, vals = ds.row(h)
-    y_h = float(ds.y[h])
+    """(decision, correct, iterations) of one undecided fold, by a solve from
+    ``init`` whose stop hook is :func:`_fold_verdicts` at every iterate."""
     problem = Problem(ds, full.lam, full.kind, held_out=h)
-    verdict: list[bool] = []
+    verdict: list[tuple[FoldDecision, bool] | None] = []
 
-    hook = None
-    if early_stop:
+    def hook(beta: np.ndarray, grad: np.ndarray) -> bool:
+        verdict[:] = _fold_verdicts(
+            ds, [h], full, beta[None], grad[None],
+            tol=tol, early_stop=early_stop, eta_norm=eta_norm,
+        )
+        return verdict[0] is not None
 
-        def hook(beta: np.ndarray, grad: np.ndarray) -> bool:
-            lower, upper = gradient_ball_bounds(
-                y_h * float(vals @ beta[idx]),
-                y_h * float(vals @ grad[idx]),
-                eta_norm_h,
-                float(np.linalg.norm(grad)),
-                full.lam,
-            )
-            sign = int(certified_sign(lower, upper))
-            if sign:
-                verdict.append(sign > 0)
-            return sign != 0
-
-    beta, _, iters, stopped_early, _ = minimize_smooth(
+    _, _, iters, _, _ = minimize_smooth(
         problem.value_and_grad,
         problem.value,
         init,
@@ -306,13 +309,7 @@ def _solve_fold(
         max_iter=max_iter,
         stop_hook=hook,
     )
-    if stopped_early:
-        correct = verdict[0]
-        decision = FoldDecision.RESOLVED_BY_EARLY_STOP
-    else:
-        correct = y_h * float(vals @ beta[idx]) >= 0.0
-        decision = FoldDecision.RESOLVED_BY_SOLVE
-    return decision, correct, iters
+    return (*verdict[0], iters)
 
 
 def _choose_kernel(ds: SparseDataset) -> None:
@@ -343,10 +340,11 @@ def run_loocv(
     A fitted full model may be passed to skip the initial training. The
     screen runs in every mode (``bound_time``), but ``exact`` decides no fold
     by it. Undecided folds are taken lowest margin first, each from its
-    Newton point off the full optimum, and decided in blocks at those points
-    where a solve would stop at iteration 0; only the rest are solved (see
-    the module docstring). ``solves_performed`` and ``solver_iterations``
-    count a block-decided fold as a solve of 0 iterations, as before.
+    Newton point off the full optimum. One stop rule decides them, in blocks
+    at those points and then at every iterate of each remaining fold's
+    solve (see the module docstring). ``solves_performed`` and
+    ``solver_iterations`` count a block-decided fold as a solve of 0
+    iterations.
     ``solve_time`` includes the one-off Hessian set-up behind the starts.
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
@@ -413,7 +411,7 @@ def run_loocv(
                 tol=fold_tol,
                 max_iter=max_iter,
                 early_stop=mode is LoocvMode.OP2,
-                eta_norm_h=float(eta_norm[h]),
+                eta_norm=eta_norm,
             )
         known_wrong += not correct[h]
     solve_time = time.perf_counter() - t0

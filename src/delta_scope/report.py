@@ -67,12 +67,12 @@ def build_report(
     results: dict,
     warnings: list[str] | None = None,
 ) -> dict:
-    """Assemble and sanity-check a report.
+    """Assemble a report; :func:`write_report` checks its values.
 
     ``inputs`` maps name -> ``(path, sha256)``, the digest of the bytes the
     command read from that file.
     """
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": params,
@@ -83,8 +83,6 @@ def build_report(
         "results": results,
         "warnings": list(warnings or []),
     }
-    check_finite(report)
-    return report
 
 
 def report_schema() -> dict:
@@ -93,8 +91,16 @@ def report_schema() -> dict:
 
 
 def write_report(report: dict, path: str | os.PathLike | None) -> None:
-    """Write the report as one line of JSON to ``path``, or to stdout."""
-    text = json.dumps(report, sort_keys=True, allow_nan=False)
+    """Write the report as one line of JSON to ``path``, or to stdout.
+
+    A report the encoder rejects is written nowhere; :func:`check_finite`
+    then names the path of the offending value.
+    """
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except (ValueError, TypeError):
+        check_finite(report)
+        raise
     if path is None:
         sys.stdout.write(text + "\n")
     else:

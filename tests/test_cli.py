@@ -21,7 +21,7 @@ import delta_scope as dsc
 from delta_scope import cli
 from delta_scope import loocv as L
 from delta_scope.cli import main
-from delta_scope.report import build_report, report_schema
+from delta_scope.report import build_report, report_schema, write_report
 
 SCHEMA = report_schema()
 
@@ -781,19 +781,23 @@ def test_bench_draws_additions_from_pool_and_reads_data_at_dim(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_build_report_rejects_non_finite_numbers_by_path(bad):
+def test_write_report_rejects_non_finite_numbers_by_path(bad, tmp_path):
+    out = tmp_path / "report.json"
     results = {"cells": [{"lower": 0.0}, {"lower": -1.0, "upper": bad}]}
     with pytest.raises(ValueError, match=r"non-finite number at \$\.results\.cells\[1\]\.upper"):
-        build_report("loocv", {}, {}, results)
+        write_report(build_report("loocv", {}, {}, results), out)
     with pytest.raises(ValueError, match=r"non-finite number at \$\.params\.lambda"):
-        build_report("train", {"lambda": bad}, {}, {})
+        write_report(build_report("train", {"lambda": bad}, {}, {}), out)
+    assert not out.exists()
 
 
-def test_build_report_rejects_a_non_json_value():
+def test_write_report_rejects_a_non_json_value(tmp_path):
+    out = tmp_path / "report.json"
     with pytest.raises(TypeError, match=r"non-JSON value at \$\.results\.radius: float32"):
-        build_report("coef-sensitivity", {}, {}, {"radius": np.float32(1.0)})
+        write_report(build_report("coef-sensitivity", {}, {}, {"radius": np.float32(1.0)}), out)
     with pytest.raises(TypeError, match=r"non-JSON value at \$\.results\.rows\[0\]: set"):
-        build_report("bench", {}, {}, {"rows": [set()]})
+        write_report(build_report("bench", {}, {}, {"rows": [set()]}), out)
+    assert not out.exists()
 
 
 def test_report_written_to_file_not_stdout(tmp_path, capsys):

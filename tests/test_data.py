@@ -295,7 +295,7 @@ _ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), _MAGNITUDES, _MAGNITUDES.map(l
 
 
 @st.composite
-def csr_matrices(draw, max_n=12, max_d=8, full=False):
+def csr_matrices(draw, max_n=12, max_d=8, full=False, entries=_ENTRIES):
     """Canonical CSR matrices with empty rows, stored zeros and -0.0 entries;
     with ``full``, every entry is stored."""
     n = draw(st.integers(0, max_n))
@@ -306,7 +306,7 @@ def csr_matrices(draw, max_n=12, max_d=8, full=False):
         rows = [sorted(draw(st.sets(st.integers(0, d - 1)))) for _ in range(n)]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     nnz = int(indptr[-1])
-    data = draw(st.lists(_ENTRIES, min_size=nnz, max_size=nnz))
+    data = draw(st.lists(entries, min_size=nnz, max_size=nnz))
     indices = [j for r in rows for j in r]
     return sp.csr_matrix(
         (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), indptr),
@@ -345,6 +345,25 @@ def _with_kernel(X, kernel):
     if kernel != "numpy":
         getattr(ds, kernel)
     return ds
+
+
+_WIDE_MAGNITUDES = st.floats(1e-150, 1e150)
+_WIDE_ENTRIES = st.one_of(st.just(0.0), _WIDE_MAGNITUDES, _WIDE_MAGNITUDES.map(lambda v: -v))
+
+
+@given(
+    X=st.tuples(st.booleans(), st.sampled_from([1, 8])).flatmap(
+        lambda full_d: csr_matrices(30, full_d[1], full=full_d[0], entries=_WIDE_ENTRIES)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_row_norms_on_the_dense_kernel_equal_numpys_bit_for_bit(X):
+    # on BLAS's kernel the columns of the squared dense copy are added left
+    # to right, the order in which np.bincount adds each row's entries
+    expected = _with_kernel(X, "numpy").row_sq_norms()
+    ds = _with_kernel(X, "dense")
+    assert np.array_equal(_bits(ds.row_sq_norms()), _bits(expected))
+    assert "X" not in vars(ds)
 
 
 @given(

@@ -317,7 +317,7 @@ def reference_loocv(
         decisions[h], correct[h], iterations[h] = loocv_module._solve_fold(
             ds, h, full, init=start(h), tol=loocv_module.DEFAULT_FOLD_TOL,
             max_iter=max_iter, early_stop=mode is LoocvMode.OP2,
-            eta_norm_h=float(eta_norm[h]),
+            eta_norm=eta_norm,
         )
         known_wrong += not correct[h]
         solves += 1
@@ -445,6 +445,39 @@ def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind, d
                 res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full, fold_tol=tol)
             assert (h in calls) == reaches_solver
             assert (res.fold_iterations[h] > 0) == reaches_solver
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_every_fold_solve_runs_the_stop_rule_at_every_iterate(mode, kind, monkeypatch):
+    # a fold solve decides through its stop hook in every mode: a solve of k
+    # iterations calls it at iterations 0 to k
+    ds = dsc.make_synthetic(11, 80, 6, separation=0.8)
+    full, _ = dsc.train(ds, 0.002, kind, tol=1e-12)
+    solves = []
+    minimize = loocv_module.minimize_smooth
+
+    def recording_minimize(value_and_grad, value, init, *, stop_hook=None, **kwargs):
+        calls = []
+
+        def counting_hook(beta, grad):
+            calls.append(1)
+            return stop_hook(beta, grad)
+
+        hook = None if stop_hook is None else counting_hook
+        out = minimize(value_and_grad, value, init, stop_hook=hook, **kwargs)
+        solves.append((len(calls), out[2]))
+        return out
+
+    monkeypatch.setattr(loocv_module, "minimize_smooth", recording_minimize)
+    # no fold is decided in blocks, so every fold the screen leaves reaches the solver
+    monkeypatch.setattr(
+        loocv_module, "_decide_at_starts", lambda ds, folds, *a, **k: [None] * len(folds)
+    )
+    res = dsc.run_loocv(ds, 0.002, kind, mode=mode, full=full)
+    assert len(solves) == res.solves_performed > 0
+    assert any(iters > 0 for _, iters in solves)
+    assert all(calls == iters + 1 for calls, iters in solves)
 
 
 @pytest.mark.parametrize(
