@@ -6,6 +6,11 @@ optimum — per-coefficient intervals, label-flip certificates and accelerated
 leave-one-out cross-validation — in time proportional to the update size,
 not the dataset size.
 """
+import os as _os
+
+# OpenBLAS reads this once, as NumPy loads; a second thread only spin-waits on products this small
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (
     CoefficientBounds,
     RESIDUAL_GUARD,

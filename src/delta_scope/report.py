@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from importlib import resources
-from statistics import median
 from typing import Callable
 
 from .model_io import _atomic_write_text
@@ -119,4 +118,9 @@ def timed_median(fn: Callable[[], object], repeats: int = 5) -> tuple[float, obj
         times.append(time.perf_counter() - t0)
         if i == 0:
             result = out
-    return median(times), result
+    # the median as `statistics.median` takes it, without importing its
+    # `fractions` and `decimal` into every CLI process
+    times.sort()
+    mid = repeats // 2
+    middle = times[mid] if repeats % 2 else (times[mid - 1] + times[mid]) / 2
+    return middle, result

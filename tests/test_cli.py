@@ -5,8 +5,10 @@ import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -798,6 +800,21 @@ def test_write_report_rejects_a_non_json_value(tmp_path):
     with pytest.raises(TypeError, match=r"non-JSON value at \$\.results\.rows\[0\]: set"):
         write_report(build_report("bench", {}, {}, {"rows": [set()]}), out)
     assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
+def test_timed_median_is_the_statistics_median(durations):
+    from delta_scope import report
+
+    clock = iter(t for d in durations for t in (0.0, d))
+    real = report.time
+    report.time = types.SimpleNamespace(perf_counter=lambda: next(clock))
+    try:
+        value, _ = report.timed_median(lambda: None, len(durations))
+    finally:
+        report.time = real
+    assert value == statistics.median(durations)
 
 
 def test_report_written_to_file_not_stdout(tmp_path, capsys):
