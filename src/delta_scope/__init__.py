@@ -23,7 +23,6 @@ from .bounds import (
     coefficient_bounds,
     compute_delta_s,
     gradient_ball,
-    gradient_ball_bounds,
     norm_change_bound,
     old_optimum_ball,
     score_bounds,
@@ -36,7 +35,6 @@ from .data import (
     make_synthetic,
     parse_libsvm,
     save_libsvm,
-    serialize_libsvm,
     with_bias_feature,
 )
 from .loocv import (
@@ -50,11 +48,7 @@ from .loocv import (
     rbf_features,
     run_loocv,
 )
-from .losses import (
-    LossKind,
-    Problem,
-    dloss_values,
-)
+from .losses import LossKind, Problem
 from .model_io import load_model, save_model
 from .solver import (
     SolveReport,
@@ -91,9 +85,7 @@ __all__ = [
     "certified_sign",
     "coefficient_bounds",
     "compute_delta_s",
-    "dloss_values",
     "gradient_ball",
-    "gradient_ball_bounds",
     "load_libsvm",
     "load_model",
     "make_synthetic",
@@ -107,7 +99,6 @@ __all__ = [
     "save_libsvm",
     "save_model",
     "score_bounds",
-    "serialize_libsvm",
     "train",
     "with_bias_feature",
 ]

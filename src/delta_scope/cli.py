@@ -515,11 +515,10 @@ def _bench_rows(args, ds, pool, kind):
             bound_time, (ball, box) = timed_median(bound_pass, args.timing_repeats)
             lower, upper = B.batch_score_bounds(ball, work)
             determined = float(np.mean(B.certified_sign(lower, upper) != 0))
-            new_ds = apply_update(work, added, removed_idx)
             # the retrain baseline takes SciPy's faster products, so the
             # speedup is not taken against a slow retrain; the matrix is
             # built outside the timer
-            new_ds.X
+            new_ds = apply_update(work, added, removed_idx).with_kernel("scipy")
             retrain_time, _ = timed_median(
                 lambda: train(new_ds, model.lam, model.kind, tol=args.tol, init=model.beta),
                 args.timing_repeats,

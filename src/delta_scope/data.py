@@ -7,15 +7,16 @@ sparse rows: a SciPy matrix is copied, summed and sorted by its constructor,
 a dense matrix is read by ``SparseDataset._from_dense``, and every product
 of the rows is a dataset method. Parsing, row selection and the products run
 on NumPy alone; SciPy is imported only where a SciPy matrix is built or
-given. A dataset whose SciPy matrix is built takes its products from
-SciPy's kernels, and one whose dense copy is built (free for a dataset that
-stores every entry) takes them from BLAS.
+given. Every dataset takes all its products from one kernel, its ``kernel``
+field: a new dataset takes NumPy's, and ``with_kernel`` gives a dataset over
+the same arrays that takes BLAS's (on its dense copy) or SciPy's (on its CSR
+matrix). Building a matrix never changes which kernel a product takes.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +56,8 @@ class SparseDataset:
     ``shape`` and the labels ``y``, all read-only. ``SparseDataset(X, y)``
     takes a SciPy sparse matrix and keeps a CSR copy of it, duplicate
     entries summed and column indices sorted, and a copy of ``y``; the
-    caller's matrix and labels are left as they were.
+    caller's matrix and labels are left as they were. ``kernel`` names
+    the kernel of every product: "numpy", unless :meth:`with_kernel` set it.
     """
 
     data: np.ndarray
@@ -63,6 +65,7 @@ class SparseDataset:
     indptr: np.ndarray
     shape: tuple[int, int]
     y: np.ndarray
+    kernel: str
 
     def __init__(self, X, y) -> None:
         import scipy.sparse as sp
@@ -125,6 +128,22 @@ class SparseDataset:
             _freeze(value)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "shape", (n, d))
+        object.__setattr__(self, "kernel", "numpy")
+
+    def with_kernel(self, kernel: str) -> "SparseDataset":
+        """This dataset, its arrays neither checked again nor copied, with
+        every product on ``kernel``: "numpy", "blas" or "scipy". The new
+        dataset builds its matrices for itself, the kernel's own here, so
+        that neither its cost nor SciPy's import falls on a later product."""
+        if kernel not in ("numpy", "blas", "scipy"):
+            raise ValueError(f"unknown kernel {kernel!r} (expected numpy, blas or scipy)")
+        view = SparseDataset.__new__(SparseDataset)
+        for field in fields(self):
+            object.__setattr__(view, field.name, getattr(self, field.name))
+        object.__setattr__(view, "kernel", kernel)
+        if kernel != "numpy":
+            getattr(view, "dense" if kernel == "blas" else "X")
+        return view
 
     @property
     def n(self) -> int:
@@ -148,35 +167,35 @@ class SparseDataset:
         _freeze(data_sq)
         return data_sq
 
-    # The products of the rows. Each takes SciPy's kernel once ``X`` is
-    # built, BLAS's once ``dense`` is built, and NumPy's otherwise, so a
-    # dataset whose SciPy matrix nobody asked for never imports SciPy.
+    # The products of the rows, each on the dataset's ``kernel`` alone:
+    # NumPy's ``np.bincount`` over the CSR arrays, which never imports
+    # SciPy; BLAS on ``dense``; or SciPy's CSR kernels on ``X``.
     # ``np.bincount`` adds its weights in input order, so each output sums
-    # the same products in the same order as SciPy's CSR kernels: that
-    # choice changes only speed. BLAS sums in its own order, so a dense
-    # product may differ from the sparse one in the last bits.
+    # the same products in the same order as SciPy's CSR kernels: those two
+    # differ only in speed. BLAS sums in its own order, so a dense product
+    # may differ from the sparse one in the last bits.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X @ v``."""
-        if "X" in self.__dict__:
+        if self.kernel == "scipy":
             return self.X @ v
-        if "dense" in self.__dict__:
+        if self.kernel == "blas":
             return self.dense @ v
         return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=self.n)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """``X.T @ w``."""
-        if "X" in self.__dict__:
-            return self.XT @ w
-        if "dense" in self.__dict__:
+        if self.kernel == "scipy":
+            return self._XT @ w
+        if self.kernel == "blas":
             return self.dense.T @ w
         return np.bincount(self.indices, weights=self.data * w[self._rows], minlength=self.d)
 
     def sq_rmatvec(self, c: np.ndarray) -> np.ndarray:
         """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``."""
-        if "X" in self.__dict__:
-            return self.XT_sq @ c
-        if "dense" in self.__dict__:
+        if self.kernel == "scipy":
+            return self._XT_sq @ c
+        if self.kernel == "blas":
             return self._dense_sq.T @ c
         return np.bincount(self.indices, weights=self._data_sq * c[self._rows], minlength=self.d)
 
@@ -187,14 +206,14 @@ class SparseDataset:
         vector product per column, because a matrix-matrix product sums in
         another order than the matrix-vector one.
         """
-        if "X" in self.__dict__:
+        if self.kernel == "scipy":
             return self.X @ B
         return self._by_column(self.matvec, B, self.n)
 
     def rmatmat(self, W: np.ndarray) -> np.ndarray:
         """``X.T @ W``, whose column j is ``rmatvec(W[:, j])`` bit for bit."""
-        if "X" in self.__dict__:
-            return self.XT @ W
+        if self.kernel == "scipy":
+            return self._XT @ W
         return self._by_column(self.rmatvec, W, self.d)
 
     @staticmethod
@@ -206,13 +225,12 @@ class SparseDataset:
         return out
 
     def weighted_gram(self, c: np.ndarray) -> np.ndarray:
-        """``X^T diag(c) X`` as a dense array: from SciPy's kernels once
-        ``X`` is built, and from BLAS's on ``dense`` (built if need be)
-        otherwise."""
-        if "X" in self.__dict__:
+        """``X^T diag(c) X`` as a dense array: from SciPy's kernels on the
+        SciPy kernel, and from BLAS's on ``dense`` otherwise."""
+        if self.kernel == "scipy":
             import scipy.sparse as sp
 
-            return (self.XT @ (sp.diags(c, format="csr") @ self.X)).toarray()
+            return (self._XT @ (sp.diags(c, format="csr") @ self.X)).toarray()
         return self.dense.T @ (c[:, None] * self.dense)
 
     @cached_property
@@ -242,7 +260,7 @@ class SparseDataset:
     @cached_property
     def X(self):
         """The rows as a SciPy CSR matrix over the dataset's own arrays,
-        built on first use and kept."""
+        built on first use and kept. Building it changes no product."""
         import scipy.sparse as sp
 
         X = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
@@ -250,10 +268,10 @@ class SparseDataset:
         return X
 
     @cached_property
-    def XT(self):
+    def _XT(self):
         """CSR copy of ``X.T``, built on first use and kept.
 
-        ``XT @ v`` is bit-identical to ``X.T @ v`` (both sum each output in
+        ``_XT @ v`` is bit-identical to ``X.T @ v`` (both sum each output in
         row order) but skips building a CSC view on every product.
         """
         XT = self.X.T.tocsr()
@@ -262,14 +280,14 @@ class SparseDataset:
         return XT
 
     @cached_property
-    def XT_sq(self):
-        """``XT`` with its entries squared, built on first use and kept.
+    def _XT_sq(self):
+        """``_XT`` with its entries squared, built on first use and kept.
 
-        ``XT_sq @ c`` is the diagonal of ``X^T diag(c) X``.
+        ``_XT_sq @ c`` is the diagonal of ``X^T diag(c) X``.
         """
         import scipy.sparse as sp
 
-        XT = self.XT
+        XT = self._XT
         XT_sq = sp.csr_matrix((XT.data * XT.data, XT.indices, XT.indptr), shape=XT.shape)
         for arr in (XT_sq.data, XT_sq.indices, XT_sq.indptr):
             _freeze(arr)
@@ -303,13 +321,12 @@ class SparseDataset:
         kept only by a dataset on NumPy's kernels, whose products use them
         again.
         """
-        on_numpy = "X" not in self.__dict__
-        if on_numpy and "dense" in self.__dict__:
+        if self.kernel == "blas":
             norms = np.zeros(self.n)
             for column in self.dense.T:
                 norms += column * column
             return norms
-        rows = self._rows if on_numpy else _row_numbers(self.indptr)
+        rows = self._rows if self.kernel == "numpy" else _row_numbers(self.indptr)
         return np.bincount(rows, weights=self.data * self.data, minlength=self.n)
 
 

@@ -41,11 +41,12 @@ the hook does, so it changes no outcome and no iteration count, and
 neither does the order. A result holds each fold's decision, verdict and
 solver iterations as arrays indexed by fold.
 
-Every product of a run is taken by one kernel, picked before the run's
-clock starts: BLAS on the dataset's dense copy when the dataset stores every
-entry (so such a run never imports SciPy), and SciPy's sparse kernels
-otherwise. The block products run column by column on BLAS, so each column
-equals the product a fold's own solve takes, bit for bit, on either kernel.
+Every product of a run is taken by one kernel, on the run's own view of the
+dataset (``with_kernel``) made before its clock starts: BLAS on the dense
+copy when the dataset stores every entry (so such a run never imports
+SciPy), and SciPy's sparse kernels otherwise. The block products run
+column by column on BLAS, so each column equals the product a fold's own
+solve takes, bit for bit, on either kernel.
 
 Model selection runs over grid cells, each an L2 weight and the dataset
 its folds come from (the raw rows, or their ``rbf_features``). It can
@@ -312,17 +313,6 @@ def _solve_fold(
     return (*verdict[0], iters)
 
 
-def _choose_kernel(ds: SparseDataset) -> None:
-    """Build the matrix whose kernels every product of a run takes, the full
-    training's too: the dense copy (BLAS) when every entry is stored, else
-    SciPy's CSR matrix. ``run_loocv`` calls this before its clock starts, so
-    no timer counts the build or SciPy's import."""
-    if ds.data.size == ds.n * ds.d:
-        ds.dense
-    else:
-        ds.X
-
-
 def run_loocv(
     ds: SparseDataset,
     lam: float,
@@ -349,7 +339,8 @@ def run_loocv(
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
-    _choose_kernel(ds)
+    # one kernel for every product of the run, the full training's too
+    ds = ds.with_kernel("blas" if ds.data.size == ds.n * ds.d else "scipy")
     t_start = time.perf_counter()
     if ds.n < 2:
         raise ValueError("leave-one-out needs at least 2 instances")
@@ -523,12 +514,12 @@ def rbf_features(
     rng = np.random.default_rng(seed)
     k = min(n_centers, ds.n)
     idx = np.sort(rng.choice(ds.n, size=k, replace=False))
-    centers = np.asarray(ds.X[idx].todense())
+    centers = ds.take(idx).dense
     sq = ds.row_sq_norms()
     c_sq = (centers**2).sum(axis=1)
     # exp(-gamma * max(sq - 2 cross + c_sq, 0)), formed in the one n x k
-    # buffer that the map then keeps as its data
-    m = np.asarray(ds.X @ centers.T)
+    # buffer that the map then keeps as its data, on a SciPy view of ``ds``
+    m = ds.with_kernel("scipy").matmat(centers.T)
     m *= -2.0
     m += sq[:, None]
     m += c_sq[None, :]

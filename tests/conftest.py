@@ -8,7 +8,7 @@ import numpy as np
 
 import delta_scope as dsc
 from delta_scope.data import LibsvmFormatError, SparseDataset
-from delta_scope.losses import _loss_terms
+from delta_scope.losses import _loss_terms, dloss_values
 
 # Collected one-line verdicts from the acceptance tests, echoed after the
 # run so they are visible without -s.
@@ -68,12 +68,12 @@ def instance_gradient(kind, x, y: float, beta: np.ndarray) -> np.ndarray:
     oracle for the library's batched gradients.
     """
     if hasattr(x, "toarray"):
-        dl = float(dsc.dloss_values(kind, np.float64(y), (x @ beta)[0]))
+        dl = float(dloss_values(kind, np.float64(y), (x @ beta)[0]))
         out = np.zeros(beta.shape[0])
         out[x.indices] = dl * x.data
         return out
     x = np.asarray(x, dtype=np.float64)
-    return float(dsc.dloss_values(kind, np.float64(y), x @ beta)) * x
+    return float(dloss_values(kind, np.float64(y), x @ beta)) * x
 
 
 def exact_solve(ds, lam, kind, init=None) -> dsc.TrainedModel:

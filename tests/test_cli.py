@@ -23,6 +23,7 @@ import delta_scope as dsc
 from delta_scope import cli
 from delta_scope import loocv as L
 from delta_scope.cli import main
+from delta_scope.data import serialize_libsvm
 from delta_scope.report import build_report, report_schema, write_report
 
 SCHEMA = report_schema()
@@ -339,7 +340,7 @@ def test_label_sensitivity_after_a_large_test_row(paths, capsys):
     test_ds = dsc.make_synthetic(25, 30, 6)
     test_path = str(tmp_path / "test.libsvm")
     with open(test_path, "w") as fh:
-        fh.write("+1 1:1e8\n" + dsc.serialize_libsvm(test_ds))
+        fh.write("+1 1:1e8\n" + serialize_libsvm(test_ds))
     code, report, _ = run_cli(
         ["label-sensitivity", "--model", model_path, "--add", add_path,
          "--test", test_path], capsys

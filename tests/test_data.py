@@ -335,16 +335,13 @@ def test_numpy_products_equal_scipy_bit_for_bit(X, data):
             total += value * value
         expected.append(total)
     assert np.array_equal(_bits(ds.row_sq_norms()), _bits(expected))
-    assert "X" not in vars(ds)  # so the products above took NumPy's kernels
+    assert ds.kernel == "numpy"  # so the products above took NumPy's kernel
 
 
 def _with_kernel(X, kernel):
-    """Dataset of ``X`` whose products take ``kernel``'s: "numpy" (neither
-    matrix built), "dense" (BLAS) or "X" (SciPy)."""
-    ds = SparseDataset(X, np.ones(X.shape[0]))
-    if kernel != "numpy":
-        getattr(ds, kernel)
-    return ds
+    """Dataset of ``X`` whose products take ``kernel``'s: "numpy", "blas" or
+    "scipy"."""
+    return SparseDataset(X, np.ones(X.shape[0])).with_kernel(kernel)
 
 
 _WIDE_MAGNITUDES = st.floats(1e-150, 1e150)
@@ -361,15 +358,15 @@ def test_row_norms_on_the_dense_kernel_equal_numpys_bit_for_bit(X):
     # on BLAS's kernel the columns of the squared dense copy are added left
     # to right, the order in which np.bincount adds each row's entries
     expected = _with_kernel(X, "numpy").row_sq_norms()
-    ds = _with_kernel(X, "dense")
+    ds = _with_kernel(X, "blas")
     assert np.array_equal(_bits(ds.row_sq_norms()), _bits(expected))
-    assert "X" not in vars(ds)
+    assert ds.kernel == "blas"
 
 
 @given(
     X=st.booleans().flatmap(lambda full: csr_matrices(full=full)),
     m=st.integers(0, 5),
-    kernel=st.sampled_from(["numpy", "dense", "X"]),
+    kernel=st.sampled_from(["numpy", "blas", "scipy"]),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
@@ -384,15 +381,14 @@ def test_block_products_equal_their_columns_bit_for_bit(X, m, kernel, data):
     for j in range(m):
         assert np.array_equal(_bits(XB[:, j]), _bits(ds.matvec(B[:, j].copy())))
         assert np.array_equal(_bits(XtW[:, j]), _bits(ds.rmatvec(W[:, j].copy())))
-    assert ("X" in vars(ds)) == (kernel == "X")
-    assert ("dense" in vars(ds)) == (kernel == "dense")
+    assert ds.kernel == kernel
 
 
 @given(X=st.booleans().flatmap(lambda full: csr_matrices(full=full)), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_dense_copy_and_its_products(X, data):
     n, d = X.shape
-    ds = _with_kernel(X, "dense")
+    ds = _with_kernel(X, "blas")
     dense = ds.dense
     assert np.array_equal(dense, X.toarray())  # a stored -0.0 stays -0.0
     assert not dense.flags.writeable
@@ -413,17 +409,53 @@ def test_dense_copy_and_its_products(X, data):
         (ds.weighted_gram(w), (X.T @ sp.diags(w) @ X).toarray(), A.T @ (abs(w)[:, None] * A), n + 1),
     ):
         assert np.all(abs(got - exact) <= 4 * k * eps * scale)
-    assert "X" not in vars(ds)
+    assert ds.kernel == "blas"
 
 
-def test_weighted_gram_takes_scipy_once_its_matrix_is_built():
+def test_weighted_gram_on_the_scipy_kernel_keeps_scipys_bits():
     # the sparse leave-one-out Newton starts keep the bits of this product
-    ds = make_synthetic(3, 30, 4, density=0.5)
+    ds = make_synthetic(3, 30, 4, density=0.5).with_kernel("scipy")
     c = np.linspace(0.1, 2.0, ds.n)
-    ds.X
-    expected = (ds.XT @ (sp.diags(c, format="csr") @ ds.X)).toarray()
+    expected = (ds.X.T.tocsr() @ (sp.diags(c, format="csr") @ ds.X)).toarray()
     assert np.array_equal(_bits(ds.weighted_gram(c)), _bits(expected))
     assert "dense" not in vars(ds)
+
+
+@pytest.mark.parametrize("build", ["weighted_gram", "dense", "X"])
+def test_building_a_matrix_changes_no_product(build):
+    # a NumPy dataset whose dense copy or SciPy matrix is built, by a read or
+    # by the Gram product, keeps NumPy's products: on this data BLAS's
+    # differ in the last bits
+    ds = make_synthetic(4, 300, 40, density=0.5)
+    rng = np.random.default_rng(4)
+    v, w = rng.standard_normal(ds.d), rng.standard_normal(ds.n)
+
+    def products():
+        return ds.matvec(v), ds.rmatvec(w), ds.sq_rmatvec(w), ds.row_sq_norms()
+
+    before = products()
+    if build == "weighted_gram":
+        ds.weighted_gram(np.linspace(0.1, 2.0, ds.n))
+    else:
+        getattr(ds, build)
+    for a, b in zip(before, products()):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert ds.kernel == "numpy"
+
+
+def test_a_kernel_view_shares_the_arrays_and_builds_its_own_matrix():
+    ds = make_synthetic(5, 20, 6, density=0.5)
+    for kernel, matrix in (("blas", "dense"), ("scipy", "X")):
+        view = ds.with_kernel(kernel)
+        assert view.kernel == kernel and ds.kernel == "numpy"
+        for name in ("data", "indices", "indptr", "y"):
+            assert getattr(view, name) is getattr(ds, name)
+        assert view.shape == ds.shape
+        # the kernel's matrix is built by with_kernel, on the view alone
+        assert matrix in vars(view) and matrix not in vars(ds)
+        assert view.with_kernel("numpy").kernel == "numpy"
+    with pytest.raises(ValueError, match="unknown kernel"):
+        ds.with_kernel("dense")
 
 
 def _same_csr(ds, X):

@@ -434,10 +434,10 @@ def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind, d
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
     # the starts and norms below take the products run_loocv takes: BLAS on
     # fully dense data, SciPy's kernels on sparse data
-    loocv_module._choose_kernel(ds)
-    start = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
+    view = ds.with_kernel("blas" if density == 1.0 else "scipy")
+    start = loocv_module._newton_starts(full, view, loocv_module._screen_stats(full, view)[3])
     for h in range(0, ds.n, 8):
-        problem = loocv_module.Problem(ds, lam, kind, held_out=h)
+        problem = loocv_module.Problem(view, lam, kind, held_out=h)
         gnorm = float(np.linalg.norm(problem.value_and_grad(start(h))[1]))
         for tol, reaches_solver in ((gnorm, False), (np.nextafter(gnorm, 0.0), True)):
             with pytest.MonkeyPatch.context() as m:
@@ -723,11 +723,49 @@ def test_rbf_features_validation():
 # the products a run takes
 
 
-@pytest.mark.parametrize("density, kernel", [(1.0, "dense"), (0.5, "X")])
-def test_run_loocv_takes_blas_on_fully_dense_data_and_scipy_otherwise(density, kernel):
+@pytest.mark.parametrize("density, kernel", [(1.0, "blas"), (0.5, "scipy")])
+def test_run_loocv_takes_blas_on_fully_dense_data_and_scipy_otherwise(
+    density, kernel, monkeypatch
+):
     ds = dsc.make_synthetic(5, 40, 4, density=density)
+    kernels = []
+    train, screen_stats = loocv_module.train, loocv_module._screen_stats
+
+    def recording_train(ds, *args, **kwargs):
+        kernels.append(ds.kernel)
+        return train(ds, *args, **kwargs)
+
+    def recording_screen_stats(full, ds):
+        kernels.append(ds.kernel)
+        return screen_stats(full, ds)
+
+    monkeypatch.setattr(loocv_module, "train", recording_train)
+    monkeypatch.setattr(loocv_module, "_screen_stats", recording_screen_stats)
     dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    assert {"dense", "X"} & set(vars(ds)) == {kernel}
+    # the full training and the screen both take the run's kernel
+    assert kernels == [kernel, kernel]
+    assert ds.kernel == "numpy"
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5], ids=["dense", "sparse"])
+def test_run_loocv_leaves_the_callers_training_bit_for_bit(density):
+    # on fully dense data the run takes BLAS, whose products differ from
+    # NumPy's in the last bits; the caller's dataset keeps NumPy's
+    ds = dsc.make_synthetic(3, 400, 30, density=density)
+    before, _ = dsc.train(ds, 0.01, dsc.LossKind.LOGISTIC)
+    dsc.run_loocv(ds, 0.01, dsc.LossKind.LOGISTIC)
+    after, _ = dsc.train(ds, 0.01, dsc.LossKind.LOGISTIC)
+    assert before.beta.tobytes() == after.beta.tobytes()
+    assert ds.kernel == "numpy"
+
+
+def test_rbf_features_leave_the_callers_products_unchanged():
+    ds = dsc.make_synthetic(319, 30, 4, density=0.6).with_kernel("blas")
+    v = np.random.default_rng(319).standard_normal(ds.d)
+    before = ds.matvec(v)
+    dsc.rbf_features(ds, gamma=0.5, n_centers=10)
+    assert ds.matvec(v).tobytes() == before.tobytes()
+    assert "X" not in vars(ds)  # the map's cross products built no matrix here
 
 
 _DENSE_LOOCV = """

@@ -5,8 +5,9 @@
 every call, and its curvature from the second-derivative formulas, with no
 cache, so it shares no code path with :class:`Problem` beyond the
 per-instance loss formulas. Its products are taken with the kernel the
-dataset's own products take: BLAS on ``ds.dense`` once that is built, SciPy's
-on ``ds.X`` otherwise.
+dataset's own products take, by its ``kernel`` field: BLAS on ``ds.dense``,
+or SciPy's on ``ds.X`` for the SciPy and NumPy kernels (NumPy's give SciPy's
+bits).
 """
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
 
 
 def rows_matrix(ds):
-    """The matrix whose kernels ``ds``'s products take (NumPy's kernels give
+    """The matrix whose kernel ``ds``'s products take (NumPy's kernel gives
     SciPy's bits)."""
-    return ds.dense if "dense" in ds.__dict__ and "X" not in ds.__dict__ else ds.X
+    return ds.dense if ds.kernel == "blas" else ds.X
 
 
 class ReferenceProblem:
@@ -107,21 +108,20 @@ def test_cached_transpose_product_is_bit_identical(n, d, density, seed):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n, d, density)
     v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
-    assert ds.XT.shape == (d, n)
-    assert_same_bits(ds.XT @ v, ds.X.T @ v)
-    assert ds.XT is ds.XT
-    assert not ds.XT.data.flags.writeable
+    on_scipy = ds.with_kernel("scipy")
+    assert on_scipy._XT.shape == (d, n)
+    assert_same_bits(on_scipy.rmatvec(v), ds.X.T @ v)
+    assert on_scipy._XT is on_scipy._XT
+    assert not on_scipy._XT.data.flags.writeable
 
 
 # ---------------------------------------------------------------------------
-# the dataset's products: NumPy's kernels or, once X is built, SciPy's
+# the dataset's products: on NumPy's kernel or on SciPy's
 
 
 def numpy_and_scipy_twins(ds):
-    """Two datasets over the same arrays: one never builds ``X``, one has it built."""
-    twin = dsc.SparseDataset._from_csr(ds.data, ds.indices, ds.indptr, ds.shape, ds.y)
-    twin.X
-    return ds, twin
+    """Two datasets over the same arrays: one on NumPy's kernel, one on SciPy's."""
+    return ds, ds.with_kernel("scipy")
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,7 +155,7 @@ def test_objective_is_bit_identical_with_and_without_scipy_matrix(
         results.append((problem.value(beta), f, g, hess_vec(v), diag))
     for a, b in zip(*results):
         assert_same_bits(a, b)
-    assert "X" not in plain.__dict__
+    assert (plain.kernel, built.kernel) == ("numpy", "scipy")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -166,7 +166,7 @@ def test_train_is_bit_identical_with_and_without_scipy_matrix(kind):
     assert a.beta.tobytes() == b.beta.tobytes()
     assert a_rep.iterations == b_rep.iterations > 1
     assert_same_bits(a.grad_residual, b.grad_residual)
-    assert "X" not in plain.__dict__
+    assert (plain.kernel, built.kernel) == ("numpy", "scipy")
 
 
 # ---------------------------------------------------------------------------
