@@ -395,7 +395,7 @@ def _cmd_loocv(args) -> dict:
     raw, entry = _hashed(load_libsvm, args.data, d=args.dim)
     inputs = {"training_data": entry}
     kind = LossKind.from_name(args.loss)
-    mode = L.LoocvMode.from_name(args.mode)
+    mode = L.LoocvMode(args.mode)
     common = dict(mode=mode, fold_tol=args.fold_tol, full_tol=args.full_tol)
     params = {
         "loss": kind.value,
@@ -437,9 +437,8 @@ def _cmd_loocv(args) -> dict:
                 )
                 suffix = f",gamma={glabel}"
             for lam, llabel in lam_grid:
-                label = f"lambda={llabel}{suffix}"
-                cells.append((label, lam))
-                yield L.GridPoint(lam, data, label)
+                cells.append((f"lambda={llabel}{suffix}", lam))
+                yield L.GridPoint(lam, data)
             del data
 
     params.update(

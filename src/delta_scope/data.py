@@ -13,8 +13,9 @@ the same arrays that takes BLAS's (on its dense copy) or SciPy's (on its CSR
 matrix). Building a matrix never changes which kernel a product takes.
 
 Files pass one reader and one writer: ``_read_input`` reads each input once,
-``_parse_ascii`` alone turns libsvm text into a dataset, and
-``_write_output`` writes each output whole.
+``_ascii_text`` makes libsvm text ASCII, ``_row_lines`` alone finds its rows
+and ``_parse_ascii`` alone turns it into a dataset, and ``_write_output``
+writes each output whole.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import os
 import stat
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -370,7 +372,7 @@ def parse_libsvm(text: str | bytes, *, d: int | None = None) -> SparseDataset:
     dimension is the largest index seen unless ``d`` pins it. Raises
     :class:`LibsvmFormatError` (with a line number) on malformed input.
     """
-    ds = _parse(text, lambda: enumerate(_decoded(text).splitlines(), 1), d)
+    ds = _parse(_ascii_text(text), d)
     if ds.n == 0:
         raise LibsvmFormatError("no instances found")
     return ds
@@ -388,51 +390,42 @@ def take_libsvm_rows(
     so the text should be one already known to parse, e.g. by its digest.
     """
     raw = _ascii_text(text)
-    if raw is None:
-        lines = _decoded(text).splitlines()
-        rows = [(ln, line) for ln, line in enumerate(lines, 1) if line and not line.isspace()]
-        row = rows.__getitem__
-        n = len(rows)
-    else:
-        line_numbers, starts, ends = _row_lines(raw)
-        n = line_numbers.size
-
-        def row(i):
-            return int(line_numbers[i]), raw[starts[i]:ends[i]].decode("ascii")
-
-    picked = []
-    for i in indices:
+    line_numbers, starts, ends = _row_lines(raw)
+    n = line_numbers.size
+    picked = list(indices)
+    for i in picked:
         if not 0 <= i < n:
             raise ValueError(f"row index {i} out of range for {n} rows")
-        picked.append(row(i))
-    return _parse("\n".join(line for _, line in picked), lambda: picked, d), n
+    rows = b"\n".join(raw[starts[i]:ends[i]] for i in picked)
+    return _parse(rows, d, line_numbers[picked]), n
 
 
-def _decoded(text: str | bytes) -> str:
-    return text.decode("utf-8") if isinstance(text, bytes) else text
-
-
-def _ascii_text(text: str | bytes) -> bytes | None:
-    """``text`` as ASCII bytes with the same lines and rows, or None if a
-    non-blank line holds a non-ASCII character (which no row may hold)."""
+def _ascii_text(text: str | bytes) -> bytes:
+    """``text`` as ASCII bytes with the same lines and rows. U+0085, U+2028
+    and U+2029 also break lines, a blank line may hold any whitespace, and a
+    non-blank line that holds another non-ASCII character becomes "_", which
+    no row may hold."""
     if text.isascii():
         return text if isinstance(text, bytes) else text.encode("ascii")
-    # U+0085, U+2028 and U+2029 also break lines, and a blank line may hold
-    # any whitespace
-    lines = _decoded(text).splitlines()
-    if not all(line.isascii() or line.isspace() for line in lines):
-        return None
-    return "\n".join(line if line.isascii() else "" for line in lines).encode("ascii")
+    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines()
+    return "\n".join(
+        line if line.isascii() else "" if line.isspace() else "_" for line in lines
+    ).encode("ascii")
 
 
-def _parse(text: str | bytes, numbered_lines, d: int | None) -> SparseDataset:
-    """Dataset of libsvm ``text``, read by :func:`_parse_ascii`. A malformed
-    text gets the error :func:`_check_lines` raises for ``numbered_lines()``,
-    the text's ``(line number, line)`` pairs."""
-    raw = _ascii_text(text)
-    ds = _parse_ascii(raw, d) if raw is not None else None
+def _parse(raw: bytes, d: int | None, line_numbers=None) -> SparseDataset:
+    """Dataset of ASCII libsvm text ``raw``, read by :func:`_parse_ascii`. A
+    malformed text gets the error :func:`_check_lines` raises for its rows,
+    numbered by ``line_numbers`` if given, else by their lines in ``raw``."""
+    if d is not None and (isinstance(d, bool) or not isinstance(d, Integral) or d < 0):
+        raise ValueError(f"pinned dimension must be a nonnegative integer, got {d!r}")
+    ds = _parse_ascii(raw, d)
     if ds is None:
-        _check_lines(numbered_lines(), d)
+        numbers, starts, ends = _row_lines(raw)
+        if line_numbers is not None:
+            numbers = line_numbers
+        lines = (raw[lo:hi].decode("ascii") for lo, hi in zip(starts, ends))
+        _check_lines(zip(numbers.tolist(), lines), d)
         raise RuntimeError("the libsvm reader rejected a text that breaks no rule")
     return ds
 
@@ -554,8 +547,9 @@ def _check_lines(numbered_lines, d: int | None) -> None:
         tokens = line.split()
         if not tokens:
             continue
-        # int() and float() also take "1_0" and non-ASCII digits
-        if not line.isascii() or "_" in line:
+        # int() and float() also take "1_0"; a line that holds a non-ASCII
+        # character arrives as "_"
+        if "_" in line:
             raise LibsvmFormatError(f"line {ln}: '_' or a non-ASCII character")
         try:
             raw_label = float(tokens[0])

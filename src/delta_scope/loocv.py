@@ -72,7 +72,6 @@ from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
     TrainedModel,
-    _check_max_iter,
     _check_tol,
     minimize_smooth,
     train,
@@ -101,13 +100,6 @@ class LoocvMode(Enum):
     EXACT = "exact"
     OP1 = "op1"
     OP2 = "op2"
-
-    @classmethod
-    def from_name(cls, name: str) -> "LoocvMode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise ValueError(f"unknown mode {name!r} (expected exact, op1 or op2)")
 
 
 class FoldDecision(Enum):
@@ -285,12 +277,12 @@ def _solve_fold(
     *,
     init: np.ndarray,
     tol: float,
-    max_iter: int,
     early_stop: bool,
     eta_norm: np.ndarray,
 ) -> tuple[FoldDecision, bool, int]:
     """(decision, correct, iterations) of one undecided fold, by a solve from
-    ``init`` whose stop hook is :func:`_fold_verdicts` at every iterate."""
+    ``init`` whose stop hook is :func:`_fold_verdicts` at every iterate, of
+    at most the module's ``MAX_ITER`` iterations."""
     problem = Problem(ds, full.lam, full.kind, held_out=h)
     verdict: list[tuple[FoldDecision, bool] | None] = []
 
@@ -307,7 +299,7 @@ def _solve_fold(
         init,
         curvature=problem.curvature,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=MAX_ITER,
         stop_hook=hook,
     )
     return (*verdict[0], iters)
@@ -322,7 +314,6 @@ def run_loocv(
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,
     full: TrainedModel | None = None,
-    max_iter: int = MAX_ITER,
     prune_above: float | None = None,
 ) -> LoocvResult:
     """Leave-one-out error of the (lam, kind) model family on ``ds``.
@@ -336,6 +327,8 @@ def run_loocv(
     ``solver_iterations`` count a block-decided fold as a solve of 0
     iterations.
     ``solve_time`` includes the one-off Hessian set-up behind the starts.
+    The full training and every fold solve raise :class:`SolverError` past
+    ``MAX_ITER`` iterations.
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
@@ -346,9 +339,8 @@ def run_loocv(
         raise ValueError("leave-one-out needs at least 2 instances")
     _check_tol("fold_tol", fold_tol)
     _check_tol("full_tol", full_tol)
-    _check_max_iter(max_iter)
     if full is None:
-        full, _ = train(ds, lam, kind, tol=full_tol, max_iter=max_iter)
+        full, _ = train(ds, lam, kind, tol=full_tol)
     elif full.d != ds.d or full.n_train != ds.n:
         raise ValueError("supplied model was not trained on this dataset")
     elif full.lam != lam or full.kind != kind:
@@ -400,7 +392,6 @@ def run_loocv(
                 full,
                 init=starts[k],
                 tol=fold_tol,
-                max_iter=max_iter,
                 early_stop=mode is LoocvMode.OP2,
                 eta_norm=eta_norm,
             )
@@ -429,14 +420,12 @@ def run_loocv(
 
 @dataclass(frozen=True, eq=False)
 class GridPoint:
-    """One model-selection candidate: an L2 weight and the dataset its folds come from."""
+    """One model-selection candidate: an L2 weight and the dataset its folds
+    come from. Results come in grid order, so a caller that names its cells
+    keeps the names beside the grid."""
 
     lam: float
     data: SparseDataset
-    label: str = ""
-
-    def describe(self) -> str:
-        return self.label or f"lambda={self.lam:g}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +444,6 @@ def model_select(
     prune: bool = False,
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,
-    max_iter: int = MAX_ITER,
 ) -> ModelSelectResult:
     """Pick the grid cell with the lowest leave-one-out error.
 
@@ -463,7 +451,8 @@ def model_select(
     bound exceeds the best completed cell's error; abandoned cells keep their
     partial results and are never selected. Each cell solves its undecided
     folds lowest margin first, so a losing cell meets its wrong folds, and
-    is abandoned, early. Ties go to the earliest cell.
+    is abandoned, early. Ties go to the earliest cell. Every cell is a
+    :func:`run_loocv` with this mode and these tolerances.
 
     ``grid`` may be any iterable, a generator included, and is walked once;
     a cell is not referenced after its run, so a generator that builds each
@@ -479,7 +468,6 @@ def model_select(
             mode=mode,
             fold_tol=fold_tol,
             full_tol=full_tol,
-            max_iter=max_iter,
             prune_above=incumbent if prune else None,
         )
         del point  # let the cell's dataset go before the next cell is made

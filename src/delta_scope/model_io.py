@@ -24,15 +24,16 @@ from .data import _read_input, _write_output
 from .losses import LossKind
 from .solver import TrainedModel
 
-__all__ = ["MODEL_FORMAT", "MODEL_VERSION", "save_model", "load_model", "model_to_dict"]
+__all__ = ["MODEL_FORMAT", "MODEL_VERSION", "save_model", "load_model"]
 
 MODEL_FORMAT = "delta-scope-model"
 MODEL_VERSION = 1
 
 
-def model_to_dict(model: TrainedModel) -> dict:
+def save_model(model: TrainedModel, path: str | os.PathLike) -> str:
+    """Write the model artifact to ``path``; return the SHA-256 of its bytes."""
     beta_bytes = np.ascontiguousarray(model.beta, dtype="<f8").tobytes()
-    out = {
+    obj = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "d": model.d,
@@ -45,13 +46,8 @@ def model_to_dict(model: TrainedModel) -> dict:
         "beta": base64.b64encode(beta_bytes).decode("ascii"),
     }
     if model.training_data_sha256 is not None:
-        out["training_data_sha256"] = model.training_data_sha256
-    return out
-
-
-def save_model(model: TrainedModel, path: str | os.PathLike) -> str:
-    """Write the model artifact to ``path``; return the SHA-256 of its bytes."""
-    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+        obj["training_data_sha256"] = model.training_data_sha256
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return _write_output(path, (text + "\n").encode("utf-8"))
 
 

@@ -380,7 +380,7 @@ def test_reference_fraction_determined_and_tightness():
 @criterion("screening and early stopping save work")
 def test_mode_iteration_ordering_on_model_selection_grid():
     ds = dsc.make_synthetic(60, 208, 60, separation=1.0)
-    grid = [dsc.GridPoint(lam=2.0**p, data=ds, label=f"2^{p}") for p in range(-10, 1)]
+    grid = [dsc.GridPoint(lam=2.0**p, data=ds) for p in range(-10, 1)]
     totals = {}
     for mode in (dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2):
         sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=mode)

@@ -950,6 +950,10 @@ def test_malformed_data_exits_one(tmp_path, capsys):
         (["gen", "--separation", "nan"], "separation"),
         (["gen", "--separation", "inf"], "separation"),
         (["bench", "--lambda", "0.1", "--fractions", ","], "no sweep fractions given"),
+        (["train", "--lambda", "0.1", "--dim", "-3"],
+         "pinned dimension must be a nonnegative integer, got -3"),
+        (["loocv", "--lambda", "0.1", "--dim", "-1"],
+         "pinned dimension must be a nonnegative integer, got -1"),
     ],
 )
 def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, field):

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,31 @@ def test_parse_pinned_dimension():
     assert ds.d == 10
     with pytest.raises(LibsvmFormatError, match="exceeds pinned dimension"):
         parse_libsvm("+1 11:1\n", d=10)
+    # featureless rows take d = 0, as an intercept-only model's do
+    ds = parse_libsvm("+1\n-1\n", d=0)
+    assert (ds.n, ds.d, ds.data.size) == (2, 0, 0)
+    rows, n = take_libsvm_rows("+1\n-1\n", [1], d=0)
+    assert (rows.n, rows.d, n) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("d", [2.5, True, -1])
+def test_a_pinned_dimension_that_is_no_nonnegative_integer_is_rejected(d):
+    message = f"pinned dimension must be a nonnegative integer, got {d!r}"
+    with pytest.raises(ValueError, match=message):
+        parse_libsvm("+1 1:1\n-1\n", d=d)
+    with pytest.raises(ValueError, match=message):
+        take_libsvm_rows("+1 1:1\n-1\n", [1], d=d)
+
+
+@pytest.mark.parametrize("pair", ["1.0:2", "1e2:3", "1E2:3", ".5:2", "5.:2"])
+def test_an_index_that_only_float_reads_is_a_bad_pair(pair):
+    text = f"+1 1:1\n-1 {pair}\n+1 2:1\n"
+    assert data_module._parse_ascii(text.encode(), None) is None
+    message = re.escape(f"line 2: bad pair '{pair}'")
+    with pytest.raises(LibsvmFormatError, match=f"^{message}$"):
+        parse_libsvm(text)
+    with pytest.raises(LibsvmFormatError, match=f"^{message}$"):
+        take_libsvm_rows(text, [1], d=200)
 
 
 def test_parse_keeps_explicit_zero():

@@ -192,14 +192,6 @@ def test_run_loocv_rejects_a_tolerance_that_is_not_finite_and_positive(field, to
         dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, **{field: tol})
 
 
-def test_mode_from_name():
-    assert LoocvMode.from_name("exact") is LoocvMode.EXACT
-    assert LoocvMode.from_name("op1") is LoocvMode.OP1
-    assert LoocvMode.from_name("op2") is LoocvMode.OP2
-    with pytest.raises(ValueError):
-        LoocvMode.from_name("op3")
-
-
 # ---------------------------------------------------------------------------
 # Newton starts
 
@@ -259,6 +251,22 @@ def test_op2_certifies_folds_whose_start_already_meets_tol():
     assert verdicts(op2) == verdicts(exact)
 
 
+def test_a_fold_whose_downdate_is_not_positive_starts_at_the_full_optimum():
+    # fold 0's Sherman-Morrison denominator 1 - c_0 x_0.A^-1 x_0 rounds to 0:
+    # its row outweighs the other two by 1e16
+    ds = dsc.SparseDataset._from_dense(np.array([[1e8], [1e-8], [-1e-8]]), [1.0, -1.0, 1.0])
+    lam, kind = 1e-10, dsc.LossKind.L2_HINGE
+    view = ds.with_kernel("blas")  # the kernel run_loocv takes on data that stores every entry
+    full, _ = dsc.train(view, lam, kind)
+    start = loocv_module._newton_starts(full, view, loocv_module._screen_stats(full, view)[3])
+    assert start(0) is full.beta
+    assert start(1) is not full.beta
+    runs = {mode: dsc.run_loocv(ds, lam, kind, mode=mode, full=full) for mode in ALL_MODES}
+    assert runs[LoocvMode.EXACT].correct.tolist() == [True, False, False]
+    for mode in (LoocvMode.OP1, LoocvMode.OP2):
+        assert verdicts(runs[mode]) == verdicts(runs[LoocvMode.EXACT])
+
+
 def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
     ds = dsc.make_synthetic(402, 60, 80, separation=1.5, density=0.1)
     assert ds.d * ds.d > ds.X.nnz
@@ -285,9 +293,7 @@ def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
 # the block pass decides folds at their starts exactly as their solves would
 
 
-def reference_loocv(
-    ds, lam, kind, mode, full, *, max_iter=loocv_module.MAX_ITER, prune_above=None
-):
+def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
     """(decisions, correct, fold_iterations, solves, pruned), as run_loocv
     gives them, with every undecided fold solved alone.
 
@@ -316,8 +322,7 @@ def reference_loocv(
             break
         decisions[h], correct[h], iterations[h] = loocv_module._solve_fold(
             ds, h, full, init=start(h), tol=loocv_module.DEFAULT_FOLD_TOL,
-            max_iter=max_iter, early_stop=mode is LoocvMode.OP2,
-            eta_norm=eta_norm,
+            early_stop=mode is LoocvMode.OP2, eta_norm=eta_norm,
         )
         known_wrong += not correct[h]
         solves += 1
@@ -484,16 +489,17 @@ def test_every_fold_solve_runs_the_stop_rule_at_every_iterate(mode, kind, monkey
     "kind, mode",
     [(dsc.LossKind.LOGISTIC, LoocvMode.OP2), (dsc.LossKind.L2_HINGE, LoocvMode.EXACT)],
 )
-def test_max_iter_zero_fails_on_a_fold_undecided_at_its_start(kind, mode):
+def test_max_iter_zero_fails_on_a_fold_undecided_at_its_start(kind, mode, monkeypatch):
     ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
     full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
+    monkeypatch.setattr(loocv_module, "MAX_ITER", 0)  # every fold solve's cap
     with pytest.MonkeyPatch.context() as m:
         calls = count_fold_solves(m)
         with pytest.raises(dsc.SolverError, match="iteration cap 0"):
-            dsc.run_loocv(ds, 0.01, kind, mode=mode, full=full, max_iter=0)
+            dsc.run_loocv(ds, 0.01, kind, mode=mode, full=full)
     assert len(calls) == 1
     with pytest.raises(dsc.SolverError, match="iteration cap 0"):
-        reference_loocv(ds, 0.01, kind, mode, full, max_iter=0)
+        reference_loocv(ds, 0.01, kind, mode, full)
 
 
 def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
@@ -501,7 +507,9 @@ def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
     ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
     kind = dsc.LossKind.L2_HINGE
     full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
-    res, calls = assert_matches_reference(ds, 0.01, kind, LoocvMode.OP2, full, max_iter=0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(loocv_module, "MAX_ITER", 0)  # every fold solve's cap
+        res, calls = assert_matches_reference(ds, 0.01, kind, LoocvMode.OP2, full)
     assert calls == [] and res.solves_performed > 0
     again = dsc.run_loocv(ds, 0.01, kind, mode=LoocvMode.OP2, full=full)
     assert fold_arrays(res) == fold_arrays(again)
@@ -649,12 +657,6 @@ def test_model_select_results_equal_run_loocv_on_each_cell():
             ref.solves_performed,
             ref.solver_iterations,
         )
-
-
-def test_grid_point_describe():
-    ds = dsc.make_synthetic(314, 5, 2)
-    assert dsc.GridPoint(lam=0.25, data=ds).describe() == "lambda=0.25"
-    assert dsc.GridPoint(lam=0.25, data=ds, label="2^-2").describe() == "2^-2"
 
 
 def test_result_arrays_are_read_only():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import reference_gradient_descent
 from delta_scope.data import SparseDataset, make_synthetic
-from delta_scope.loocv import run_loocv
 from delta_scope.losses import LossKind, Problem
-from delta_scope.solver import SolverError, minimize_smooth, train
+from delta_scope.solver import SolverError, _newton_direction, minimize_smooth, train
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
 
@@ -117,8 +116,6 @@ def test_bad_iteration_cap_is_an_input_error(max_iter):
     ds = make_synthetic(8, 20, 4)
     with pytest.raises(ValueError, match="max_iter"):
         train(ds, 1.0, LossKind.LOGISTIC, max_iter=max_iter)
-    with pytest.raises(ValueError, match="max_iter"):
-        run_loocv(ds, 1.0, LossKind.LOGISTIC, max_iter=max_iter)
 
 
 def test_trained_model_is_read_only():
@@ -243,6 +240,28 @@ def test_line_search_on_an_ascent_direction_stalls():
         minimize_smooth(vag, val, start, curvature=curvature, tol=1e-12)
     assert info.value.iterations == 0
     np.testing.assert_array_equal(info.value.beta, start)
+
+
+def test_newton_direction_on_negative_curvature_at_the_first_step_is_steepest_descent():
+    grad = np.array([0.5, -2.0, 3.0])
+    diag = np.ones(3)
+    direction = _newton_direction(lambda v: -v, diag, grad, 0.0)
+    np.testing.assert_array_equal(direction, -grad / diag)
+
+
+def test_newton_direction_on_negative_curvature_later_is_the_last_cg_iterate():
+    # H = diag(3, -1): the first CG direction -grad = (-1, -1) has curvature
+    # 2 > 0 and gives the iterate (-1, -1); the second, (-2, -6), has -24
+    H = np.diag([3.0, -1.0])
+    directions = []
+
+    def hess_vec(v):
+        directions.append(v)
+        return H @ v
+
+    direction = _newton_direction(hess_vec, np.ones(2), np.array([1.0, 1.0]), 0.0)
+    np.testing.assert_array_equal(directions, [[-1.0, -1.0], [-2.0, -6.0]])
+    np.testing.assert_array_equal(direction, [-1.0, -1.0])
 
 
 def ill_conditioned_blobs(seed, n=2000, d=200, density=0.04, flip=0.3):
