@@ -32,6 +32,7 @@ from . import bounds as B
 from . import loocv as L
 from .data import (
     SparseDataset,
+    _check_count,
     _check_removal_indices,
     _read_input,
     _write_output,
@@ -96,8 +97,9 @@ _INDEX_RE = re.compile(r"[+-]?[0-9]+")
 def _read_removal_indices(path: str, *, hasher) -> list[int]:
     raw = _read_input(path, hasher)
     out = []
-    # newline=None reads lines as a file opened in text mode does
-    for ln, line in enumerate(io.StringIO(raw.decode("utf-8"), newline=None), 1):
+    # newline=None reads lines as a file opened in text mode does; a byte
+    # that is not UTF-8 reads as U+FFFD, which no integer holds
+    for ln, line in enumerate(io.StringIO(raw.decode("utf-8", "replace"), newline=None), 1):
         line = line.strip()
         if not line:
             continue
@@ -536,9 +538,8 @@ def _bench_rows(args, ds, pool, kind):
 
 def _cmd_bench(args) -> dict:
     kind = LossKind.from_name(args.loss)
-    for field, value in (("repeats", args.repeats), ("timing_repeats", args.timing_repeats)):
-        if value < 1:
-            raise ValueError(f"{field} must be a positive integer, got {value}")
+    _check_count("repeats", args.repeats, 1)
+    _check_count("timing_repeats", args.timing_repeats, 1)
     args.fraction_values = _parse_fractions(args.fractions)
     inputs = {}
     if args.data:

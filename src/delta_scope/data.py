@@ -51,6 +51,14 @@ def _freeze(arr: np.ndarray) -> None:
     arr.flags.writeable = False
 
 
+def _check_count(name: str, value, lowest: int) -> None:
+    """Reject a count that is not an integer (bools neither) of at least
+    ``lowest``, which is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lowest:
+        kind = "positive" if lowest else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _row_numbers(indptr: np.ndarray) -> np.ndarray:
     """Row number of every stored entry of the CSR rows ``indptr`` bounds."""
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
@@ -404,10 +412,10 @@ def _ascii_text(text: str | bytes) -> bytes:
     """``text`` as ASCII bytes with the same lines and rows. U+0085, U+2028
     and U+2029 also break lines, a blank line may hold any whitespace, and a
     non-blank line that holds another non-ASCII character becomes "_", which
-    no row may hold."""
+    no row may hold. Bytes that are not UTF-8 are such a character."""
     if text.isascii():
         return text if isinstance(text, bytes) else text.encode("ascii")
-    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines()
+    lines = (text.decode("utf-8", "replace") if isinstance(text, bytes) else text).splitlines()
     return "\n".join(
         line if line.isascii() else "" if line.isspace() else "_" for line in lines
     ).encode("ascii")
@@ -417,8 +425,8 @@ def _parse(raw: bytes, d: int | None, line_numbers=None) -> SparseDataset:
     """Dataset of ASCII libsvm text ``raw``, read by :func:`_parse_ascii`. A
     malformed text gets the error :func:`_check_lines` raises for its rows,
     numbered by ``line_numbers`` if given, else by their lines in ``raw``."""
-    if d is not None and (isinstance(d, bool) or not isinstance(d, Integral) or d < 0):
-        raise ValueError(f"pinned dimension must be a nonnegative integer, got {d!r}")
+    if d is not None:
+        _check_count("pinned dimension", d, 0)
     ds = _parse_ascii(raw, d)
     if ds is None:
         numbers, starts, ends = _row_lines(raw)
@@ -540,13 +548,11 @@ def _ascending_in_rows(indices: np.ndarray, indptr: np.ndarray) -> bool:
 
 
 def _check_lines(numbered_lines, d: int | None) -> None:
-    """Raise the error of the first rule that the non-blank lines among
-    ``(line number, line)`` pairs break. It builds no dataset."""
+    """Raise the error of the first rule that the rows among ``(line number,
+    row)`` pairs break. It builds no dataset."""
     max_index = 0
     for ln, line in numbered_lines:
         tokens = line.split()
-        if not tokens:
-            continue
         # int() and float() also take "1_0"; a line that holds a non-ASCII
         # character arrives as "_"
         if "_" in line:

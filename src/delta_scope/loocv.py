@@ -29,7 +29,9 @@ gradient ball holds at any iterate.
 
 One stop rule decides a fold at any iterate: in op2 the iterate's gradient
 ball, if its interval excludes 0; then a gradient norm within the fold
-tolerance, by the sign of the fold's margin. Undecided folds are taken in
+tolerance, by the sign of the fold's margin. A run builds it once, after the
+screen, with its mode, tolerance and row norms bound in, and every verdict
+of the run comes from that one rule. Undecided folds are taken in
 increasing full-model margin y_h x_h . beta, ties by index, in blocks of up
 to 64 folds (fewer for large n, so that each n x m block matrix stays
 within 8 MiB). The rule runs first on a whole block at its Newton starts:
@@ -60,13 +62,12 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .bounds import certified_sign, gradient_ball_bounds
-from .data import SparseDataset
+from .data import SparseDataset, _check_count
 from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms
 from .solver import (
     DEFAULT_TRAIN_TOL,
@@ -107,6 +108,12 @@ class FoldDecision(Enum):
     WRONG_BY_BOUND = "wrong-by-bound"
     RESOLVED_BY_SOLVE = "resolved-by-solve"
     RESOLVED_BY_EARLY_STOP = "resolved-by-early-stop"
+
+
+# A run's fold stop rule: (folds, their iterates, their fold gradients) ->
+# the (decision, correct) of each fold whose solve stops at its iterate, else
+# None.
+FoldRule = Callable[[list[int], np.ndarray, np.ndarray], list[tuple[FoldDecision, bool] | None]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,42 +210,43 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     return start
 
 
-def _fold_verdicts(
-    ds: SparseDataset,
-    folds: list[int],
+def _fold_rule(
     full: TrainedModel,
-    betas: np.ndarray,
-    grads: np.ndarray,
+    ds: SparseDataset,
     *,
     tol: float,
     early_stop: bool,
     eta_norm: np.ndarray,
-) -> list[tuple[FoldDecision, bool] | None]:
-    """(decision, correct) of each fold whose solve stops at its iterate, else None.
+) -> FoldRule:
+    """The one fold stop rule of a run, as ``verdicts(folds, betas, grads)``.
 
-    The one fold stop rule. Row k of ``betas`` and ``grads`` is fold
-    ``folds[k]``'s iterate and its fold gradient there, and ``eta_norm``
-    holds every ||x_h||. With ``early_stop`` (op2), a gradient ball whose
-    interval for the held-out score excludes 0 decides the fold; then a
-    gradient norm within ``tol`` does, by the sign of the fold's margin.
+    Row k of ``betas`` and ``grads`` is fold ``folds[k]``'s iterate and its
+    fold gradient there, and ``eta_norm`` holds every ||x_h||. With
+    ``early_stop`` (op2), a gradient ball whose interval for the held-out
+    score excludes 0 decides the fold; then a gradient norm within ``tol``
+    does, by the sign of the fold's margin.
     """
-    eta_beta, eta_grad, grad_norm = np.empty((3, len(folds)))
-    for k, h in enumerate(folds):
-        idx, vals = ds.row(h)
-        y_h = float(ds.y[h])
-        eta_beta[k] = y_h * float(vals @ betas[k][idx])
-        eta_grad[k] = y_h * float(vals @ grads[k][idx])
-        grad_norm[k] = float(np.linalg.norm(grads[k]))
-    signs = [0] * len(folds)
-    if early_stop:
-        bounds = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
-        signs = certified_sign(*bounds).tolist()
-    return [
-        (FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0) if sign
-        else (FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0) if gnorm <= tol
-        else None
-        for sign, eta_h, gnorm in zip(signs, eta_beta.tolist(), grad_norm.tolist())
-    ]
+
+    def verdicts(folds: list[int], betas: np.ndarray, grads: np.ndarray):
+        eta_beta, eta_grad, grad_norm = np.empty((3, len(folds)))
+        for k, h in enumerate(folds):
+            idx, vals = ds.row(h)
+            y_h = float(ds.y[h])
+            eta_beta[k] = y_h * float(vals @ betas[k][idx])
+            eta_grad[k] = y_h * float(vals @ grads[k][idx])
+            grad_norm[k] = float(np.linalg.norm(grads[k]))
+        signs = [0] * len(folds)
+        if early_stop:
+            bounds = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
+            signs = certified_sign(*bounds).tolist()
+        return [
+            (FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0) if sign
+            else (FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0) if gnorm <= tol
+            else None
+            for sign, eta_h, gnorm in zip(signs, eta_beta.tolist(), grad_norm.tolist())
+        ]
+
+    return verdicts
 
 
 def _decide_at_starts(
@@ -246,13 +254,10 @@ def _decide_at_starts(
     folds: list[int],
     full: TrainedModel,
     starts: np.ndarray,
-    *,
-    tol: float,
-    early_stop: bool,
-    eta_norm: np.ndarray,
+    rule: FoldRule,
 ) -> list[tuple[FoldDecision, bool] | None]:
-    """:func:`_fold_verdicts` of a block of folds at their starts, the rows of
-    ``starts``.
+    """The fold ``rule``'s verdicts on a block of folds at their starts, the
+    rows of ``starts``.
 
     One ``X @ B`` and one ``X^T @ DL`` give every fold gradient, with each
     fold's own row zeroed in its column of DL, summed as the fold's
@@ -265,9 +270,7 @@ def _decide_at_starts(
     dl = _dloss_terms(full.kind, ds.y[:, None], z, e)
     dl[folds, np.arange(len(folds))] = 0.0
     grads = np.ascontiguousarray((ds.rmatmat(dl) / (ds.n - 1) + full.lam * B).T)
-    return _fold_verdicts(
-        ds, folds, full, starts, grads, tol=tol, early_stop=early_stop, eta_norm=eta_norm
-    )
+    return rule(folds, starts, grads)
 
 
 def _solve_fold(
@@ -276,24 +279,20 @@ def _solve_fold(
     full: TrainedModel,
     *,
     init: np.ndarray,
+    rule: FoldRule,
     tol: float,
-    early_stop: bool,
-    eta_norm: np.ndarray,
 ) -> tuple[FoldDecision, bool, int]:
     """(decision, correct, iterations) of one undecided fold, by a solve from
-    ``init`` whose stop hook is :func:`_fold_verdicts` at every iterate, of
-    at most the module's ``MAX_ITER`` iterations."""
+    ``init`` to ``tol`` whose stop hook is the fold ``rule`` at every
+    iterate, of at most the module's ``MAX_ITER`` iterations."""
     problem = Problem(ds, full.lam, full.kind, held_out=h)
     verdict: list[tuple[FoldDecision, bool] | None] = []
 
     def hook(beta: np.ndarray, grad: np.ndarray) -> bool:
-        verdict[:] = _fold_verdicts(
-            ds, [h], full, beta[None], grad[None],
-            tol=tol, early_stop=early_stop, eta_norm=eta_norm,
-        )
+        verdict[:] = rule([h], beta[None], grad[None])
         return verdict[0] is not None
 
-    _, _, iters, _, _ = minimize_smooth(
+    _, _, iters, _ = minimize_smooth(
         problem.value_and_grad,
         problem.value,
         init,
@@ -350,6 +349,7 @@ def run_loocv(
     t0 = time.perf_counter()
     lower, upper, eta_norm, terms = _screen_stats(full, ds)
     bound_time = time.perf_counter() - t0
+    rule = _fold_rule(full, ds, tol=fold_tol, early_stop=mode is LoocvMode.OP2, eta_norm=eta_norm)
     signs = np.zeros(n, dtype=int) if mode is LoocvMode.EXACT else certified_sign(lower, upper)
     decisions = np.full(n, None, dtype=object)
     decisions[signs > 0] = FoldDecision.CORRECT_BY_BOUND
@@ -373,27 +373,13 @@ def run_loocv(
         if pos % width == 0:
             block = unresolved[pos : pos + width]
             starts = np.array([start(f) for f in block])
-            decided = _decide_at_starts(
-                ds,
-                block,
-                full,
-                starts,
-                tol=fold_tol,
-                early_stop=mode is LoocvMode.OP2,
-                eta_norm=eta_norm,
-            )
+            decided = _decide_at_starts(ds, block, full, starts, rule)
         k = pos % width
         if decided[k] is not None:
             decisions[h], correct[h] = decided[k]
         else:
             decisions[h], correct[h], fold_iterations[h] = _solve_fold(
-                ds,
-                h,
-                full,
-                init=starts[k],
-                tol=fold_tol,
-                early_stop=mode is LoocvMode.OP2,
-                eta_norm=eta_norm,
+                ds, h, full, init=starts[k], rule=rule, tol=fold_tol
             )
         known_wrong += not correct[h]
     solve_time = time.perf_counter() - t0
@@ -483,10 +469,8 @@ def _check_rbf_args(gamma: float, n_centers: int, seed: int) -> None:
     """Reject the ``rbf_features`` settings it cannot map with."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if isinstance(n_centers, bool) or not isinstance(n_centers, Integral) or n_centers < 1:
-        raise ValueError(f"n_centers must be a positive integer, got {n_centers!r}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_count("n_centers", n_centers, 1)
+    _check_count("seed", seed, 0)
 
 
 def rbf_features(

@@ -31,12 +31,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .data import SparseDataset
+from .data import SparseDataset, _check_count
 from .losses import LossKind, Problem
 
 __all__ = [
@@ -152,16 +151,17 @@ def minimize_smooth(
     tol: float,
     max_iter: int = MAX_ITER,
     stop_hook: StopHook | None = None,
-) -> tuple[np.ndarray, float, int, bool, float]:
+) -> tuple[np.ndarray, float, int, float]:
     """Minimize a smooth convex function from ``init``.
 
     ``curvature(beta)`` gives the Hessian at the current iterate as a
     product ``v -> H v`` and its diagonal; it is called after
     ``value_and_grad`` at the same point.
 
-    Returns (beta, final_grad_norm, iterations, stopped_early, wall_time).
-    Raises :class:`SolverError` when the iteration cap is hit or the line
-    search cannot make progress before the gradient norm reaches ``tol``.
+    Returns (beta, final_grad_norm, iterations, wall_time) at the first
+    iterate where ``stop_hook`` returns True or the gradient norm is within
+    ``tol``. Raises :class:`SolverError` when the iteration cap is hit or the
+    line search cannot make progress before then.
     """
     t0 = time.perf_counter()
     beta = np.array(init, dtype=np.float64, copy=True)
@@ -169,10 +169,8 @@ def minimize_smooth(
 
     for it in itertools.count():
         gnorm = float(np.linalg.norm(g))
-        if stop_hook is not None and stop_hook(beta.copy(), g.copy()):
-            return beta, gnorm, it, True, time.perf_counter() - t0
-        if gnorm <= tol:
-            return beta, gnorm, it, False, time.perf_counter() - t0
+        if (stop_hook is not None and stop_hook(beta.copy(), g.copy())) or gnorm <= tol:
+            return beta, gnorm, it, time.perf_counter() - t0
         if it >= max_iter:
             raise SolverError(
                 f"iteration cap {max_iter} reached (grad norm {gnorm:.3e} > tol {tol:.3e})",
@@ -218,12 +216,6 @@ def _check_tol(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
-def _check_max_iter(max_iter) -> None:
-    """Reject an iteration cap that is not a nonnegative integer."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-
-
 def train(
     ds: SparseDataset,
     lam: float,
@@ -239,12 +231,12 @@ def train(
     if ds.d < 1:
         raise ValueError("dataset has no features")
     _check_tol("tol", tol)
-    _check_max_iter(max_iter)
+    _check_count("max_iter", max_iter, 0)
     start = np.zeros(ds.d) if init is None else np.asarray(init, dtype=np.float64)
     if start.shape != (ds.d,):
         raise ValueError(f"init has shape {start.shape}, expected ({ds.d},)")
     problem = Problem(ds, lam, kind)
-    beta, gnorm, iters, _, wall = minimize_smooth(
+    beta, gnorm, iters, wall = minimize_smooth(
         problem.value_and_grad,
         problem.value,
         start,

@@ -164,7 +164,7 @@ def test_every_iterate_ball_contains_the_optimum(suite):
             return False
 
         problem = dsc.Problem(case.new_ds, case.lam, case.kind)
-        beta, _, _, _, _ = dsc.minimize_smooth(
+        beta, _, _, _ = dsc.minimize_smooth(
             problem.value_and_grad,
             problem.value,
             case.old.beta,

@@ -124,6 +124,22 @@ def test_train_names_the_line_of_an_index_past_int32(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("text, line", [
+    (b"+1 1:1\n-1 2:\xe9\n", 2),
+    (b"+1 1:1\r\n-1 2:3\r\n+1 \xff1:2\r\n", 3),
+])
+def test_train_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, text, line):
+    data = tmp_path / "latin1.libsvm"
+    data.write_bytes(text)
+    code, report, err = run_cli(
+        ["train", "--data", str(data), "--loss", "logistic", "--lambda", "0.1",
+         "--model-out", str(tmp_path / "m.json")], capsys
+    )
+    assert code == 1 and report is None
+    assert err == f"delta-scope: error: line {line}: '_' or a non-ASCII character\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_add_bias_extends_dimension(tmp_path, capsys):
     data = str(tmp_path / "d.libsvm")
     run_cli(["gen", "--seed", "5", "--n", "40", "--d", "3", "--out", data], capsys)
@@ -246,18 +262,24 @@ def test_remove_requires_data(paths, capsys):
     assert "--data" in err
 
 
-@pytest.mark.parametrize("bad", ["1_0", "\u0663", "3.0", "x"])
-def test_remove_rejects_a_line_that_is_not_ascii_digits(paths, capsys, bad):
+@pytest.mark.parametrize("bad, shown", [
+    (b"1_0", "1_0"),
+    ("\u0663".encode(), "\u0663"),
+    (b"3.0", "3.0"),
+    (b"x", "x"),
+    (b"\xe9", "\ufffd"),  # not UTF-8
+])
+def test_remove_rejects_a_line_that_is_not_ascii_digits(paths, capsys, bad, shown):
     tmp_path, data, model_path = paths
     remove_path = str(tmp_path / "rm.txt")
-    with open(remove_path, "w", encoding="utf-8") as fh:
-        fh.write(f"0\n{bad}\n")
+    with open(remove_path, "wb") as fh:
+        fh.write(b"0\n" + bad + b"\n")
     code, report, err = run_cli(
         ["coef-sensitivity", "--model", model_path, "--data", data,
          "--remove", remove_path], capsys
     )
     assert code == 1 and report is None
-    assert f"line 2: not an integer: {bad!r}" in err
+    assert f"line 2: not an integer: {shown!r}" in err
 
 
 @pytest.mark.parametrize("command", ["coef-sensitivity", "label-sensitivity"])

@@ -105,6 +105,18 @@ def test_parse_rejects_underscores_and_non_ascii(line):
         take_libsvm_rows(text, [1], d=20)
 
 
+def test_a_byte_that_is_not_utf8_is_named_by_its_line():
+    text = b"+1 1:1\n\xff\n-1 2:3\n"
+    with pytest.raises(LibsvmFormatError, match="^line 2: '_' or a non-ASCII character$"):
+        parse_libsvm(text)
+    with pytest.raises(LibsvmFormatError, match="^line 2: '_' or a non-ASCII character$"):
+        take_libsvm_rows(text, [1], d=2)
+    # the line is still a row of its own, so the rows around it read as they are
+    rows, n = take_libsvm_rows(text, [2, 0], d=2)
+    assert n == 3
+    assert rows.y.tolist() == [-1.0, 1.0]
+
+
 def test_take_rows_parses_only_the_picked_lines():
     text = "+1 1:1\n\n  \nspam\r\n-1 2:2\x0c+1 3:0.5\n"
     rows, n = take_libsvm_rows(text, [3, 2], d=3)

@@ -283,7 +283,7 @@ def test_accepted_trial_scores_are_reused(kind, held_out):
 
         return wrapper, diag
 
-    _, _, iters, _, _ = minimize_smooth(
+    _, _, iters, _ = minimize_smooth(
         counted("value_and_grad"),
         counted("value"),
         start,

@@ -153,7 +153,7 @@ def test_incremental_train_stop_hook():
         return True
 
     problem = Problem(ds, old.lam, old.kind)
-    _, _, iterations, stopped_early, _ = minimize_smooth(
+    _, _, iterations, _ = minimize_smooth(
         problem.value_and_grad,
         problem.value,
         old.beta,
@@ -161,7 +161,6 @@ def test_incremental_train_stop_hook():
         tol=1e-12,
         stop_hook=stop_now,
     )
-    assert stopped_early
     assert iterations == 0
     assert len(seen) == 1
     beta_seen, grad_seen = seen[0]
@@ -182,7 +181,7 @@ def test_incremental_train_hook_sees_every_iterate():
         return False
 
     problem = Problem(ds, old.lam, old.kind)
-    _, grad_norm, iterations, stopped_early, _ = minimize_smooth(
+    _, grad_norm, iterations, _ = minimize_smooth(
         problem.value_and_grad,
         problem.value,
         old.beta,
@@ -190,7 +189,6 @@ def test_incremental_train_hook_sees_every_iterate():
         tol=1e-9,
         stop_hook=watch,
     )
-    assert not stopped_early
     # the hook is asked before the tolerance test, the final iterate included
     assert len(iterates) == iterations + 1
     # gradient norms are honest: the final residual meets the tolerance
@@ -212,11 +210,10 @@ def test_minimize_smooth_on_quadratic():
     def curvature(x):
         return (lambda v: A @ v), np.diag(A)
 
-    beta, gnorm, iters, early, _ = minimize_smooth(
+    beta, gnorm, _, _ = minimize_smooth(
         vag, val, np.zeros(3), curvature=curvature, tol=1e-12
     )
     assert gnorm <= 1e-12
-    assert not early
     np.testing.assert_allclose(beta, target, atol=1e-11)
 
 
