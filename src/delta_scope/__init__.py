@@ -22,7 +22,6 @@ from .bounds import (
     certified_sign,
     coefficient_bounds,
     compute_delta_s,
-    gradient_ball,
     norm_change_bound,
     old_optimum_ball,
     score_bounds,
@@ -85,7 +84,6 @@ __all__ = [
     "certified_sign",
     "coefficient_bounds",
     "compute_delta_s",
-    "gradient_ball",
     "load_libsvm",
     "load_model",
     "make_synthetic",

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SparseDataset
-from .losses import dloss_values
+from .losses import _check_lam, dloss_values
 from .solver import TrainedModel
 
 __all__ = [
@@ -212,8 +212,7 @@ def gradient_ball(candidate: np.ndarray, grad: np.ndarray, lam: float) -> Soluti
     Valid at every iterate, so it doubles as a convergence certificate: the
     radius shrinks to 0 as the candidate approaches the new optimum.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and positive, got {lam}")
+    _check_lam(lam)
     candidate = np.asarray(candidate, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if candidate.shape != grad.shape:

@@ -44,7 +44,7 @@ from .data import (
     take_libsvm_rows,
     with_bias_feature,
 )
-from .losses import LossKind
+from .losses import LossKind, _check_lam
 from .model_io import load_model, save_model
 from .report import build_report, timed_median, write_report
 from .solver import DEFAULT_TRAIN_TOL, MAX_ITER, SolverError, TrainedModel, train
@@ -418,14 +418,17 @@ def _cmd_loocv(args) -> dict:
         return build_report("loocv", params, inputs, payload)
 
     lam_grid = _parse_grid(args.lambda_grid)
-    # every gamma and map setting is checked before the first cell runs
+    lams = tuple(lam for lam, _ in lam_grid)
+    # every lambda, gamma and map setting is checked before the first cell runs
+    for lam in lams:
+        _check_lam(lam)
     gammas = _parse_grid(args.gamma_grid) if args.gamma_grid else []
     for gamma, _ in gammas:
         L._check_rbf_args(gamma, args.rbf_centers, args.rbf_seed)
     cells = []  # (label, lambda) of every cell handed to model_select
 
     def grid():
-        """The grid's cells, one feature map at a time: a gamma's map is
+        """The grid's points, one feature map at a time: a gamma's map is
         built only after the previous gamma's cells ran, and dropped before
         the next map is built."""
         for gamma, glabel in gammas or [(None, "")]:
@@ -438,9 +441,8 @@ def _cmd_loocv(args) -> dict:
                     L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
                 )
                 suffix = f",gamma={glabel}"
-            for lam, llabel in lam_grid:
-                cells.append((f"lambda={llabel}{suffix}", lam))
-                yield L.GridPoint(lam, data)
+            cells.extend((f"lambda={llabel}{suffix}", lam) for lam, llabel in lam_grid)
+            yield L.GridPoint(data, lams)
             del data
 
     params.update(

@@ -51,10 +51,11 @@ column by column on BLAS, so each column equals the product a fold's own
 solve takes, bit for bit, on either kernel.
 
 Model selection runs over grid cells, each an L2 weight and the dataset
-its folds come from (the raw rows, or their ``rbf_features``). It can
-prune a cell as soon as its running error lower bound exceeds the best
-completed error, tested before every fold, and the likely-wrong folds come
-first, so a losing cell is abandoned early.
+its folds come from (the raw rows, or their ``rbf_features``), and runs
+each dataset's cells from the largest weight down. It can prune a cell as
+soon as its running error lower bound exceeds the best completed error,
+tested before every fold, and the likely-wrong folds come first, so a
+losing cell is abandoned early.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from .bounds import certified_sign, gradient_ball_bounds
 from .data import SparseDataset, _check_count
-from .losses import LossKind, Problem, _d2loss_terms, _dloss_terms
+from .losses import LossKind, Problem, _check_lam, _d2loss_terms, _dloss_terms
 from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
@@ -406,12 +407,13 @@ def run_loocv(
 
 @dataclass(frozen=True, eq=False)
 class GridPoint:
-    """One model-selection candidate: an L2 weight and the dataset its folds
-    come from. Results come in grid order, so a caller that names its cells
-    keeps the names beside the grid."""
+    """One dataset of a model-selection grid and the L2 weights tried on it.
 
-    lam: float
+    Each (dataset, weight) pair is one cell. Cells are numbered in grid
+    order: point by point, and within a point in the order of ``lams``."""
+
     data: SparseDataset
+    lams: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,33 +435,49 @@ def model_select(
 ) -> ModelSelectResult:
     """Pick the grid cell with the lowest leave-one-out error.
 
+    The points are taken in grid order, and each point's cells from its
+    largest lambda down (equal lambdas in grid order): a large lambda gives
+    a smooth model whose folds the screen mostly decides, so a cheap cell
+    sets the incumbent error before the costly small-lambda cells run.
+    ``results`` and ``best_index`` still follow grid order, and the best
+    cell has the lowest error, ties going to the earliest in grid order.
+    Every cell is a :func:`run_loocv` with this mode and these tolerances.
+
     With ``prune`` enabled, a cell is abandoned once its running error lower
-    bound exceeds the best completed cell's error; abandoned cells keep their
-    partial results and are never selected. Each cell solves its undecided
-    folds lowest margin first, so a losing cell meets its wrong folds, and
-    is abandoned, early. Ties go to the earliest cell. Every cell is a
-    :func:`run_loocv` with this mode and these tolerances.
+    bound exceeds the lowest error of the cells run before it; abandoned
+    cells keep their partial results and are never selected. Each cell
+    solves its undecided folds lowest margin first, so a losing cell meets
+    its wrong folds, and is abandoned, early. Pruning never changes which
+    cell is selected, nor any cell it leaves whole, but which cells it
+    abandons, and their partial counts, depend on the incumbent they met.
 
     ``grid`` may be any iterable, a generator included, and is walked once;
-    a cell is not referenced after its run, so a generator that builds each
-    cell's dataset when asked holds only the dataset in use.
+    a point is not referenced after its cells ran, so a generator that
+    builds each point's dataset when asked holds only the dataset in use.
+    Every lambda of a point is checked before its first cell runs.
     """
     results: list[LoocvResult] = []
     best_index, incumbent = 0, math.inf
     for point in grid:
-        result = run_loocv(
-            point.data,
-            point.lam,
-            kind,
-            mode=mode,
-            fold_tol=fold_tol,
-            full_tol=full_tol,
-            prune_above=incumbent if prune else None,
-        )
-        del point  # let the cell's dataset go before the next cell is made
-        if not result.pruned and result.error_rate < incumbent:
-            best_index, incumbent = len(results), result.error_rate
-        results.append(result)
+        lams = point.lams
+        for lam in lams:
+            _check_lam(lam)
+        row = [None] * len(lams)
+        for i in sorted(range(len(lams)), key=lams.__getitem__, reverse=True):
+            row[i] = run_loocv(
+                point.data,
+                lams[i],
+                kind,
+                mode=mode,
+                fold_tol=fold_tol,
+                full_tol=full_tol,
+                prune_above=incumbent if prune else None,
+            )
+            cell = len(results) + i
+            if not row[i].pruned and (row[i].error_rate, cell) < (incumbent, best_index):
+                best_index, incumbent = cell, row[i].error_rate
+        del point  # let the point's dataset go before the next one is made
+        results += row
     if not results:
         raise ValueError("empty model-selection grid")
     return ModelSelectResult(best_index, tuple(results))

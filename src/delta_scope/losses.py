@@ -87,6 +87,12 @@ def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarra
     return _dloss_terms(kind, y, z, e)
 
 
+def _check_lam(lam: float) -> None:
+    """Reject an L2 weight that no regularized problem can take."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+
+
 class Problem:
     """The regularized empirical risk of ``ds`` as the solver sees it.
 
@@ -116,8 +122,7 @@ class Problem:
     ) -> None:
         if ds.n < 1:
             raise ValueError("dataset is empty")
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"lambda must be finite and positive, got {lam}")
+        _check_lam(lam)
         if held_out is not None:
             if ds.n < 2:
                 raise ValueError("leave-one-out needs at least 2 instances")

@@ -15,6 +15,7 @@ import pytest
 
 import delta_scope as dsc
 from conftest import ACCEPTANCE_LINES, make_update_case, record_acceptance
+from delta_scope.bounds import gradient_ball
 
 # pinned verification tolerances
 SANDWICH_SLACK = 1e-7
@@ -127,7 +128,7 @@ def test_interval_widths_match_closed_forms(suite):
     worst_t2 = 0.0
     for case, directions in zip(cases, etas):
         _, grad = dsc.Problem(case.new_ds, case.lam, case.kind).value_and_grad(case.old.beta)
-        gball = dsc.gradient_ball(case.old.beta, grad, case.lam)
+        gball = gradient_ball(case.old.beta, grad, case.lam)
         gnorm = float(np.linalg.norm(grad))
         for eta in directions:
             eta_norm = float(np.linalg.norm(eta))
@@ -158,7 +159,7 @@ def test_every_iterate_ball_contains_the_optimum(suite):
         overshoots = []
 
         def watch(beta, grad):
-            ball = dsc.gradient_ball(beta, grad, case.lam)
+            ball = gradient_ball(beta, grad, case.lam)
             dist = float(np.linalg.norm(exact - ball.center))
             overshoots.append(dist - ball.radius)
             return False
@@ -177,7 +178,7 @@ def test_every_iterate_ball_contains_the_optimum(suite):
             worst = max(worst, max(overshoots))
         # at convergence the certified gap collapses to the tolerance scale
         eta = np.ones(case.old.d)
-        final_ball = dsc.gradient_ball(
+        final_ball = gradient_ball(
             beta,
             dsc.Problem(case.new_ds, case.lam, case.kind).value_and_grad(beta)[1],
             case.lam,
@@ -380,7 +381,7 @@ def test_reference_fraction_determined_and_tightness():
 @criterion("screening and early stopping save work")
 def test_mode_iteration_ordering_on_model_selection_grid():
     ds = dsc.make_synthetic(60, 208, 60, separation=1.0)
-    grid = [dsc.GridPoint(lam=2.0**p, data=ds) for p in range(-10, 1)]
+    grid = [dsc.GridPoint(data=ds, lams=tuple(2.0**p for p in range(-10, 1)))]
     totals = {}
     for mode in (dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2):
         sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=mode)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import delta_scope as dsc
 from conftest import instance_gradient, make_update_case
-from delta_scope.bounds import gradient_ball_bounds
+from delta_scope.bounds import gradient_ball, gradient_ball_bounds
 
 # certified inequalities are checked with a slack far below the radii they
 # certify, but above accumulated rounding in the exact reference solve
@@ -195,7 +195,7 @@ def test_solution_ball_validation():
 def test_gradient_ball_hand_values():
     cand = np.array([1.0, 2.0])
     grad = np.array([0.3, -0.4])
-    ball = dsc.gradient_ball(cand, grad, lam=0.5)
+    ball = gradient_ball(cand, grad, lam=0.5)
     np.testing.assert_allclose(ball.center, cand - grad)  # grad / (2*0.5)
     assert ball.radius == pytest.approx(0.5, rel=1e-15)  # ||grad|| = 0.5, 2*lam = 1
 
@@ -206,7 +206,7 @@ def test_gradient_ball_contains_optimum_along_trajectory():
     radii = []
 
     def watch(beta, grad):
-        ball = dsc.gradient_ball(beta, grad, case.lam)
+        ball = gradient_ball(beta, grad, case.lam)
         assert ball.radius == pytest.approx(
             np.linalg.norm(grad) / (2 * case.lam), rel=1e-15
         )
@@ -232,7 +232,7 @@ def test_gradient_ball_at_optimum_pins_the_solution():
     ds = dsc.make_synthetic(109, 50, 4)
     model, _ = dsc.train(ds, 0.2, dsc.LossKind.L2_HINGE, tol=1e-12)
     grad = dsc.Problem(ds, 0.2, dsc.LossKind.L2_HINGE).value_and_grad(model.beta)[1]
-    ball = dsc.gradient_ball(model.beta, grad, 0.2)
+    ball = gradient_ball(model.beta, grad, 0.2)
     assert ball.radius <= 1e-12 / (2 * 0.2) * (1 + 1e-9)
 
 
@@ -264,7 +264,7 @@ def test_old_optimum_ball_is_the_gradient_ball_at_the_old_optimum(
         stats = dsc.compute_delta_s(old, added, ds.take(list(removed_idx)))
     ball = dsc.old_optimum_ball(old, stats)
     true_grad = dsc.Problem(new_ds, lam, kind).value_and_grad(beta)[1]
-    truth = dsc.gradient_ball(beta, true_grad, lam)
+    truth = gradient_ball(beta, true_grad, lam)
     gap = (stats.n_old / stats.n_new) * residual / (2 * lam)
     scale = 1.0 + float(np.linalg.norm(beta)) + float(np.linalg.norm(true_grad)) / lam
     rounding = 1e-12 * scale
@@ -279,7 +279,7 @@ def test_gradient_ball_bounds_match_score_bounds_of_the_ball():
     lower, upper = gradient_ball_bounds(
         eta @ cand, eta @ grad, np.linalg.norm(eta, axis=1), np.linalg.norm(grad), 0.3
     )
-    ball = dsc.gradient_ball(cand, grad, 0.3)
+    ball = gradient_ball(cand, grad, 0.3)
     for i in range(5):
         sb = dsc.score_bounds(ball, eta[i])
         assert lower[i] == pytest.approx(sb.lower, rel=1e-12, abs=1e-13)
@@ -506,7 +506,7 @@ def test_batch_score_bounds_matches_per_row():
 def test_duplicate_row_entries_are_summed_before_projection():
     # center (1, 0), radius 1; the row stores the entry (0, 1.0) twice, so it
     # is the vector (2, 0), whose scores over the ball span exactly [0, 4]
-    ball = dsc.gradient_ball(np.zeros(2), np.array([-2.0, 0.0]), 1.0)
+    ball = gradient_ball(np.zeros(2), np.array([-2.0, 0.0]), 1.0)
     row = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
     dense = dsc.score_bounds(ball, np.array([2.0, 0.0]))
     assert (dense.lower, dense.upper, dense.eta_norm) == (0.0, 4.0, 2.0)
@@ -531,7 +531,7 @@ def test_row_norms_after_a_large_row_are_not_absorbed():
     # center (0, -0.5), radius 1: row (0, 1) scores over the ball span
     # exactly [-1.5, 0.5]; a norm taken from running sums after the 1e8 row
     # read 0 there and certified -1
-    ball = dsc.gradient_ball(np.array([0.0, 0.5]), np.array([0.0, 2.0]), 1.0)
+    ball = gradient_ball(np.array([0.0, 0.5]), np.array([0.0, 2.0]), 1.0)
     X = sp.csr_matrix(np.array([[1e8, 0.0], [0.0, 1.0], [3.0, 4.0]]))
     ds = dsc.SparseDataset(X, np.ones(3))
     assert ds.row_sq_norms().tolist() == [1e16, 1.0, 25.0]

@@ -676,6 +676,62 @@ def test_loocv_grid_prune_same_best(paths, capsys):
     assert fast["results"]["best"]["error_rate"] == full["results"]["best"]["error_rate"]
 
 
+def _cell_outcome(cell):
+    """A grid cell's report entry without its timing fields."""
+    return {k: v for k, v in cell.items() if k not in ("bound_time", "solve_time", "wall_time")}
+
+
+@pytest.mark.parametrize("loss", ["logistic", "l2-hinge"])
+@pytest.mark.parametrize("density", [1.0, 0.4])
+@pytest.mark.parametrize("gamma_grid", [[], ["--gamma-grid", "0.05,0.5", "--rbf-centers", "20"]])
+def test_pruning_never_changes_the_selected_cell(tmp_path, capsys, loss, density, gamma_grid):
+    data = str(tmp_path / "train.libsvm")
+    dsc.save_libsvm(dsc.make_synthetic(26, 150, 8, separation=3.0, density=density), data)
+    args = ["loocv", "--data", data, "--loss", loss, "--lambda-grid", "2^-8..2^0",
+            "--mode", "op2", *gamma_grid]
+    _, full, _ = run_cli(args, capsys)
+    _, fast, _ = run_cli(args + ["--prune"], capsys)
+    full, fast = full["results"], fast["results"]
+    assert fast["best"] == full["best"]
+    assert any(cell["pruned"] for cell in fast["cells"])
+    for cell, ref in zip(fast["cells"], full["cells"], strict=True):
+        if cell["pruned"]:
+            assert cell["error_lower"] <= ref["error_rate"] <= cell["error_upper"]
+            assert cell["error_lower"] > full["best"]["error_rate"]
+        else:
+            assert _cell_outcome(cell) == _cell_outcome(ref)
+
+
+def test_pruned_cells_do_not_depend_on_the_grid_order(tmp_path, capsys):
+    data = str(tmp_path / "train.libsvm")
+    dsc.save_libsvm(dsc.make_synthetic(26, 150, 8, separation=3.0), data)
+    args = ["loocv", "--data", data, "--loss", "logistic", "--mode", "op2", "--prune"]
+    _, up, _ = run_cli(args + ["--lambda-grid", "0.01,0.1,1"], capsys)
+    _, down, _ = run_cli(args + ["--lambda-grid", "1,0.1,0.01"], capsys)
+    up, down = up["results"], down["results"]
+    # each lambda's cell, partial counts of a pruned cell included
+    assert {c["lambda"]: _cell_outcome(c) for c in up["cells"]} == {
+        c["lambda"]: _cell_outcome(c) for c in down["cells"]
+    }
+    assert any(cell["pruned"] for cell in up["cells"])
+    assert up["best"]["lambda"] == down["best"]["lambda"]
+
+
+def test_tied_cells_select_the_earliest_in_grid_order(tmp_path, capsys):
+    data = str(tmp_path / "separable.libsvm")
+    dsc.save_libsvm(dsc.make_synthetic(27, 60, 5, separation=12.0), data)
+    for spec in ("0.01,0.1,1", "1,0.1,0.01"):
+        for prune in ([], ["--prune"]):
+            _, report, _ = run_cli(
+                ["loocv", "--data", data, "--loss", "logistic", "--mode", "op2",
+                 "--lambda-grid", spec, *prune], capsys
+            )
+            res = report["results"]
+            assert [c["error_rate"] for c in res["cells"]] == [0.0, 0.0, 0.0]
+            assert res["best"]["index"] == 0
+            assert res["best"]["label"] == f"lambda={spec.split(',')[0]}"
+
+
 @pytest.mark.parametrize("add_bias", [False, True])
 def test_loocv_gamma_grid(paths, capsys, add_bias):
     _, data, _ = paths
@@ -729,10 +785,11 @@ def test_gamma_grid_builds_each_map_after_the_previous_cells_ran(paths, capsys, 
          "--gamma-grid", "0.5,1,2", "--rbf-centers", "8", "--mode", "op2"], capsys
     )
     assert code == 0
+    # each map's cells run from the largest lambda down
     assert events == [
         event
         for gamma in (0.5, 1.0, 2.0)
-        for event in (("map", gamma), ("cell", 0.1), ("cell", 1.0))
+        for event in (("map", gamma), ("cell", 1.0), ("cell", 0.1))
     ]
     labels = [cell["label"] for cell in report["results"]["cells"]]
     assert labels == [
@@ -761,6 +818,26 @@ def test_gamma_grid_settings_are_checked_before_any_cell_runs(
     )
     assert code == 1 and report is None
     assert field in err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec, value", [("1,nan", "nan"), ("0.5,0", "0.0"), ("2^-1100..2^0", "0.0")]
+)
+def test_lambda_grid_values_are_checked_before_any_cell_runs(
+    paths, capsys, monkeypatch, spec, value
+):
+    _, data, _ = paths
+    calls = []
+    monkeypatch.setattr(L, "rbf_features", lambda *a, **k: calls.append("map"))
+    monkeypatch.setattr(L, "run_loocv", lambda *a, **k: calls.append("cell"))
+    code, report, err = run_cli(
+        ["loocv", "--data", data, "--loss", "logistic", "--lambda-grid", spec,
+         "--gamma-grid", "0.5"],
+        capsys,
+    )
+    assert code == 1 and report is None
+    assert f"lambda must be finite and positive, got {value}" in err
     assert calls == []
 
 

@@ -638,7 +638,7 @@ def test_no_prune_flag_when_everything_resolves_at_screen():
 
 def test_model_select_picks_lowest_error():
     ds = dsc.make_synthetic(312, 60, 6, separation=1.5)
-    grid = [dsc.GridPoint(l, ds) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
+    grid = [dsc.GridPoint(ds, (0.001, 0.01, 0.1, 1.0, 10.0))]
     sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
     rates = [r.error_rate for r in sel.results]
     assert len(sel.results) == 5
@@ -647,7 +647,7 @@ def test_model_select_picks_lowest_error():
 
 def test_model_select_prune_agrees_with_full_sweep():
     ds = dsc.make_synthetic(313, 60, 6, separation=1.2)
-    grid = [dsc.GridPoint(l, ds) for l in (0.001, 0.01, 0.1, 1.0, 10.0)]
+    grid = [dsc.GridPoint(ds, (0.001, 0.01, 0.1, 1.0, 10.0))]
     full = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
     fast = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune=True)
     assert fast.best_index == full.best_index
@@ -663,6 +663,16 @@ def test_model_select_prune_agrees_with_full_sweep():
     assert total_solves_fast <= total_solves_full
 
 
+def test_model_select_checks_a_points_lambdas_before_its_first_cell(monkeypatch):
+    ds = dsc.make_synthetic(316, 20, 3)
+    calls = []
+    monkeypatch.setattr(loocv_module, "run_loocv", lambda *a, **k: calls.append(a))
+    grid = [dsc.GridPoint(ds, (1.0, math.nan))]
+    with pytest.raises(ValueError, match="lambda must be finite and positive, got nan"):
+        dsc.model_select(grid, dsc.LossKind.LOGISTIC)
+    assert calls == []
+
+
 def test_model_select_empty_grid():
     with pytest.raises(ValueError, match="empty"):
         dsc.model_select([], dsc.LossKind.LOGISTIC)
@@ -671,16 +681,13 @@ def test_model_select_empty_grid():
 def test_model_select_results_equal_run_loocv_on_each_cell():
     ds = dsc.make_synthetic(315, 40, 4, separation=1.0)
     mapped = dsc.rbf_features(ds, gamma=0.5, n_centers=10)
-    grid = [
-        dsc.GridPoint(0.1, ds),
-        dsc.GridPoint(0.01, mapped),
-        dsc.GridPoint(1.0, mapped),
-    ]
+    grid = [dsc.GridPoint(ds, (0.1,)), dsc.GridPoint(mapped, (0.01, 1.0))]
     sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    assert len(sel.results) == len(grid)
-    for point, res in zip(grid, sel.results):
-        ref = dsc.run_loocv(point.data, point.lam, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-        assert res.n == point.data.n
+    cells = [(point.data, lam) for point in grid for lam in point.lams]
+    assert len(sel.results) == len(cells)
+    for (data, lam), res in zip(cells, sel.results):
+        ref = dsc.run_loocv(data, lam, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+        assert res.n == data.n
         assert fold_arrays(res) == fold_arrays(ref)
         assert (res.error_rate, res.solves_performed, res.solver_iterations) == (
             ref.error_rate,
@@ -808,7 +815,7 @@ ds = dsc.make_synthetic(5, 120, 6, separation=0.8)
 for kind in dsc.LossKind:
     for mode in dsc.LoocvMode:
         dsc.run_loocv(ds, 0.01, kind, mode=mode)
-grid = [dsc.GridPoint(lam, ds) for lam in (0.001, 0.1)]
+grid = [dsc.GridPoint(ds, (0.001, 0.1))]
 dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=dsc.LoocvMode.OP2, prune=True)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

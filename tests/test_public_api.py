@@ -27,7 +27,6 @@ PUBLIC = {
     "certified_sign",
     "coefficient_bounds",
     "compute_delta_s",
-    "gradient_ball",
     "load_libsvm",
     "load_model",
     "make_synthetic",
