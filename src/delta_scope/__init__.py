@@ -39,7 +39,6 @@ from .data import (
 from .loocv import (
     DEFAULT_FOLD_TOL,
     FoldDecision,
-    GridPoint,
     LoocvMode,
     LoocvResult,
     ModelSelectResult,
@@ -63,7 +62,6 @@ __all__ = [
     "CoefficientBounds",
     "DEFAULT_FOLD_TOL",
     "FoldDecision",
-    "GridPoint",
     "LibsvmFormatError",
     "LoocvMode",
     "LoocvResult",

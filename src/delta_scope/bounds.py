@@ -311,7 +311,7 @@ def norm_change_bound(
     Uses the per-coordinate worst case max(beta_old_j - L_j, U_j - beta_old_j);
     q may be any value >= 1, including math.inf for the max norm.
     """
-    if q < 1:
+    if not q >= 1:  # also rejects NaN
         raise ValueError(f"q must be >= 1, got {q}")
     beta_old = np.asarray(beta_old, dtype=np.float64)
     if beta_old.shape != box.lower.shape:

@@ -44,7 +44,7 @@ from .data import (
     take_libsvm_rows,
     with_bias_feature,
 )
-from .losses import LossKind, _check_lam
+from .losses import LossKind
 from .model_io import load_model, save_model
 from .report import build_report, timed_median, write_report
 from .solver import DEFAULT_TRAIN_TOL, MAX_ITER, SolverError, TrainedModel, train
@@ -418,31 +418,31 @@ def _cmd_loocv(args) -> dict:
         return build_report("loocv", params, inputs, payload)
 
     lam_grid = _parse_grid(args.lambda_grid)
-    lams = tuple(lam for lam, _ in lam_grid)
-    # every lambda, gamma and map setting is checked before the first cell runs
-    for lam in lams:
-        _check_lam(lam)
     gammas = _parse_grid(args.gamma_grid) if args.gamma_grid else []
-    for gamma, _ in gammas:
-        L._check_rbf_args(gamma, args.rbf_centers, args.rbf_seed)
-    cells = []  # (label, lambda) of every cell handed to model_select
+    # (label, lambda) of every cell, in model_select's grid order
+    cells = [
+        (f"lambda={llabel}{suffix}", lam)
+        for suffix in [f",gamma={glabel}" for _, glabel in gammas] or [""]
+        for lam, llabel in lam_grid
+    ]
 
-    def grid():
-        """The grid's points, one feature map at a time: a gamma's map is
+    def datasets():
+        """The grid's datasets, one feature map at a time. Every map setting
+        is checked when the first dataset is asked for, after model_select
+        checked every lambda and before any map is built; a gamma's map is
         built only after the previous gamma's cells ran, and dropped before
         the next map is built."""
-        for gamma, glabel in gammas or [(None, "")]:
-            if gamma is None:
-                data, suffix = prepared(raw), ""
-            else:
-                # the bias column goes on after the map: before it, the column
-                # adds 0 to every center distance and the cells lose their bias
-                data = prepared(
-                    L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
-                )
-                suffix = f",gamma={glabel}"
-            cells.extend((f"lambda={llabel}{suffix}", lam) for lam, llabel in lam_grid)
-            yield L.GridPoint(data, lams)
+        for gamma, _ in gammas:
+            L._check_rbf_args(gamma, args.rbf_centers, args.rbf_seed)
+        if not gammas:
+            yield prepared(raw)
+        for gamma, _ in gammas:
+            # the bias column goes on after the map: before it, the column
+            # adds 0 to every center distance and the cells lose their bias
+            data = prepared(
+                L.rbf_features(raw, gamma, n_centers=args.rbf_centers, seed=args.rbf_seed)
+            )
+            yield data
             del data
 
     params.update(
@@ -453,7 +453,8 @@ def _cmd_loocv(args) -> dict:
             "rbf_seed": args.rbf_seed if args.gamma_grid else None,
         }
     )
-    sel = L.model_select(grid(), kind, prune=args.prune, **common)
+    lams = [lam for lam, _ in lam_grid]
+    sel = L.model_select(datasets(), lams, kind, prune=args.prune, **common)
     best_label, best_lam = cells[sel.best_index]
     payload = {
         "n_cells": len(cells),

@@ -50,9 +50,9 @@ SciPy), and SciPy's sparse kernels otherwise. The block products run
 column by column on BLAS, so each column equals the product a fold's own
 solve takes, bit for bit, on either kernel.
 
-Model selection runs over grid cells, each an L2 weight and the dataset
-its folds come from (the raw rows, or their ``rbf_features``), and runs
-each dataset's cells from the largest weight down. It can prune a cell as
+Model selection runs over a grid of datasets (the raw rows, or their
+``rbf_features``) times L2 weights, one cell per pair, and runs each
+dataset's cells from the largest weight down. It can prune a cell as
 soon as its running error lower bound exceeds the best completed error,
 tested before every fold, and the likely-wrong folds come first, so a
 losing cell is abandoned early.
@@ -63,7 +63,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,7 +83,6 @@ __all__ = [
     "LoocvMode",
     "FoldDecision",
     "LoocvResult",
-    "GridPoint",
     "ModelSelectResult",
     "run_loocv",
     "model_select",
@@ -406,17 +405,6 @@ def run_loocv(
 
 
 @dataclass(frozen=True, eq=False)
-class GridPoint:
-    """One dataset of a model-selection grid and the L2 weights tried on it.
-
-    Each (dataset, weight) pair is one cell. Cells are numbered in grid
-    order: point by point, and within a point in the order of ``lams``."""
-
-    data: SparseDataset
-    lams: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class ModelSelectResult:
     """Leave-one-out result of every grid cell, in grid order, and the winner's index."""
 
@@ -425,7 +413,8 @@ class ModelSelectResult:
 
 
 def model_select(
-    grid: Iterable[GridPoint],
+    datasets: Iterable[SparseDataset],
+    lams: Sequence[float],
     kind: LossKind,
     *,
     mode: LoocvMode = LoocvMode.OP1,
@@ -435,13 +424,15 @@ def model_select(
 ) -> ModelSelectResult:
     """Pick the grid cell with the lowest leave-one-out error.
 
-    The points are taken in grid order, and each point's cells from its
-    largest lambda down (equal lambdas in grid order): a large lambda gives
-    a smooth model whose folds the screen mostly decides, so a cheap cell
-    sets the incumbent error before the costly small-lambda cells run.
-    ``results`` and ``best_index`` still follow grid order, and the best
-    cell has the lowest error, ties going to the earliest in grid order.
-    Every cell is a :func:`run_loocv` with this mode and these tolerances.
+    The cells are ``datasets`` x ``lams``, numbered in grid order: dataset
+    by dataset, and within a dataset in the order of ``lams``. Each
+    dataset's cells run from the largest lambda down (equal lambdas in grid
+    order): a large lambda gives a smooth model whose folds the screen
+    mostly decides, so a cheap cell sets the incumbent error before the
+    costly small-lambda cells run. ``results`` and ``best_index`` still
+    follow grid order, and the best cell has the lowest error, ties going
+    to the earliest in grid order. Every cell is a :func:`run_loocv` with
+    this mode and these tolerances.
 
     With ``prune`` enabled, a cell is abandoned once its running error lower
     bound exceeds the lowest error of the cells run before it; abandoned
@@ -451,21 +442,25 @@ def model_select(
     cell is selected, nor any cell it leaves whole, but which cells it
     abandons, and their partial counts, depend on the incumbent they met.
 
-    ``grid`` may be any iterable, a generator included, and is walked once;
-    a point is not referenced after its cells ran, so a generator that
-    builds each point's dataset when asked holds only the dataset in use.
-    Every lambda of a point is checked before its first cell runs.
+    Every lambda is checked, and an empty ``lams`` rejected, before the
+    first dataset is taken. ``datasets`` may be any iterable, a generator
+    included, and is walked once; a dataset is not referenced after its
+    cells ran, so a generator that builds each dataset when asked holds
+    only the dataset in use.
     """
+    lams = tuple(lams)
+    if not lams:
+        raise ValueError("empty lambda list")
+    for lam in lams:
+        _check_lam(lam)
+    walk = sorted(range(len(lams)), key=lams.__getitem__, reverse=True)
     results: list[LoocvResult] = []
     best_index, incumbent = 0, math.inf
-    for point in grid:
-        lams = point.lams
-        for lam in lams:
-            _check_lam(lam)
+    for data in datasets:
         row = [None] * len(lams)
-        for i in sorted(range(len(lams)), key=lams.__getitem__, reverse=True):
+        for i in walk:
             row[i] = run_loocv(
-                point.data,
+                data,
                 lams[i],
                 kind,
                 mode=mode,
@@ -476,7 +471,7 @@ def model_select(
             cell = len(results) + i
             if not row[i].pruned and (row[i].error_rate, cell) < (incumbent, best_index):
                 best_index, incumbent = cell, row[i].error_rate
-        del point  # let the point's dataset go before the next one is made
+        del data  # let this dataset go before the next one is made
         results += row
     if not results:
         raise ValueError("empty model-selection grid")

@@ -109,9 +109,6 @@ def timed_median(fn: Callable[[], object], repeats: int = 5) -> tuple[float, obj
         times.append(time.perf_counter() - t0)
         if i == 0:
             result = out
-    # the median as `statistics.median` takes it, without importing its
-    # `fractions` and `decimal` into every CLI process
-    times.sort()
-    mid = repeats // 2
-    middle = times[mid] if repeats % 2 else (times[mid - 1] + times[mid]) / 2
-    return middle, result
+    import statistics  # here, so that only the commands that time load it
+
+    return statistics.median(times), result

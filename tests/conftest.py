@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,6 +143,73 @@ def make_update_case(
     return UpdateCase(
         ds, lam, kind, old, added, removed_idx, new_ds, new_exact, stats, ball
     )
+
+
+# ---------------------------------------------------------------------------
+# exact squared-hinge optimum. Float inputs are dyadic rationals and the
+# squared hinge is piecewise quadratic (Keerthi & DeCoste, JMLR 2005), so
+# given its active set the optimum is the solution of a rational linear
+# system, which ``fractions.Fraction`` solves without rounding.
+
+EXACT_MAX_D, EXACT_MAX_N = 6, 60
+
+
+def exact_l2_hinge_optimum(ds, lam: float, *, held_out: int | None = None) -> list[Fraction]:
+    """The exact optimum of the squared-hinge ``Problem(ds, lam, held_out=...)``.
+
+    On the active set S = {i : y_i x_i . beta < 1} the objective
+    mean_i max(0, 1 - y_i x_i . beta)^2 + (lam / 2) ||beta||^2 is quadratic,
+    and its optimum solves (lam I + (2/m) sum_S x xᵀ) beta = (2/m) sum_S y x,
+    with m the rows kept. S is taken from a float solve, the system is solved
+    exactly, and S is recomputed at the exact point until it stops changing;
+    the gradient there is then exactly 0, so the point is the optimum.
+    """
+    if ds.d > EXACT_MAX_D or ds.n > EXACT_MAX_N:
+        raise ValueError(f"exact oracle is for d <= {EXACT_MAX_D} and n <= {EXACT_MAX_N}")
+    kept = ds.take([i for i in range(ds.n) if i != held_out])
+    rows = [[Fraction(v) for v in row] for row in kept.dense.tolist()]
+    labels = [int(y) for y in kept.y.tolist()]
+    guess, _ = dsc.train(kept, lam, dsc.LossKind.L2_HINGE, tol=1e-14)
+    active = np.flatnonzero(kept.y * kept.matvec(guess.beta) < 1.0).tolist()
+    for _ in range(50):
+        beta = _exact_solve(rows, labels, active, Fraction(lam), ds.d)
+        now = [i for i, (y, row) in enumerate(zip(labels, rows)) if y * _dot(row, beta) < 1]
+        if now == active:
+            return beta
+        active = now
+    raise AssertionError("exact active set did not settle in 50 rounds")
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _exact_solve(rows, labels, active, lam: Fraction, d: int) -> list[Fraction]:
+    """(lam I + (2/m) sum_active x xᵀ) beta = (2/m) sum_active y x, by Gauss-Jordan."""
+    scale = Fraction(2, len(rows))
+    a = [[lam if j == k else Fraction(0) for k in range(d)] + [Fraction(0)] for j in range(d)]
+    for i in active:
+        x = rows[i]
+        for j in range(d):
+            if x[j]:
+                sx = scale * x[j]
+                for k in range(d):
+                    a[j][k] += sx * x[k]
+                a[j][d] += sx * labels[i]
+    # the matrix is symmetric positive definite, so every pivot is nonzero
+    for j in range(d):
+        pivot = a[j][j]
+        a[j] = [v / pivot for v in a[j]]
+        for r in range(d):
+            if r != j and a[r][j]:
+                f = a[r][j]
+                a[r] = [v - f * w for v, w in zip(a[r], a[j])]
+    return [a[j][d] for j in range(d)]
+
+
+def exact_score(x, beta: list[Fraction]) -> Fraction:
+    """x . beta for a float vector ``x``, exactly."""
+    return _dot([Fraction(v) for v in np.asarray(x, dtype=np.float64).tolist()], beta)
 
 
 # ---------------------------------------------------------------------------

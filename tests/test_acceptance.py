@@ -381,10 +381,10 @@ def test_reference_fraction_determined_and_tightness():
 @criterion("screening and early stopping save work")
 def test_mode_iteration_ordering_on_model_selection_grid():
     ds = dsc.make_synthetic(60, 208, 60, separation=1.0)
-    grid = [dsc.GridPoint(data=ds, lams=tuple(2.0**p for p in range(-10, 1)))]
+    lams = [2.0**p for p in range(-10, 1)]
     totals = {}
     for mode in (dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2):
-        sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=mode)
+        sel = dsc.model_select([ds], lams, dsc.LossKind.LOGISTIC, mode=mode)
         totals[mode] = sum(r.solver_iterations for r in sel.results)
         errors = [r.error_rate for r in sel.results]
         if mode is dsc.LoocvMode.EXACT:

@@ -418,8 +418,9 @@ def test_norm_change_bound_validation():
     box = dsc.coefficient_bounds(
         dsc.SolutionBall(np.zeros(3), 1.0)
     )
-    with pytest.raises(ValueError, match="q"):
-        dsc.norm_change_bound(np.zeros(3), box, 0.5)
+    for q in (0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
+            dsc.norm_change_bound(np.zeros(3), box, q)
     with pytest.raises(ValueError, match="dimension"):
         dsc.norm_change_bound(np.zeros(4), box, 2)
 

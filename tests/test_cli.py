@@ -1114,6 +1114,7 @@ import delta_scope
 check("import delta_scope")
 import delta_scope.cli
 check("import delta_scope.cli")
+assert "statistics" not in sys.modules, "statistics loaded by import delta_scope.cli"
 for argv in json.loads(sys.argv[1]):
     assert delta_scope.cli.main(argv) == 0, argv
     check(" ".join(argv))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -638,8 +639,8 @@ def test_no_prune_flag_when_everything_resolves_at_screen():
 
 def test_model_select_picks_lowest_error():
     ds = dsc.make_synthetic(312, 60, 6, separation=1.5)
-    grid = [dsc.GridPoint(ds, (0.001, 0.01, 0.1, 1.0, 10.0))]
-    sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    lams = (0.001, 0.01, 0.1, 1.0, 10.0)
+    sel = dsc.model_select([ds], lams, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
     rates = [r.error_rate for r in sel.results]
     assert len(sel.results) == 5
     assert sel.best_index == int(np.argmin(rates))  # argmin takes the first min
@@ -647,9 +648,9 @@ def test_model_select_picks_lowest_error():
 
 def test_model_select_prune_agrees_with_full_sweep():
     ds = dsc.make_synthetic(313, 60, 6, separation=1.2)
-    grid = [dsc.GridPoint(ds, (0.001, 0.01, 0.1, 1.0, 10.0))]
-    full = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    fast = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune=True)
+    lams = (0.001, 0.01, 0.1, 1.0, 10.0)
+    full = dsc.model_select([ds], lams, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    fast = dsc.model_select([ds], lams, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune=True)
     assert fast.best_index == full.best_index
     assert fast.results[fast.best_index].error_rate == full.results[full.best_index].error_rate
     assert any(r.pruned for r in fast.results)
@@ -663,27 +664,38 @@ def test_model_select_prune_agrees_with_full_sweep():
     assert total_solves_fast <= total_solves_full
 
 
-def test_model_select_checks_a_points_lambdas_before_its_first_cell(monkeypatch):
-    ds = dsc.make_synthetic(316, 20, 3)
+@pytest.mark.parametrize(
+    "lams, message",
+    [
+        ((1.0, math.nan), "lambda must be finite and positive, got nan"),
+        ((0.1, 0.0), "lambda must be finite and positive, got 0.0"),
+        ((), "empty lambda list"),
+    ],
+)
+def test_model_select_checks_every_lambda_before_taking_a_dataset(monkeypatch, lams, message):
     calls = []
-    monkeypatch.setattr(loocv_module, "run_loocv", lambda *a, **k: calls.append(a))
-    grid = [dsc.GridPoint(ds, (1.0, math.nan))]
-    with pytest.raises(ValueError, match="lambda must be finite and positive, got nan"):
-        dsc.model_select(grid, dsc.LossKind.LOGISTIC)
+
+    def datasets():
+        calls.append("dataset")
+        yield dsc.make_synthetic(316, 20, 3)
+
+    monkeypatch.setattr(loocv_module, "run_loocv", lambda *a, **k: calls.append("cell"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dsc.model_select(datasets(), lams, dsc.LossKind.LOGISTIC)
     assert calls == []
 
 
 def test_model_select_empty_grid():
-    with pytest.raises(ValueError, match="empty"):
-        dsc.model_select([], dsc.LossKind.LOGISTIC)
+    with pytest.raises(ValueError, match="empty model-selection grid"):
+        dsc.model_select([], (0.1,), dsc.LossKind.LOGISTIC)
 
 
 def test_model_select_results_equal_run_loocv_on_each_cell():
     ds = dsc.make_synthetic(315, 40, 4, separation=1.0)
     mapped = dsc.rbf_features(ds, gamma=0.5, n_centers=10)
-    grid = [dsc.GridPoint(ds, (0.1,)), dsc.GridPoint(mapped, (0.01, 1.0))]
-    sel = dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    cells = [(point.data, lam) for point in grid for lam in point.lams]
+    lams = (0.01, 1.0, 0.1)
+    sel = dsc.model_select([ds, mapped], lams, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
+    cells = [(data, lam) for data in (ds, mapped) for lam in lams]
     assert len(sel.results) == len(cells)
     for (data, lam), res in zip(cells, sel.results):
         ref = dsc.run_loocv(data, lam, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
@@ -815,8 +827,7 @@ ds = dsc.make_synthetic(5, 120, 6, separation=0.8)
 for kind in dsc.LossKind:
     for mode in dsc.LoocvMode:
         dsc.run_loocv(ds, 0.01, kind, mode=mode)
-grid = [dsc.GridPoint(ds, (0.001, 0.1))]
-dsc.model_select(grid, dsc.LossKind.LOGISTIC, mode=dsc.LoocvMode.OP2, prune=True)
+dsc.model_select([ds], (0.001, 0.1), dsc.LossKind.LOGISTIC, mode=dsc.LoocvMode.OP2, prune=True)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -6,7 +6,6 @@ PUBLIC = {
     "CoefficientBounds",
     "DEFAULT_FOLD_TOL",
     "FoldDecision",
-    "GridPoint",
     "LibsvmFormatError",
     "LoocvMode",
     "LoocvResult",
