@@ -29,8 +29,10 @@ Every interval of a ball over a direction, for one ``eta``
 comes from one row projection over a ``SparseDataset``: a dataset is read as
 it is, and a SciPy or dense ``eta`` is first read into one, which sums
 duplicate entries. The products are the dataset's own, so this module never
-imports SciPy. ``certified_sign`` is the one label rule applied to the
-intervals.
+imports SciPy. Each caller forms its own eta . center and ||eta|| * radius,
+and ``_interval`` alone turns them into endpoints, for coefficients, scores
+and leave-one-out held-out scores alike. ``certified_sign`` is the one label
+rule applied to the intervals.
 """
 from __future__ import annotations
 
@@ -199,6 +201,11 @@ def old_optimum_ball(old: TrainedModel, stats: UpdateStats) -> SolutionBall:
     return gradient_ball(old.beta, grad, old.lam)
 
 
+def _interval(dot, spread):
+    """(dot - spread, dot + spread), scalars or arrays: every interval's endpoints."""
+    return dot - spread, dot + spread
+
+
 def _gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam: float):
     """(eta . center, ||eta|| * radius) of the gradient ball, from dot products."""
     half_inv = 0.5 / lam
@@ -231,8 +238,7 @@ def gradient_ball_bounds(eta_candidate, eta_grad, eta_norm, grad_norm, lam: floa
     scalars or as arrays of one entry per direction, so a direction needs
     neither the ball's center nor a dense copy of itself.
     """
-    center, spread = _gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam)
-    return center - spread, center + spread
+    return _interval(*_gradient_ball_parts(eta_candidate, eta_grad, eta_norm, grad_norm, lam))
 
 
 def certified_sign(lower, upper):
@@ -273,10 +279,8 @@ def _row_bounds(ball: SolutionBall, X):
     X = _as_rows(X)
     if X.d != ball.center.shape[0]:
         raise ValueError(f"eta rows have dimension {X.d}, ball has {ball.center.shape[0]}")
-    dots = X.matvec(ball.center)
     norms = np.sqrt(X.row_sq_norms())
-    spread = norms * ball.radius
-    return dots - spread, dots + spread, norms
+    return (*_interval(X.matvec(ball.center), norms * ball.radius), norms)
 
 
 def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
@@ -296,11 +300,8 @@ def score_bounds(ball: SolutionBall, eta) -> ScoreBounds:
 
 def coefficient_bounds(ball: SolutionBall) -> CoefficientBounds:
     """Intervals for every coefficient of beta_new (unit-vector scores)."""
-    return CoefficientBounds(
-        lower=ball.center - ball.radius,
-        upper=ball.center + ball.radius,
-        radius=ball.radius,
-    )
+    lower, upper = _interval(ball.center, ball.radius)
+    return CoefficientBounds(lower, upper, ball.radius)
 
 
 def norm_change_bound(

@@ -670,7 +670,11 @@ def with_bias_feature(ds: SparseDataset) -> SparseDataset:
 
 def _check_removal_indices(removed, n: int) -> list[int]:
     """``removed`` as a list of ints, checked to be distinct row indices of
-    an ``n``-row dataset."""
+    an ``n``-row dataset: integers, NumPy's included, but no bools."""
+    removed = list(removed)
+    for i in removed:
+        if isinstance(i, bool) or not isinstance(i, Integral):
+            raise ValueError(f"removal index must be an integer, got {i!r}")
     removed = [int(i) for i in removed]
     if len(set(removed)) != len(removed):
         raise ValueError("duplicate removal index")
@@ -719,8 +723,9 @@ def make_synthetic(
     ``density`` < 1 zeroes entries at random while keeping at least one
     nonzero per row.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    _check_count("seed", seed, 0)
+    _check_count("n", n, 1)
+    _check_count("d", d, 1)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     if not (math.isfinite(separation) and separation >= 0):

@@ -27,11 +27,13 @@ downdate is not positive, the fold starts at the full optimum instead. The
 start changes how much work a solve does, never what it certifies: the op2
 gradient ball holds at any iterate.
 
-One stop rule decides a fold at any iterate: in op2 the iterate's gradient
-ball, if its interval excludes 0; then a gradient norm within the fold
-tolerance, by the sign of the fold's margin. A run builds it once, after the
-screen, with its mode, tolerance and row norms bound in, and every verdict
-of the run comes from that one rule. Undecided folds are taken in
+One stop rule gives a fold at any iterate its held-out-score interval and
+the stage that stops it there, if any: in op2 the gradient-ball interval,
+if it excludes 0; else, with a gradient norm within the fold tolerance, the
+uncertified point interval of the iterate's held-out score. A run builds it
+once, after the screen, with its mode, tolerance and row norms bound in, and
+a fold decided by the screen or the rule is correct when its interval's
+upper end is nonnegative. Undecided folds are taken in
 increasing full-model margin y_h x_h . beta, ties by index, in blocks of up
 to 64 folds (fewer for large n, so that each n x m block matrix stays
 within 8 MiB). The rule runs first on a whole block at its Newton starts:
@@ -111,9 +113,9 @@ class FoldDecision(Enum):
 
 
 # A run's fold stop rule: (folds, their iterates, their fold gradients) ->
-# the (decision, correct) of each fold whose solve stops at its iterate, else
-# None.
-FoldRule = Callable[[list[int], np.ndarray, np.ndarray], list[tuple[FoldDecision, bool] | None]]
+# (lower, upper, stage) per fold: the interval its iterate gives its held-out
+# score, and the stage that stops its solve there, else None.
+FoldRule = Callable[[list[int], np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +127,8 @@ class LoocvResult:
     is resolved and stay a genuine interval when the run was pruned.
     ``decisions``, ``correct`` and ``fold_iterations`` are indexed by fold:
     how each fold was decided (``None`` where pruning left it undecided),
-    whether its held-out score is nonnegative (meaningful only where it was
-    decided), and the solver iterations it took. Both arrays are read-only.
+    whether it was decided with a nonnegative upper end of its held-out-score
+    interval, and the solver iterations it took. Both arrays are read-only.
     """
 
     n: int
@@ -221,10 +223,11 @@ def _fold_rule(
     """The one fold stop rule of a run, as ``verdicts(folds, betas, grads)``.
 
     Row k of ``betas`` and ``grads`` is fold ``folds[k]``'s iterate and its
-    fold gradient there, and ``eta_norm`` holds every ||x_h||. With
-    ``early_stop`` (op2), a gradient ball whose interval for the held-out
-    score excludes 0 decides the fold; then a gradient norm within ``tol``
-    does, by the sign of the fold's margin.
+    fold gradient there, and ``eta_norm`` holds every ||x_h||. Gives arrays
+    (lower, upper, stage): with ``early_stop`` (op2), a gradient-ball interval
+    for the held-out score that excludes 0 stops the fold with it; else a
+    gradient norm within ``tol`` stops it with the point interval of its
+    held-out score; else the stage is None.
     """
 
     def verdicts(folds: list[int], betas: np.ndarray, grads: np.ndarray):
@@ -235,16 +238,14 @@ def _fold_rule(
             eta_beta[k] = y_h * float(vals @ betas[k][idx])
             eta_grad[k] = y_h * float(vals @ grads[k][idx])
             grad_norm[k] = float(np.linalg.norm(grads[k]))
-        signs = [0] * len(folds)
+        stage = np.where(grad_norm <= tol, FoldDecision.RESOLVED_BY_SOLVE, None)
+        lower = upper = eta_beta
         if early_stop:
-            bounds = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
-            signs = certified_sign(*bounds).tolist()
-        return [
-            (FoldDecision.RESOLVED_BY_EARLY_STOP, sign > 0) if sign
-            else (FoldDecision.RESOLVED_BY_SOLVE, eta_h >= 0.0) if gnorm <= tol
-            else None
-            for sign, eta_h, gnorm in zip(signs, eta_beta.tolist(), grad_norm.tolist())
-        ]
+            ball = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
+            stopped = certified_sign(*ball) != 0
+            stage[stopped] = FoldDecision.RESOLVED_BY_EARLY_STOP
+            lower, upper = np.where(stopped, ball, eta_beta)
+        return lower, upper, stage
 
     return verdicts
 
@@ -255,14 +256,14 @@ def _decide_at_starts(
     full: TrainedModel,
     starts: np.ndarray,
     rule: FoldRule,
-) -> list[tuple[FoldDecision, bool] | None]:
-    """The fold ``rule``'s verdicts on a block of folds at their starts, the
-    rows of ``starts``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fold ``rule``'s (lower, upper, stage) for a block of folds at their
+    starts, the rows of ``starts``.
 
     One ``X @ B`` and one ``X^T @ DL`` give every fold gradient, with each
     fold's own row zeroed in its column of DL, summed as the fold's
-    ``Problem`` sums it, so each verdict is the one its solve would reach at
-    iteration 0, bit for bit.
+    ``Problem`` sums it, so each fold gets the interval and stage its solve
+    would reach at iteration 0, bit for bit.
     """
     B = starts.T
     z = ds.y[:, None] * ds.matmat(B)
@@ -281,16 +282,17 @@ def _solve_fold(
     init: np.ndarray,
     rule: FoldRule,
     tol: float,
-) -> tuple[FoldDecision, bool, int]:
-    """(decision, correct, iterations) of one undecided fold, by a solve from
-    ``init`` to ``tol`` whose stop hook is the fold ``rule`` at every
-    iterate, of at most the module's ``MAX_ITER`` iterations."""
+) -> tuple[FoldDecision, float, float, int]:
+    """(stage, lower, upper, iterations) of one undecided fold, where a solve
+    from ``init`` to ``tol`` with the fold ``rule`` as its stop hook at every
+    iterate stops, within the module's ``MAX_ITER`` iterations."""
     problem = Problem(ds, full.lam, full.kind, held_out=h)
-    verdict: list[tuple[FoldDecision, bool] | None] = []
+    verdict = []
 
     def hook(beta: np.ndarray, grad: np.ndarray) -> bool:
-        verdict[:] = rule([h], beta[None], grad[None])
-        return verdict[0] is not None
+        lower, upper, stage = rule([h], beta[None], grad[None])
+        verdict[:] = stage[0], lower[0], upper[0]
+        return stage[0] is not None
 
     _, _, iters, _ = minimize_smooth(
         problem.value_and_grad,
@@ -301,7 +303,7 @@ def _solve_fold(
         max_iter=MAX_ITER,
         stop_hook=hook,
     )
-    return (*verdict[0], iters)
+    return (*verdict, iters)
 
 
 def run_loocv(
@@ -354,7 +356,6 @@ def run_loocv(
     decisions = np.full(n, None, dtype=object)
     decisions[signs > 0] = FoldDecision.CORRECT_BY_BOUND
     decisions[signs < 0] = FoldDecision.WRONG_BY_BOUND
-    correct = signs > 0
     fold_iterations = np.zeros(n, dtype=int)
     known_wrong = int(np.count_nonzero(signs < 0))
     order = np.argsort(terms[0], kind="stable")
@@ -373,16 +374,17 @@ def run_loocv(
         if pos % width == 0:
             block = unresolved[pos : pos + width]
             starts = np.array([start(f) for f in block])
-            decided = _decide_at_starts(ds, block, full, starts, rule)
+            lows, ups, stages = _decide_at_starts(ds, block, full, starts, rule)
         k = pos % width
-        if decided[k] is not None:
-            decisions[h], correct[h] = decided[k]
+        if stages[k] is not None:
+            decisions[h], lower[h], upper[h] = stages[k], lows[k], ups[k]
         else:
-            decisions[h], correct[h], fold_iterations[h] = _solve_fold(
+            decisions[h], lower[h], upper[h], fold_iterations[h] = _solve_fold(
                 ds, h, full, init=starts[k], rule=rule, tol=fold_tol
             )
-        known_wrong += not correct[h]
+        known_wrong += not upper[h] >= 0.0  # the complement of ``correct`` below
     solve_time = time.perf_counter() - t0
+    correct = np.not_equal(decisions, None) & (upper >= 0.0)
 
     error_lower = known_wrong / n
     error_upper = (known_wrong + unresolved_left) / n

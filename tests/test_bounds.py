@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import delta_scope as dsc
 from conftest import instance_gradient, make_update_case
+from delta_scope import bounds as bounds_module
+from delta_scope import loocv as loocv_module
 from delta_scope.bounds import gradient_ball, gradient_ball_bounds
 
 # certified inequalities are checked with a slack far below the radii they
@@ -438,6 +440,38 @@ def test_interval_width_identities_hold_for_any_ball(center, eta, radius):
     ball = dsc.SolutionBall(center_arr, radius)
     sb = dsc.score_bounds(ball, eta_arr)
     assert sb.width == pytest.approx(2 * radius * np.linalg.norm(eta_arr), abs=1e-9)
+
+
+def test_every_ball_interval_takes_its_endpoints_from_one_site(monkeypatch):
+    # widening ``_interval`` by 1 widens every interval a ball gives by
+    # exactly 1 at each end
+    ball = dsc.SolutionBall(np.array([0.5, -1.0, 2.0]), 0.25)
+    X = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]])
+    ds = dsc.make_synthetic(7, 30, 3)
+    full, _ = dsc.train(ds, 0.1, dsc.LossKind.LOGISTIC, tol=1e-10)
+
+    def intervals():
+        box = dsc.coefficient_bounds(ball)
+        row = dsc.score_bounds(ball, X[0])
+        return {
+            "coefficient_bounds": (box.lower, box.upper),
+            "score_bounds": (row.lower, row.upper),
+            "batch_score_bounds": dsc.batch_score_bounds(ball, X),
+            "gradient_ball_bounds": gradient_ball_bounds(1.0, 0.5, 2.0, 0.3, 0.1),
+            "_screen_stats": loocv_module._screen_stats(full, ds)[:2],
+        }
+
+    before = intervals()
+    interval = bounds_module._interval
+
+    def widened(dot, spread):
+        lower, upper = interval(dot, spread)
+        return lower - 1.0, upper + 1.0
+
+    monkeypatch.setattr(bounds_module, "_interval", widened)
+    for name, (lower, upper) in intervals().items():
+        np.testing.assert_array_equal(lower, np.subtract(before[name][0], 1.0), err_msg=name)
+        np.testing.assert_array_equal(upper, np.add(before[name][1], 1.0), err_msg=name)
 
 
 # ---------------------------------------------------------------------------

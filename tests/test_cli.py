@@ -1048,6 +1048,7 @@ def test_malformed_data_exits_one(tmp_path, capsys):
          "tol must be finite"),
         (["gen", "--separation", "nan"], "separation"),
         (["gen", "--separation", "inf"], "separation"),
+        (["gen", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["bench", "--lambda", "0.1", "--fractions", ","], "no sweep fractions given"),
         (["train", "--lambda", "0.1", "--dim", "-3"],
          "pinned dimension must be a nonnegative integer, got -3"),

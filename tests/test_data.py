@@ -605,6 +605,12 @@ def test_apply_update_removal_index_validation():
     # a negative index would otherwise drop a row counted from the end
     with pytest.raises(ValueError, match="removal index -1 out of range"):
         apply_update(base, None, (-1,))
+    # int() would read 1.7 and True as row 1 and drop it
+    for bad in (1.7, True):
+        with pytest.raises(ValueError, match=f"^removal index must be an integer, got {bad}$"):
+            apply_update(base, None, [bad])
+    # NumPy integers are indices like any other
+    assert apply_update(base, None, np.array([1, 4])).n == 4
     out = apply_update(base, None, (5, 2))
     assert out.n == 4
     assert np.array_equal(out.X.toarray(), apply_update(base, None, (2, 5)).X.toarray())
@@ -702,6 +708,15 @@ def test_make_synthetic_separation_moves_classes_apart():
 def test_make_synthetic_validation():
     with pytest.raises(ValueError):
         make_synthetic(0, 0, 3)
+    for args, message in (
+        ((0, 4.5, 3), "n must be a positive integer, got 4.5"),
+        ((0, True, 3), "n must be a positive integer, got True"),
+        ((0, 4, 0), "d must be a positive integer, got 0"),
+        ((-1, 4, 3), "seed must be a nonnegative integer, got -1"),
+        ((0.5, 4, 3), "seed must be a nonnegative integer, got 0.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_synthetic(*args)
     with pytest.raises(ValueError):
         make_synthetic(0, 3, 3, density=0.0)
     with pytest.raises(ValueError):

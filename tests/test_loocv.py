@@ -160,6 +160,25 @@ def test_screen_decisions_match_standalone_fold_bounds():
         assert upper[h] == pytest.approx(general.upper, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
+def test_a_zero_row_fold_is_resolved_by_solve_as_correct(mode, kind):
+    # a zero row's held-out score is exactly 0 at every iterate, so no ball
+    # interval excludes 0; the fold is decided at its tolerance by the point
+    # interval (0, 0), and a nonnegative held-out score counts as correct
+    ds = dsc.make_synthetic(5, 40, 4, separation=1.0)
+    dense = ds.X.toarray()
+    dense[7] = 0.0
+    ds = dsc.SparseDataset._from_dense(dense, ds.y)
+    res = dsc.run_loocv(ds, 0.05, kind, mode=mode)
+    assert res.decisions[7] is FoldDecision.RESOLVED_BY_SOLVE
+    assert res.correct[7]
+    # logistic takes one solve iteration, squared hinge none (its block pass)
+    assert res.fold_iterations[7] == (1 if kind is dsc.LossKind.LOGISTIC else 0)
+    for rate in (res.error_rate, res.error_lower, res.error_upper):
+        assert type(rate) is float
+
+
 # ---------------------------------------------------------------------------
 # supplied models
 
@@ -325,9 +344,10 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
         if prune_above is not None and known_wrong / ds.n > prune_above:
             pruned = True
             break
-        decisions[h], correct[h], iterations[h] = loocv_module._solve_fold(
+        decisions[h], _, upper_h, iterations[h] = loocv_module._solve_fold(
             ds, h, full, init=start(h), rule=rule, tol=loocv_module.DEFAULT_FOLD_TOL
         )
+        correct[h] = upper_h >= 0.0
         known_wrong += not correct[h]
         solves += 1
     return tuple(decisions), correct, iterations, solves, pruned
@@ -481,7 +501,9 @@ def test_every_fold_solve_runs_the_stop_rule_at_every_iterate(mode, kind, monkey
     monkeypatch.setattr(loocv_module, "minimize_smooth", recording_minimize)
     # no fold is decided in blocks, so every fold the screen leaves reaches the solver
     monkeypatch.setattr(
-        loocv_module, "_decide_at_starts", lambda ds, folds, *a, **k: [None] * len(folds)
+        loocv_module,
+        "_decide_at_starts",
+        lambda ds, folds, *a, **k: (*np.zeros((2, len(folds))), [None] * len(folds)),
     )
     res = dsc.run_loocv(ds, 0.002, kind, mode=mode, full=full)
     assert len(solves) == res.solves_performed > 0

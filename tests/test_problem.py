@@ -359,7 +359,9 @@ def test_loocv_matches_uncached_reference(mode, kind, density, monkeypatch):
     with monkeypatch.context() as m:
         uncached(m)
         m.setattr(
-            loocv_module, "_decide_at_starts", lambda ds, folds, *a, **k: [None] * len(folds)
+            loocv_module,
+            "_decide_at_starts",
+            lambda ds, folds, *a, **k: (*np.zeros((2, len(folds))), [None] * len(folds)),
         )
         reference, reference_betas = run(m)
     assert cached.solves_performed == len(reference_betas)
