@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Compare leave-one-out strategies (exact / op1 / op2) over a lambda grid.
+"""Compare leave-one-out strategies (exact / op2) over a lambda grid.
 
-For each grid value the script runs leave-one-out three ways on the same
+For each grid value the script runs leave-one-out both ways on the same
 synthetic problem and tabulates how many fold problems each strategy solved,
-the solver iterations it spent, and wall time.  All three strategies must
-reach the same verdict on every fold, not only the same error rate: the
-faster ones only skip work that the fold bounds prove unnecessary.  The
-script exits with an error naming the lambda and the folds where any two
-disagree.
+the folds it left undecided, the solver iterations it spent, and wall time.
+Where both decide a fold they must reach the same verdict, and op2 may leave
+a fold undecided only where exact does too: it only skips work that the fold
+bounds prove unnecessary.  The script exits with an error naming the lambda
+and the folds where the two disagree.
 
 Run from the repository root:
 
@@ -56,47 +56,45 @@ def main() -> None:
     print()
 
     header = (
-        f"{'lambda':>10} {'mode':>6} {'errors':>7} {'solves':>7} "
+        f"{'lambda':>10} {'mode':>6} {'errors':>7} {'undec':>6} {'solves':>7} "
         f"{'iters':>8} {'bound s':>8} {'solve s':>8} {'wall s':>8}"
     )
     print(header)
     print("-" * len(header))
 
+    undecided = dsc.FoldDecision.UNDECIDED
     totals = {mode: [0, 0, 0.0] for mode in dsc.LoocvMode}
     for p in powers:
         lam = float(2.0**p)
         full, _ = dsc.train(ds, lam, kind, tol=1e-10)
-        verdicts = {}
+        runs = {}
         for mode in dsc.LoocvMode:
-            res = dsc.run_loocv(
-                ds,
-                lam,
-                kind,
-                mode=mode,
-                fold_tol=args.fold_tol,
-                full=full,
-            )
-            verdicts[mode] = res.correct
+            res = dsc.run_loocv(ds, lam, kind, mode=mode, fold_tol=args.fold_tol, full=full)
+            runs[mode] = res
             totals[mode][0] += res.solves_performed
             totals[mode][1] += res.solver_iterations
             totals[mode][2] += res.wall_time
             print(
                 f"{f'2^{p}':>10} {mode.value:>6} {res.error_rate:>7.4f} "
-                f"{res.solves_performed:>7} {res.solver_iterations:>8} "
-                f"{res.bound_time:>8.3f} {res.solve_time:>8.3f} "
-                f"{res.wall_time:>8.3f}"
+                f"{res.decisions.count(undecided):>6} {res.solves_performed:>7} "
+                f"{res.solver_iterations:>8} {res.bound_time:>8.3f} "
+                f"{res.solve_time:>8.3f} {res.wall_time:>8.3f}"
             )
-        exact = verdicts[dsc.LoocvMode.EXACT]
-        for mode, folds in verdicts.items():
-            differ = [h for h in range(ds.n) if folds[h] != exact[h]]
-            if differ:
-                raise SystemExit(
-                    f"{mode.value} and exact disagree at lambda=2^{p} on "
-                    f"{len(differ)} fold verdicts, folds {differ[:10]}"
-                )
+        exact, op2 = runs[dsc.LoocvMode.EXACT], runs[dsc.LoocvMode.OP2]
+        differ = [
+            h
+            for h, (a, b) in enumerate(zip(exact.decisions, op2.decisions))
+            if (b is undecided and a is not undecided)
+            or (undecided not in (a, b) and exact.correct[h] != op2.correct[h])
+        ]
+        if differ:
+            raise SystemExit(
+                f"op2 and exact disagree at lambda=2^{p} on {len(differ)} "
+                f"folds, folds {differ[:10]}"
+            )
 
     print()
-    print("totals over the grid (modes agreed on every fold verdict):")
+    print("totals over the grid (modes agreed on every decided fold):")
     base_iters = totals[dsc.LoocvMode.EXACT][1]
     for mode in dsc.LoocvMode:
         solves, iters, wall = totals[mode]

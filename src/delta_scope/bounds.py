@@ -320,7 +320,13 @@ def norm_change_bound(
     dev = np.maximum(beta_old - box.lower, box.upper - beta_old)
     if math.isinf(q):
         return float(dev.max()) if dev.size else 0.0
-    return float((dev**q).sum() ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        total = (dev**q).sum()
+    top = dev.max() if dev.size else 0.0
+    if not np.finfo(np.float64).tiny <= total < math.inf and 0.0 < top < math.inf:
+        # the plain sum under- or overflowed; scaled, its terms sum to [1, d]
+        return float(top * ((dev / top) ** q).sum() ** (1.0 / q))
+    return float(total ** (1.0 / q))
 
 
 def batch_score_bounds(ball: SolutionBall, X) -> tuple[np.ndarray, np.ndarray]:

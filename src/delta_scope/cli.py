@@ -392,8 +392,9 @@ def _loocv_result_payload(res: L.LoocvResult) -> dict:
 def _cmd_loocv(args) -> dict:
     if (args.lam is None) == (args.lambda_grid is None):
         raise ValueError("give exactly one of --lambda / --lambda-grid")
-    if args.gamma_grid and args.lambda_grid is None:
-        raise ValueError("--gamma-grid needs --lambda-grid")
+    for flag, given in (("--gamma-grid", args.gamma_grid), ("--prune", args.prune)):
+        if given and args.lambda_grid is None:
+            raise ValueError(f"{flag} needs --lambda-grid")
     raw, entry = _hashed(load_libsvm, args.data, d=args.dim)
     inputs = {"training_data": entry}
     kind = LossKind.from_name(args.loss)
@@ -661,7 +662,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Gaussian-feature gamma grid (with --lambda-grid)")
     p.add_argument("--rbf-centers", type=int, default=100)
     p.add_argument("--rbf-seed", type=int, default=0)
-    p.add_argument("--mode", choices=[m.value for m in L.LoocvMode], default="op1")
+    p.add_argument("--mode", choices=[m.value for m in L.LoocvMode], default="op2",
+                   help="exact solves every fold; op2 (the default) screens first")
     p.add_argument("--prune", action="store_true",
                    help="abandon grid cells that cannot beat the incumbent")
     p.add_argument("--fold-tol", type=float, default=L.DEFAULT_FOLD_TOL)

@@ -11,8 +11,7 @@ excludes 0 are decided outright; only the undecided remainder is solved.
 
 Modes:
 
-* ``exact`` — solve every fold (ground truth, no screening);
-* ``op1``  — screen, then solve undecided folds to tolerance;
+* ``exact`` — solve every fold to tolerance (ground truth, no screening);
 * ``op2``  — screen, then solve undecided folds but stop each solve as soon
   as the iterate's own gradient-ball interval for the held-out score
   excludes 0.
@@ -24,21 +23,21 @@ once per run and downdated for row h by Sherman-Morrison, so a start costs
 O(d * nnz(x_h)). Most op2 folds are then decided at iteration 0. When
 d * d > nnz(X), where the dense d x d inverse would outweigh the data, or a
 downdate is not positive, the fold starts at the full optimum instead. The
-start changes how much work a solve does, never what it certifies: the op2
+start changes how much work a solve does, never what it certifies: the
 gradient ball holds at any iterate.
 
-One stop rule gives a fold at any iterate its held-out-score interval and
-the stage that stops it there, if any: in op2 the gradient-ball interval,
-if it excludes 0; else, with a gradient norm within the fold tolerance, the
-uncertified point interval of the iterate's held-out score. A run builds it
-once, after the screen, with its mode, tolerance and row norms bound in, and
-a fold decided by the screen or the rule is correct when its interval's
-upper end is nonnegative. Undecided folds are taken in
+One stop rule gives a fold at any iterate the gradient-ball interval of
+its held-out score and the stage that stops it there, if any: in op2 an
+interval that excludes 0; else a gradient norm within the fold tolerance,
+undecided if its interval contains 0, as is a solve that stalls or reaches
+the iteration cap. A run builds it once, after the screen, with its mode,
+tolerance and row norms bound in; a fold's interval alone makes it correct,
+wrong or undecided. Folds the screen leaves are taken in
 increasing full-model margin y_h x_h . beta, ties by index, in blocks of up
 to 64 folds (fewer for large n, so that each n x m block matrix stays
 within 8 MiB). The rule runs first on a whole block at its Newton starts:
 the starts are the columns of a d x m matrix B, and one ``X @ B`` and one
-``X^T @ DL`` give every fold's gradient there. Each fold still undecided
+``X^T @ DL`` give every fold's gradient there. Each fold still running
 is then solved alone from its start, with the same rule as the solve's stop
 hook at every iterate. The block pass computes every per-fold quantity as
 the hook does, so it changes no outcome and no iteration count, and
@@ -75,6 +74,7 @@ from .losses import LossKind, Problem, _check_lam, _d2loss_terms, _dloss_terms
 from .solver import (
     DEFAULT_TRAIN_TOL,
     MAX_ITER,
+    SolverError,
     TrainedModel,
     _check_tol,
     minimize_smooth,
@@ -101,7 +101,6 @@ _BLOCK_BYTES = 1 << 23
 
 class LoocvMode(Enum):
     EXACT = "exact"
-    OP1 = "op1"
     OP2 = "op2"
 
 
@@ -110,6 +109,7 @@ class FoldDecision(Enum):
     WRONG_BY_BOUND = "wrong-by-bound"
     RESOLVED_BY_SOLVE = "resolved-by-solve"
     RESOLVED_BY_EARLY_STOP = "resolved-by-early-stop"
+    UNDECIDED = "undecided"
 
 
 # A run's fold stop rule: (folds, their iterates, their fold gradients) ->
@@ -122,13 +122,14 @@ FoldRule = Callable[[list[int], np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
 class LoocvResult:
     """Outcome of one leave-one-out evaluation.
 
-    ``error_lower``/``error_upper`` are the engine's final knowledge about
-    the true error rate: they coincide with ``error_rate`` once every fold
-    is resolved and stay a genuine interval when the run was pruned.
+    ``error_rate`` and ``error_lower`` are the share of folds known to be
+    wrong; ``error_upper`` adds the share left undecided, by the fold rule
+    or by pruning, so the two coincide once every fold is decided.
     ``decisions``, ``correct`` and ``fold_iterations`` are indexed by fold:
-    how each fold was decided (``None`` where pruning left it undecided),
-    whether it was decided with a nonnegative upper end of its held-out-score
-    interval, and the solver iterations it took. Both arrays are read-only.
+    how each fold was decided (``UNDECIDED`` where the rule left its
+    interval around 0, ``None`` where pruning left it), whether it was
+    decided with a held-out-score interval above 0, and the solver
+    iterations it took. Both arrays are read-only.
     """
 
     n: int
@@ -224,10 +225,10 @@ def _fold_rule(
 
     Row k of ``betas`` and ``grads`` is fold ``folds[k]``'s iterate and its
     fold gradient there, and ``eta_norm`` holds every ||x_h||. Gives arrays
-    (lower, upper, stage): with ``early_stop`` (op2), a gradient-ball interval
-    for the held-out score that excludes 0 stops the fold with it; else a
-    gradient norm within ``tol`` stops it with the point interval of its
-    held-out score; else the stage is None.
+    (lower, upper, stage): the gradient-ball interval of each fold's
+    held-out score, and with ``early_stop`` (op2) an interval that excludes
+    0 stops the fold; else a gradient norm within ``tol`` stops it, resolved
+    if its interval excludes 0 and undecided if not; else the stage is None.
     """
 
     def verdicts(folds: list[int], betas: np.ndarray, grads: np.ndarray):
@@ -238,13 +239,12 @@ def _fold_rule(
             eta_beta[k] = y_h * float(vals @ betas[k][idx])
             eta_grad[k] = y_h * float(vals @ grads[k][idx])
             grad_norm[k] = float(np.linalg.norm(grads[k]))
-        stage = np.where(grad_norm <= tol, FoldDecision.RESOLVED_BY_SOLVE, None)
-        lower = upper = eta_beta
+        lower, upper = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
+        decided = certified_sign(lower, upper) != 0
+        settled = np.where(decided, FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.UNDECIDED)
+        stage = np.where(grad_norm <= tol, settled, None)
         if early_stop:
-            ball = gradient_ball_bounds(eta_beta, eta_grad, eta_norm[folds], grad_norm, full.lam)
-            stopped = certified_sign(*ball) != 0
-            stage[stopped] = FoldDecision.RESOLVED_BY_EARLY_STOP
-            lower, upper = np.where(stopped, ball, eta_beta)
+            stage[decided] = FoldDecision.RESOLVED_BY_EARLY_STOP
         return lower, upper, stage
 
     return verdicts
@@ -285,7 +285,8 @@ def _solve_fold(
 ) -> tuple[FoldDecision, float, float, int]:
     """(stage, lower, upper, iterations) of one undecided fold, where a solve
     from ``init`` to ``tol`` with the fold ``rule`` as its stop hook at every
-    iterate stops, within the module's ``MAX_ITER`` iterations."""
+    iterate stops, within the module's ``MAX_ITER`` iterations, or stalls;
+    a fold whose solve stalls or hits that cap keeps its last interval."""
     problem = Problem(ds, full.lam, full.kind, held_out=h)
     verdict = []
 
@@ -294,15 +295,15 @@ def _solve_fold(
         verdict[:] = stage[0], lower[0], upper[0]
         return stage[0] is not None
 
-    _, _, iters, _ = minimize_smooth(
-        problem.value_and_grad,
-        problem.value,
-        init,
-        curvature=problem.curvature,
-        tol=tol,
-        max_iter=MAX_ITER,
-        stop_hook=hook,
-    )
+    try:
+        iters = minimize_smooth(
+            problem.value_and_grad, problem.value, init,
+            curvature=problem.curvature, tol=tol, max_iter=MAX_ITER, stop_hook=hook,
+        )[2]
+    except SolverError as err:  # a stall or the cap: the last interval stands
+        iters = err.iterations
+        settled = certified_sign(*verdict[1:]) != 0
+        verdict[0] = FoldDecision.RESOLVED_BY_SOLVE if settled else FoldDecision.UNDECIDED
     return (*verdict, iters)
 
 
@@ -311,7 +312,7 @@ def run_loocv(
     lam: float,
     kind: LossKind,
     *,
-    mode: LoocvMode = LoocvMode.OP1,
+    mode: LoocvMode = LoocvMode.OP2,
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,
     full: TrainedModel | None = None,
@@ -328,8 +329,9 @@ def run_loocv(
     ``solver_iterations`` count a block-decided fold as a solve of 0
     iterations.
     ``solve_time`` includes the one-off Hessian set-up behind the starts.
-    The full training and every fold solve raise :class:`SolverError` past
-    ``MAX_ITER`` iterations.
+    The full training raises :class:`SolverError` past ``MAX_ITER``
+    iterations; a fold solve that stalls or reaches that cap ends with its
+    last interval, and leaves its fold undecided if that contains 0.
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
@@ -382,12 +384,12 @@ def run_loocv(
             decisions[h], lower[h], upper[h], fold_iterations[h] = _solve_fold(
                 ds, h, full, init=starts[k], rule=rule, tol=fold_tol
             )
-        known_wrong += not upper[h] >= 0.0  # the complement of ``correct`` below
+        known_wrong += bool(upper[h] < 0.0)
     solve_time = time.perf_counter() - t0
-    correct = np.not_equal(decisions, None) & (upper >= 0.0)
+    correct = np.not_equal(decisions, None) & (certified_sign(lower, upper) > 0)
 
     error_lower = known_wrong / n
-    error_upper = (known_wrong + unresolved_left) / n
+    error_upper = (n - int(np.count_nonzero(correct))) / n
     return LoocvResult(
         n=n,
         mode=mode,
@@ -419,7 +421,7 @@ def model_select(
     lams: Sequence[float],
     kind: LossKind,
     *,
-    mode: LoocvMode = LoocvMode.OP1,
+    mode: LoocvMode = LoocvMode.OP2,
     prune: bool = False,
     fold_tol: float = DEFAULT_FOLD_TOL,
     full_tol: float = DEFAULT_TRAIN_TOL,

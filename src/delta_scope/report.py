@@ -28,7 +28,7 @@ __all__ = [
     "timed_median",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def check_finite(obj, *, _path: str = "$") -> None:

@@ -406,14 +406,47 @@ def test_norm_change_bound_validity_and_ordering():
     for q, true_norm in [
         (1, np.abs(diff).sum()),
         (2, np.linalg.norm(diff)),
+        # a q-norm is at least the largest entry; these powers underflow
+        (1100, np.abs(diff).max()),
+        (1e6, np.abs(diff).max()),
         (math.inf, np.abs(diff).max()),
     ]:
         bound = dsc.norm_change_bound(case.old.beta, box, q)
         assert true_norm <= bound + SOUND_SLACK
-    b1 = dsc.norm_change_bound(case.old.beta, box, 1)
-    b2 = dsc.norm_change_bound(case.old.beta, box, 2)
-    binf = dsc.norm_change_bound(case.old.beta, box, math.inf)
-    assert binf <= b2 + 1e-12 <= b1 + 2e-12
+    b1, b2, b1100, b1e6, binf = (
+        dsc.norm_change_bound(case.old.beta, box, q) for q in (1, 2, 1100, 1e6, math.inf)
+    )
+    assert binf <= b1e6 <= b1100 + 1e-12 <= b2 + 2e-12 <= b1 + 3e-12
+
+
+@pytest.mark.parametrize(
+    "q, dev, expected",
+    [
+        (700, [3.0], 3.0),  # 3**700 overflows
+        (1100, [0.5, 0.25], 0.5),  # both powers underflow
+        (1e6, [0.5, 0.25], 0.5),
+        (2, [1e-200, 1e-200], math.sqrt(2) * 1e-200),
+        (2, [3e200, 4e200], 5e200),
+    ],
+)
+def test_norm_change_bound_scales_a_power_sum_that_under_or_overflows(q, dev, expected):
+    dev = np.array(dev)
+    box = bounds_module.CoefficientBounds(-dev, dev, float(dev.max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = dsc.norm_change_bound(np.zeros(dev.size), box, q)
+    assert bound == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_norm_change_bound_keeps_the_plain_power_sum(q):
+    # coef-sensitivity reports q = 1 and 2; where the power sum neither
+    # under- nor overflows their bounds are the plain formula's, bit for bit
+    case = make_update_case(127, n=80, d=9)
+    box = dsc.coefficient_bounds(case.ball)
+    dev = np.maximum(case.old.beta - box.lower, box.upper - case.old.beta)
+    plain = float((dev**q).sum() ** (1.0 / q))
+    assert dsc.norm_change_bound(case.old.beta, box, q) == plain
 
 
 def test_norm_change_bound_validation():

@@ -649,6 +649,35 @@ def test_loocv_single_lambda_matches_library(paths, capsys):
     assert not single["pruned"]
 
 
+def test_loocv_mode_takes_exact_or_op2(paths, capsys):
+    _, data, _ = paths
+    with pytest.raises(SystemExit) as info:
+        main(["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1", "--mode", "op1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'op1'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["loocv", "--help"])
+    assert "{exact,op2}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["exact", "op2"])
+def test_loocv_finishes_a_run_whose_fold_solve_stalls(tmp_path, capsys, mode):
+    # in exact, one fold's line search stalls at iteration 115
+    data = str(tmp_path / "stall.libsvm")
+    assert main(["gen", "--seed", "3", "--n", "60", "--d", "40", "--separation", "0.7",
+                 "--density", "0.5", "--out", data,
+                 "--report", str(tmp_path / "gen.json")]) == 0
+    code, report, _ = run_cli(
+        ["loocv", "--data", data, "--loss", "l2-hinge", "--lambda", "1e-3",
+         "--fold-tol", "1e-10", "--mode", mode], capsys
+    )
+    assert code == 0
+    single = report["results"]["single"]
+    assert single["error_lower"] <= single["error_upper"]
+    assert sum(single["decisions"].values()) == 60
+    assert "undecided" in single["decisions"]
+
+
 def test_loocv_grid_selects_argmin(paths, capsys):
     _, data, _ = paths
     code, report, _ = run_cli(
@@ -668,8 +697,7 @@ def test_loocv_grid_selects_argmin(paths, capsys):
 
 def test_loocv_grid_prune_same_best(paths, capsys):
     _, data, _ = paths
-    args = ["loocv", "--data", data, "--loss", "logistic",
-            "--lambda-grid", "0.01,0.1,1", "--mode", "op1"]
+    args = ["loocv", "--data", data, "--loss", "logistic", "--lambda-grid", "0.01,0.1,1"]
     _, full, _ = run_cli(args, capsys)
     _, fast, _ = run_cli(args + ["--prune"], capsys)
     assert fast["results"]["best"]["lambda"] == full["results"]["best"]["lambda"]
@@ -841,19 +869,22 @@ def test_lambda_grid_values_are_checked_before_any_cell_runs(
     assert calls == []
 
 
-def test_loocv_lambda_xor_grid(paths, capsys):
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lambda", "0.1", "--lambda-grid", "0.1,1"], "exactly one"),
+        ([], "exactly one"),
+        (["--lambda", "0.1", "--gamma-grid", "1"], "--gamma-grid needs --lambda-grid"),
+        (["--lambda", "0.1", "--prune"], "--prune needs --lambda-grid"),
+    ],
+)
+def test_loocv_lambda_xor_grid(paths, capsys, monkeypatch, extra, message):
     _, data, _ = paths
-    both = ["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1",
-            "--lambda-grid", "0.1,1"]
-    code, _, err = run_cli(both, capsys)
-    assert code == 1 and "exactly one" in err
-    code, _, err = run_cli(["loocv", "--data", data, "--loss", "logistic"], capsys)
-    assert code == 1 and "exactly one" in err
-    code, _, err = run_cli(
-        ["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1",
-         "--gamma-grid", "1"], capsys
-    )
-    assert code == 1 and "--lambda-grid" in err
+    calls = []
+    monkeypatch.setattr(L, "run_loocv", lambda *a, **k: calls.append("cell"))
+    code, report, err = run_cli(["loocv", "--data", data, "--loss", "logistic", *extra], capsys)
+    assert code == 1 and report is None and calls == []
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import delta_scope as dsc
 from delta_scope import loocv as loocv_module
 from delta_scope.loocv import FoldDecision, LoocvMode
 
-ALL_MODES = [LoocvMode.EXACT, LoocvMode.OP1, LoocvMode.OP2]
-BY_BOUND = (FoldDecision.CORRECT_BY_BOUND, FoldDecision.WRONG_BY_BOUND)
-BY_SOLVE = (FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP)
+ALL_MODES = [LoocvMode.EXACT, LoocvMode.OP2]
+BY_SOLVE = (
+    FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.RESOLVED_BY_EARLY_STOP, FoldDecision.UNDECIDED
+)
 
 
 def brute_force_margins(ds, lam, kind):
@@ -27,6 +28,45 @@ def brute_force_margins(ds, lam, kind):
         idx, vals = ds.row(h)
         margins[h] = float(ds.y[h]) * float(vals @ fold.beta[idx])
     return margins
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_the_fold_rule_gives_a_sound_ball_interval_at_every_iterate(mode):
+    # far from a fold's optimum (the full optimum) and at it, the rule's
+    # interval is the gradient ball's, which holds the fold's exact margin;
+    # no fold gets the point interval of its iterate's score
+    ds = dsc.make_synthetic(305, 50, 6)
+    lam, kind, tol = 0.2, dsc.LossKind.L2_HINGE, 1e-6
+    full, _ = dsc.train(ds, lam, kind, tol=1e-8)
+    _, _, eta_norm, _ = loocv_module._screen_stats(full, ds)
+    rule = loocv_module._fold_rule(
+        full, ds, tol=tol, early_stop=mode is LoocvMode.OP2, eta_norm=eta_norm
+    )
+    margins = brute_force_margins(ds, lam, kind)
+    folds = list(range(ds.n))
+    optima = []
+    for h in folds:
+        keep = [i for i in folds if i != h]
+        optima.append(dsc.train(ds.take(keep), lam, kind, tol=1e-12, init=full.beta)[0].beta)
+    problems = [dsc.Problem(ds, lam, kind, held_out=h) for h in folds]
+    reached = []
+    for betas in (np.tile(full.beta, (ds.n, 1)), np.array(optima)):
+        grads = np.array([p.value_and_grad(b)[1] for p, b in zip(problems, betas)])
+        lower, upper, stage = rule(folds, betas, grads)
+        assert np.all(lower - 1e-9 <= margins) and np.all(margins <= upper + 1e-9)
+        assert np.all(lower < upper)
+        decided = (lower > 0) | (upper < 0)
+        at_tol = np.linalg.norm(grads, axis=1) <= tol
+        reached.append(bool(at_tol.all()))
+        for h in folds:
+            if decided[h] and mode is LoocvMode.OP2:
+                assert stage[h] is FoldDecision.RESOLVED_BY_EARLY_STOP
+            elif at_tol[h]:
+                settled = FoldDecision.RESOLVED_BY_SOLVE if decided[h] else FoldDecision.UNDECIDED
+                assert stage[h] is settled
+            else:
+                assert stage[h] is None
+    assert reached == [False, True] and decided.any()
 
 
 # ---------------------------------------------------------------------------
@@ -108,47 +148,29 @@ def test_exact_mode_solves_every_fold():
     assert dsc.certified_sign(*screen_bounds(full, ds)).any()
 
 
-def test_op1_solves_only_screen_failures():
-    ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
-    full, _ = dsc.train(ds, 0.05, dsc.LossKind.LOGISTIC)
-    res = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP1, full=full)
-    by_bound = [h for h, d in enumerate(res.decisions) if d in BY_BOUND]
-    solved = [h for h, d in enumerate(res.decisions) if d is FoldDecision.RESOLVED_BY_SOLVE]
-    assert len(by_bound) + len(solved) == 60
-    assert res.solves_performed == len(solved) < 60
-    # a fold decided by the screen has an interval that excludes 0
-    lower, upper = screen_bounds(full, ds)
-    for h in by_bound:
-        if res.decisions[h] is FoldDecision.CORRECT_BY_BOUND:
-            assert lower[h] > 0 and res.correct[h]
-        else:
-            assert upper[h] < 0 and not res.correct[h]
-    for h in solved:
-        assert lower[h] <= 0 <= upper[h]  # the inconclusive screen interval
-
-
 def test_op2_early_stops_and_saves_iterations():
     ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
-    op1 = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP1)
+    exact = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.EXACT)
     op2 = dsc.run_loocv(ds, 0.05, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2)
-    assert op2.error_rate == op1.error_rate
-    assert op2.solver_iterations <= op1.solver_iterations
+    assert op2.error_rate == exact.error_rate
+    assert op2.solver_iterations < exact.solver_iterations
     # this problem leaves screen-undecided folds that stop early
     assert FoldDecision.RESOLVED_BY_EARLY_STOP in op2.decisions
-    np.testing.assert_array_equal(op1.correct, op2.correct)
+    np.testing.assert_array_equal(exact.correct, op2.correct)
 
 
 def test_screen_decisions_match_standalone_fold_bounds():
     ds = dsc.make_synthetic(305, 50, 6)
     lam, kind = 0.2, dsc.LossKind.L2_HINGE
     full, _ = dsc.train(ds, lam, kind, tol=1e-8)
-    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, full=full)
+    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
+    assert res.solves_performed == sum(d in BY_SOLVE for d in res.decisions) < ds.n
     lower, upper = screen_bounds(full, ds)
     for h, decision in enumerate(res.decisions):
         if lower[h] > 0:
-            assert decision is FoldDecision.CORRECT_BY_BOUND
+            assert decision is FoldDecision.CORRECT_BY_BOUND and res.correct[h]
         elif upper[h] < 0:
-            assert decision is FoldDecision.WRONG_BY_BOUND
+            assert decision is FoldDecision.WRONG_BY_BOUND and not res.correct[h]
         else:
             assert decision in BY_SOLVE
         # the standalone one-row removal ball gives the same interval
@@ -162,17 +184,19 @@ def test_screen_decisions_match_standalone_fold_bounds():
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
-def test_a_zero_row_fold_is_resolved_by_solve_as_correct(mode, kind):
+def test_a_zero_row_fold_is_undecided(mode, kind):
     # a zero row's held-out score is exactly 0 at every iterate, so no ball
-    # interval excludes 0; the fold is decided at its tolerance by the point
-    # interval (0, 0), and a nonnegative held-out score counts as correct
+    # interval excludes 0; the fold reaches its tolerance undecided, neither
+    # correct nor wrong, and widens the error interval by 1/n
     ds = dsc.make_synthetic(5, 40, 4, separation=1.0)
     dense = ds.X.toarray()
     dense[7] = 0.0
     ds = dsc.SparseDataset._from_dense(dense, ds.y)
     res = dsc.run_loocv(ds, 0.05, kind, mode=mode)
-    assert res.decisions[7] is FoldDecision.RESOLVED_BY_SOLVE
-    assert res.correct[7]
+    assert res.decisions[7] is FoldDecision.UNDECIDED
+    assert res.decisions.count(FoldDecision.UNDECIDED) == 1 and not res.correct[7]
+    assert res.error_rate == res.error_lower
+    assert res.error_upper == pytest.approx(res.error_lower + 1 / ds.n, rel=1e-12)
     # logistic takes one solve iteration, squared hinge none (its block pass)
     assert res.fold_iterations[7] == (1 if kind is dsc.LossKind.LOGISTIC else 0)
     for rate in (res.error_rate, res.error_lower, res.error_upper):
@@ -281,10 +305,13 @@ def test_a_fold_whose_downdate_is_not_positive_starts_at_the_full_optimum():
     start = loocv_module._newton_starts(full, view, loocv_module._screen_stats(full, view)[3])
     assert start(0) is full.beta
     assert start(1) is not full.beta
-    runs = {mode: dsc.run_loocv(ds, lam, kind, mode=mode, full=full) for mode in ALL_MODES}
-    assert runs[LoocvMode.EXACT].correct.tolist() == [True, False, False]
-    for mode in (LoocvMode.OP1, LoocvMode.OP2):
-        assert verdicts(runs[mode]) == verdicts(runs[LoocvMode.EXACT])
+    # fold 0 meets fold_tol at that start, but its optimum is near -200 and
+    # its held-out margin near -2e10: its ball, of radius ~200, contains 0
+    for mode in ALL_MODES:
+        res = dsc.run_loocv(ds, lam, kind, mode=mode, full=full)
+        assert res.decisions[0] is FoldDecision.UNDECIDED
+        assert res.correct.tolist() == [False, False, False]
+        assert (res.error_lower, res.error_upper) == (2 / 3, 1.0)
 
 
 def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
@@ -304,9 +331,8 @@ def test_wide_sparse_data_falls_back_to_the_full_optimum(monkeypatch):
     assert len(inits) == ds.n
     for init in inits:
         np.testing.assert_array_equal(init, full.beta)
-    for mode in (LoocvMode.OP1, LoocvMode.OP2):
-        res = dsc.run_loocv(ds, lam, kind, mode=mode, full=full)
-        assert verdicts(res) == verdicts(exact)
+    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, full=full)
+    assert verdicts(res) == verdicts(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +370,11 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
         if prune_above is not None and known_wrong / ds.n > prune_above:
             pruned = True
             break
-        decisions[h], _, upper_h, iterations[h] = loocv_module._solve_fold(
+        decisions[h], lower_h, upper_h, iterations[h] = loocv_module._solve_fold(
             ds, h, full, init=start(h), rule=rule, tol=loocv_module.DEFAULT_FOLD_TOL
         )
-        correct[h] = upper_h >= 0.0
-        known_wrong += not correct[h]
+        correct[h] = lower_h > 0.0
+        known_wrong += upper_h < 0.0
         solves += 1
     return tuple(decisions), correct, iterations, solves, pruned
 
@@ -515,17 +541,21 @@ def test_every_fold_solve_runs_the_stop_rule_at_every_iterate(mode, kind, monkey
     "kind, mode",
     [(dsc.LossKind.LOGISTIC, LoocvMode.OP2), (dsc.LossKind.L2_HINGE, LoocvMode.EXACT)],
 )
-def test_max_iter_zero_fails_on_a_fold_undecided_at_its_start(kind, mode, monkeypatch):
+def test_max_iter_zero_ends_each_fold_solve_at_its_start_interval(kind, mode, monkeypatch):
     ds = dsc.make_synthetic(410, 300, 8, separation=0.6)
     full, _ = dsc.train(ds, 0.01, kind, tol=1e-10)
     monkeypatch.setattr(loocv_module, "MAX_ITER", 0)  # every fold solve's cap
     with pytest.MonkeyPatch.context() as m:
         calls = count_fold_solves(m)
-        with pytest.raises(dsc.SolverError, match="iteration cap 0"):
-            dsc.run_loocv(ds, 0.01, kind, mode=mode, full=full)
-    assert len(calls) == 1
-    with pytest.raises(dsc.SolverError, match="iteration cap 0"):
-        reference_loocv(ds, 0.01, kind, mode, full)
+        res = dsc.run_loocv(ds, 0.01, kind, mode=mode, full=full)
+    decisions, correct, _, solves, _ = reference_loocv(ds, 0.01, kind, mode, full)
+    assert (res.decisions, res.solves_performed) == (decisions, solves)
+    np.testing.assert_array_equal(res.correct, correct)
+    # every fold that reached the solver stopped at its start; in op2 its
+    # interval there contains 0, or the block pass would have decided it
+    assert calls and not res.fold_iterations.any()
+    if mode is LoocvMode.OP2:
+        assert {res.decisions[h] for h in calls} == {FoldDecision.UNDECIDED}
 
 
 def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
@@ -545,27 +575,65 @@ def test_max_iter_zero_completes_when_every_fold_is_decided_at_its_start():
 # one fold that the solver cannot finish must not sink the run
 
 
-@pytest.mark.xfail(
-    strict=True, raises=dsc.SolverError,
-    reason="a fold whose line search stalls near fold_tol raises instead of staying undecided",
-)
-@pytest.mark.parametrize("mode", [LoocvMode.EXACT, LoocvMode.OP1])
+@pytest.mark.parametrize("mode", ALL_MODES)
 def test_a_fold_that_stalls_near_the_tolerance_leaves_the_run_complete(mode):
     ds = dsc.make_synthetic(3, 60, 40, separation=0.7, density=0.5)
     res = dsc.run_loocv(ds, 1e-3, dsc.LossKind.L2_HINGE, mode=mode, fold_tol=1e-10)
-    assert res.error_lower <= res.error_upper
+    assert None not in res.decisions
+    assert res.error_lower == res.error_upper == pytest.approx(32 / 60)
+    # in exact, fold 39's line search stalls at iteration 115 and the fold
+    # keeps its last interval; op2 decides it before it gets that far
+    assert (res.fold_iterations[39] == 115) == (mode is LoocvMode.EXACT)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=dsc.SolverError,
-    reason="a fold_tol below a fold's rounding floor spends the whole iteration cap",
-)
-def test_a_tolerance_below_the_rounding_floor_leaves_the_run_complete():
-    ds = dsc.make_synthetic(412, 80, 6, separation=0.8)
-    res = dsc.run_loocv(
-        ds, 0.05, dsc.LossKind.L2_HINGE, mode=LoocvMode.OP1, fold_tol=5.75e-17
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_fold_solve_that_raises_keeps_its_last_interval(mode, monkeypatch):
+    ds = dsc.make_synthetic(305, 50, 6)
+    full, _ = dsc.train(ds, 0.2, dsc.LossKind.L2_HINGE, tol=1e-8)
+    _, _, eta_norm, _ = loocv_module._screen_stats(full, ds)
+    rule = loocv_module._fold_rule(
+        full, ds, tol=1e-8, early_stop=mode is LoocvMode.OP2, eta_norm=eta_norm
     )
-    assert res.error_lower <= res.error_upper
+
+    def stalling(value_and_grad, value, init, *, stop_hook, **kwargs):
+        stop_hook(init, value_and_grad(init)[1])
+        raise dsc.SolverError("line search stalled at iteration 3", init, 1.0, 3)
+
+    monkeypatch.setattr(loocv_module, "minimize_smooth", stalling)
+    stages = set()
+    for h in range(ds.n):
+        stage, lower, upper, iters = loocv_module._solve_fold(
+            ds, h, full, init=full.beta, rule=rule, tol=1e-8
+        )
+        grad = dsc.Problem(ds, full.lam, full.kind, held_out=h).value_and_grad(full.beta)[1]
+        last = rule([h], full.beta[None], grad[None])
+        assert (lower, upper, iters) == (last[0][0], last[1][0], 3)
+        settled = lower > 0.0 or upper < 0.0
+        assert stage is (FoldDecision.RESOLVED_BY_SOLVE if settled else FoldDecision.UNDECIDED)
+        stages.add(stage)
+    assert stages == {FoldDecision.RESOLVED_BY_SOLVE, FoldDecision.UNDECIDED}
+
+
+def test_a_tolerance_below_the_rounding_floor_leaves_the_run_complete(monkeypatch):
+    # at this fold_tol 16 of the 80 exact fold solves spend the whole
+    # iteration cap; fold 1 is one of them
+    ds = dsc.make_synthetic(412, 80, 6, separation=0.8).with_kernel("blas")
+    lam, kind, tol = 0.05, dsc.LossKind.L2_HINGE, 5.75e-17
+    full, _ = dsc.train(ds, lam, kind)
+    lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
+    rule = loocv_module._fold_rule(full, ds, tol=tol, early_stop=False, eta_norm=eta_norm)
+    start = loocv_module._newton_starts(full, ds, terms)
+    stage, lower, upper, iters = loocv_module._solve_fold(
+        ds, 1, full, init=start(1), rule=rule, tol=tol
+    )
+    assert iters == loocv_module.MAX_ITER
+    settled = lower > 0.0 or upper < 0.0
+    assert stage is (FoldDecision.RESOLVED_BY_SOLVE if settled else FoldDecision.UNDECIDED)
+    # the whole run, with a smaller cap per fold solve, completes
+    monkeypatch.setattr(loocv_module, "MAX_ITER", 50)
+    res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, fold_tol=tol, full=full)
+    assert res.error_lower <= res.error_upper and None not in res.decisions
+    assert np.count_nonzero(res.fold_iterations == 50) >= 16
 
 
 # ---------------------------------------------------------------------------
@@ -575,30 +643,12 @@ def test_a_tolerance_below_the_rounding_floor_leaves_the_run_complete():
 def test_prune_immediately_keeps_sound_interval():
     ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
     lam, kind = 0.05, dsc.LossKind.LOGISTIC
-    exact = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1)
-    pruned = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, prune_above=-1.0)
+    exact = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2)
+    pruned = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP2, prune_above=-1.0)
     assert pruned.pruned
     assert pruned.solves_performed == 0
     assert pruned.error_lower <= exact.error_rate <= pruned.error_upper
     assert pruned.error_upper - pruned.error_lower > 0
-
-
-def test_prune_mid_loop_keeps_sound_interval():
-    ds = dsc.make_synthetic(400, 60, 8, separation=1.0)
-    lam, kind = 0.05, dsc.LossKind.LOGISTIC
-    complete = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1)
-    screen_wrong = complete.decisions.count(FoldDecision.WRONG_BY_BOUND)
-    # threshold sits exactly at the screen-time error, so the run survives
-    # screening and is abandoned at the first wrong solved fold
-    threshold = screen_wrong / ds.n
-    pruned = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.OP1, prune_above=threshold)
-    assert pruned.pruned
-    assert 0 < pruned.solves_performed < complete.solves_performed
-    assert pruned.error_lower > threshold
-    assert pruned.error_lower <= complete.error_rate <= pruned.error_upper
-    assert pruned.error_upper - pruned.error_lower == pytest.approx(
-        pruned.decisions.count(None) / ds.n
-    )
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -609,7 +659,8 @@ def test_pruned_interval_width_is_the_undecided_share(mode):
     # abandoned at the first wrong solved fold, with folds left undecided
     threshold = complete.decisions.count(FoldDecision.WRONG_BY_BOUND) / ds.n
     pruned = dsc.run_loocv(ds, lam, kind, mode=mode, prune_above=threshold)
-    assert pruned.pruned
+    assert pruned.pruned and pruned.error_lower > threshold
+    assert pruned.error_lower <= complete.error_rate <= pruned.error_upper
     undecided = pruned.decisions.count(None)
     assert 0 < undecided == complete.solves_performed - pruned.solves_performed
     assert pruned.error_upper - pruned.error_lower == pytest.approx(
@@ -648,7 +699,7 @@ def test_no_prune_flag_when_everything_resolves_at_screen():
     # threshold leaves nothing to abandon and the result is complete
     ds = dsc.make_synthetic(311, 80, 5, separation=6.0)
     res = dsc.run_loocv(
-        ds, 1.0, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP1, prune_above=-1.0
+        ds, 1.0, dsc.LossKind.LOGISTIC, mode=LoocvMode.OP2, prune_above=-1.0
     )
     assert res.solves_performed == 0
     assert not res.pruned

@@ -24,7 +24,7 @@ from delta_scope.solver import minimize_smooth
 from conftest import loss_values
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.L2_HINGE]
-ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP1, dsc.LoocvMode.OP2]
+ALL_MODES = [dsc.LoocvMode.EXACT, dsc.LoocvMode.OP2]
 
 
 def rows_matrix(ds):
