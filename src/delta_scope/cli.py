@@ -430,9 +430,9 @@ def _cmd_loocv(args) -> dict:
     def datasets():
         """The grid's datasets, one feature map at a time. Every map setting
         is checked when the first dataset is asked for, after model_select
-        checked every lambda and before any map is built; a gamma's map is
-        built only after the previous gamma's cells ran, and dropped before
-        the next map is built."""
+        checked every lambda and both tolerances, and before any map is
+        built; a gamma's map is built only after the previous gamma's cells
+        ran, and dropped before the next map is built."""
         for gamma, _ in gammas:
             L._check_rbf_args(gamma, args.rbf_centers, args.rbf_seed)
         if not gammas:

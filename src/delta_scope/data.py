@@ -189,7 +189,11 @@ class SparseDataset:
     # ``np.bincount`` adds its weights in input order, so each output sums
     # the same products in the same order as SciPy's CSR kernels: those two
     # differ only in speed. BLAS sums in its own order, so a dense product
-    # may differ from the sparse one in the last bits.
+    # may differ from the sparse one in the last bits. The matrix-matrix
+    # products (``matmat``, ``rmatmat``, ``weighted_gram``) have two kernels:
+    # SciPy's on the SciPy kernel and BLAS's on ``dense`` otherwise. They
+    # sum in their own order too, so they agree with the matrix-vector
+    # products within rounding, not bit for bit.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X @ v``."""
@@ -216,29 +220,13 @@ class SparseDataset:
         return np.bincount(self.indices, weights=self._data_sq * c[self._rows], minlength=self.d)
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
-        """``X @ B``, whose column j is ``matvec(B[:, j])`` bit for bit.
-
-        SciPy's kernel runs all columns in one pass. BLAS's runs one matrix-
-        vector product per column, because a matrix-matrix product sums in
-        another order than the matrix-vector one.
-        """
-        if self.kernel == "scipy":
-            return self.X @ B
-        return self._by_column(self.matvec, B, self.n)
+        """``X @ B``: SciPy's product on the SciPy kernel, BLAS's on ``dense``
+        otherwise. Column j may differ from ``matvec(B[:, j])`` in the last bits."""
+        return self.X @ B if self.kernel == "scipy" else self.dense @ B
 
     def rmatmat(self, W: np.ndarray) -> np.ndarray:
-        """``X.T @ W``, whose column j is ``rmatvec(W[:, j])`` bit for bit."""
-        if self.kernel == "scipy":
-            return self._XT @ W
-        return self._by_column(self.rmatvec, W, self.d)
-
-    @staticmethod
-    def _by_column(product, B: np.ndarray, rows: int) -> np.ndarray:
-        """``product`` of each column of ``B``, as the columns of a ``rows``-row array."""
-        out = np.empty((rows, B.shape[1]))
-        for j, column in enumerate(np.ascontiguousarray(B.T)):
-            out[:, j] = product(column)
-        return out
+        """``X.T @ W``, on the kernels of :meth:`matmat`."""
+        return self._XT @ W if self.kernel == "scipy" else self.dense.T @ W
 
     def weighted_gram(self, c: np.ndarray) -> np.ndarray:
         """``X^T diag(c) X`` as a dense array: from SciPy's kernels on the

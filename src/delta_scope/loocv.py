@@ -20,7 +20,7 @@ Every fold solve starts at the fold's Newton point: one Newton step of the
 fold problem from the full optimum (the approximate leave-one-out step of
 Rad & Maleki and of Beirami et al.). The full model's Hessian is inverted
 once per run and downdated for row h by Sherman-Morrison, so a start costs
-O(d * nnz(x_h)). Most op2 folds are then decided at iteration 0. When
+O(d * d). Most op2 folds are then decided at iteration 0. When
 d * d > nnz(X), where the dense d x d inverse would outweigh the data, or a
 downdate is not positive, the fold starts at the full optimum instead. The
 start changes how much work a solve does, never what it certifies: the
@@ -35,21 +35,20 @@ tolerance and row norms bound in; a fold's interval alone makes it correct,
 wrong or undecided. Folds the screen leaves are taken in
 increasing full-model margin y_h x_h . beta, ties by index, in blocks of up
 to 64 folds (fewer for large n, so that each n x m block matrix stays
-within 8 MiB). The rule runs first on a whole block at its Newton starts:
-the starts are the columns of a d x m matrix B, and one ``X @ B`` and one
-``X^T @ DL`` give every fold's gradient there. Each fold still running
-is then solved alone from its start, with the same rule as the solve's stop
-hook at every iterate. The block pass computes every per-fold quantity as
-the hook does, so it changes no outcome and no iteration count, and
-neither does the order. A result holds each fold's decision, verdict and
-solver iterations as arrays indexed by fold.
+within 8 MiB). The rule runs first on a whole block at its Newton starts,
+formed together: the starts are the columns of a d x m matrix B, and one
+``X @ B`` and one ``X^T @ DL`` give every fold's gradient there. Each fold
+still running is then solved alone from its start, with the same rule as
+the solve's stop hook at every iterate. The block's matrix products may
+round otherwise than a solve's matrix-vector products, which can move a
+fold between the block and its solve, but no verdict rests on those bits:
+every interval the rule gives holds. A result holds each fold's decision,
+verdict and solver iterations as arrays indexed by fold.
 
 Every product of a run is taken by one kernel, on the run's own view of the
 dataset (``with_kernel``) made before its clock starts: BLAS on the dense
 copy when the dataset stores every entry (so such a run never imports
-SciPy), and SciPy's sparse kernels otherwise. The block products run
-column by column on BLAS, so each column equals the product a fold's own
-solve takes, bit for bit, on either kernel.
+SciPy), and SciPy's sparse kernels otherwise.
 
 Model selection runs over a grid of datasets (the raw rows, or their
 ``rbf_features``) times L2 weights, one cell per pair, and runs each
@@ -176,8 +175,11 @@ def _screen_stats(full: TrainedModel, ds: SparseDataset):
     return lower, upper, eta_norm, (z, e, dl)
 
 
-def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[int], np.ndarray]:
-    """Start point of each fold solve: its Newton point from the full optimum.
+def _newton_starts(
+    full: TrainedModel, ds: SparseDataset, terms
+) -> Callable[[list[int]], np.ndarray]:
+    """Start points of fold solves, as ``starts(folds)``: row k is fold
+    ``folds[k]``'s Newton point from the full optimum.
 
     With curvature weights c_i = loss''(z_i) / (n-1), the fold-h Hessian at
     ``full.beta`` is A - c_h x_h x_h^T, where A = X^T diag(c) X + lam I, and
@@ -185,13 +187,14 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     shared by every fold and a_h = dl_h / (n-1). A^-1 and p = A^-1 g are
     formed once from the loss ``terms`` of :func:`_screen_stats`;
     Sherman-Morrison with u = A^-1 x_h gives the Newton point
-    beta - p + (a_h - c_h s / (1 - c_h x_h.u)) u, with s = x_h.p - a_h x_h.u.
-    Falls back to ``full.beta`` when d * d > nnz(X), and for a fold whose
-    denominator is not finite and positive.
+    beta - p + (a_h - c_h s / (1 - c_h x_h.u)) u, with s = x_h.p - a_h x_h.u,
+    for all ``folds`` at once from their dense rows. Falls back to
+    ``full.beta`` when d * d > nnz(X), and for a fold whose denominator is
+    not finite and positive.
     """
     n, d = ds.n, ds.d
     if d * d > ds.data.size:
-        return lambda h: full.beta
+        return lambda folds: np.tile(full.beta, (len(folds), 1))
     z, e, dl = terms
     dl = dl / (n - 1)
     c = _d2loss_terms(full.kind, z, e) / (n - 1)
@@ -200,17 +203,17 @@ def _newton_starts(full: TrainedModel, ds: SparseDataset, terms) -> Callable[[in
     a_inv = np.linalg.inv(hessian)
     p = a_inv @ (ds.rmatvec(dl) + full.lam * full.beta)
 
-    def start(h: int) -> np.ndarray:
-        idx, vals = ds.row(h)
-        u = vals @ a_inv[idx]
-        xu = float(vals @ u[idx])
-        denom = 1.0 - c[h] * xu
-        if not (math.isfinite(denom) and denom > 0.0):
-            return full.beta
-        s = float(vals @ p[idx]) - dl[h] * xu
-        return full.beta - p + (dl[h] - c[h] * s / denom) * u
+    def starts(folds: list[int]) -> np.ndarray:
+        rows = ds.take(folds).dense
+        U = rows @ a_inv
+        xu = np.einsum("ij,ij->i", rows, U)
+        denom = 1.0 - c[folds] * xu
+        ok = np.isfinite(denom) & (denom > 0.0)
+        s = rows @ p - dl[folds] * xu
+        step = dl[folds] - c[folds] * s / np.where(ok, denom, 1.0)
+        return np.where(ok[:, None], full.beta - p + step[:, None] * U, full.beta)
 
-    return start
+    return starts
 
 
 def _fold_rule(
@@ -261,9 +264,9 @@ def _decide_at_starts(
     starts, the rows of ``starts``.
 
     One ``X @ B`` and one ``X^T @ DL`` give every fold gradient, with each
-    fold's own row zeroed in its column of DL, summed as the fold's
-    ``Problem`` sums it, so each fold gets the interval and stage its solve
-    would reach at iteration 0, bit for bit.
+    fold's own row zeroed in its column of DL, so each fold gets the
+    interval and stage its solve would reach at iteration 0, within the
+    rounding of those products.
     """
     B = starts.T
     z = ds.y[:, None] * ds.matmat(B)
@@ -335,13 +338,13 @@ def run_loocv(
     With ``prune_above`` set, the run is abandoned as soon as the running
     error lower bound exceeds it, returning a partial, ``pruned`` result.
     """
-    # one kernel for every product of the run, the full training's too
-    ds = ds.with_kernel("blas" if ds.data.size == ds.n * ds.d else "scipy")
-    t_start = time.perf_counter()
     if ds.n < 2:
         raise ValueError("leave-one-out needs at least 2 instances")
     _check_tol("fold_tol", fold_tol)
     _check_tol("full_tol", full_tol)
+    # one kernel for every product of the run, the full training's too
+    ds = ds.with_kernel("blas" if ds.data.size == ds.n * ds.d else "scipy")
+    t_start = time.perf_counter()
     if full is None:
         full, _ = train(ds, lam, kind, tol=full_tol)
     elif full.d != ds.d or full.n_train != ds.n:
@@ -364,18 +367,18 @@ def run_loocv(
     unresolved = order[signs[order] == 0].tolist()  # lowest margin z_h first, ties by index
 
     unresolved_left = 0
-    start = None
+    newton = None
     width = min(_BLOCK_MAX, max(1, _BLOCK_BYTES // (8 * n)))
     t0 = time.perf_counter()
     for pos, h in enumerate(unresolved):
         if prune_above is not None and known_wrong / n > prune_above:
             unresolved_left = len(unresolved) - pos
             break
-        if start is None:
-            start = _newton_starts(full, ds, terms)
+        if newton is None:
+            newton = _newton_starts(full, ds, terms)
         if pos % width == 0:
             block = unresolved[pos : pos + width]
-            starts = np.array([start(f) for f in block])
+            starts = newton(block)
             lows, ups, stages = _decide_at_starts(ds, block, full, starts, rule)
         k = pos % width
         if stages[k] is not None:
@@ -446,17 +449,19 @@ def model_select(
     cell is selected, nor any cell it leaves whole, but which cells it
     abandons, and their partial counts, depend on the incumbent they met.
 
-    Every lambda is checked, and an empty ``lams`` rejected, before the
-    first dataset is taken. ``datasets`` may be any iterable, a generator
-    included, and is walked once; a dataset is not referenced after its
-    cells ran, so a generator that builds each dataset when asked holds
-    only the dataset in use.
+    Every lambda and both tolerances are checked, and an empty ``lams``
+    rejected, before the first dataset is taken. ``datasets`` may be any
+    iterable, a generator included, and is walked once; a dataset is not
+    referenced after its cells ran, so a generator that builds each dataset
+    when asked holds only the dataset in use.
     """
     lams = tuple(lams)
     if not lams:
         raise ValueError("empty lambda list")
     for lam in lams:
         _check_lam(lam)
+    _check_tol("fold_tol", fold_tol)
+    _check_tol("full_tol", full_tol)
     walk = sorted(range(len(lams)), key=lams.__getitem__, reverse=True)
     results: list[LoocvResult] = []
     best_index, incumbent = 0, math.inf

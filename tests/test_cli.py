@@ -831,6 +831,9 @@ def test_gamma_grid_builds_each_map_after_the_previous_cells_ran(paths, capsys, 
         (["--gamma-grid", "0.5,nan"], "gamma"),
         (["--gamma-grid", "0.5,1", "--rbf-centers", "0"], "n_centers"),
         (["--gamma-grid", "0.5,1", "--rbf-seed", "-1"], "seed"),
+        # model_select checks the tolerances before the first map is built
+        (["--gamma-grid", "0.5", "--fold-tol", "-1"], "fold_tol must be finite and positive"),
+        (["--gamma-grid", "0.5", "--full-tol", "0"], "full_tol must be finite and positive"),
     ],
 )
 def test_gamma_grid_settings_are_checked_before_any_cell_runs(

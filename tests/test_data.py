@@ -417,7 +417,10 @@ def test_row_norms_on_the_dense_kernel_equal_numpys_bit_for_bit(X):
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_block_products_equal_their_columns_bit_for_bit(X, m, kernel, data):
+def test_block_products_match_scipys_within_rounding(X, m, kernel, data):
+    # a block product sums in its kernel's order, which need not be the
+    # matrix-vector order, so it matches SciPy's within the rounding bound
+    # of a sum of |terms| (2 gamma_k, k terms a sum)
     n, d = X.shape
     B = np.array(data.draw(st.lists(_ENTRIES, min_size=d * m, max_size=d * m)))
     W = np.array(data.draw(st.lists(_ENTRIES, min_size=n * m, max_size=n * m)))
@@ -425,9 +428,10 @@ def test_block_products_equal_their_columns_bit_for_bit(X, m, kernel, data):
     ds = _with_kernel(X, kernel)
     XB, XtW = ds.matmat(B), ds.rmatmat(W)
     assert XB.shape == (n, m) and XtW.shape == (d, m)
-    for j in range(m):
-        assert np.array_equal(_bits(XB[:, j]), _bits(ds.matvec(B[:, j].copy())))
-        assert np.array_equal(_bits(XtW[:, j]), _bits(ds.rmatvec(W[:, j].copy())))
+    eps = np.finfo(np.float64).eps
+    A = abs(X.toarray())
+    for got, exact, scale, k in ((XB, X @ B, A @ abs(B), d), (XtW, X.T @ W, A.T @ abs(W), n)):
+        assert np.all(abs(got - exact) <= 4 * k * eps * scale)
     assert ds.kernel == kernel
 
 

@@ -222,18 +222,34 @@ def test_supplied_full_model_is_used_and_validated():
         dsc.run_loocv(ds, lam, dsc.LossKind.L2_HINGE, full=full)
 
 
-def test_run_loocv_needs_two_instances():
-    ds = dsc.make_synthetic(310, 5, 3).take([0])
+def count_kernel_views(monkeypatch):
+    """List that collects the kernel of every ``with_kernel`` call, which
+    then returns no view."""
+    views = []
+    monkeypatch.setattr(dsc.SparseDataset, "with_kernel", lambda self, kernel: views.append(kernel))
+    return views
+
+
+# an argument check comes before the run's kernel view, which on data that
+# does not store every entry builds SciPy's matrix
+
+
+def test_run_loocv_needs_two_instances(monkeypatch):
+    ds = dsc.make_synthetic(310, 5, 3, density=0.5).take([0])
+    views = count_kernel_views(monkeypatch)
     with pytest.raises(ValueError, match="at least 2"):
         dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC)
+    assert views == []
 
 
 @pytest.mark.parametrize("field", ["fold_tol", "full_tol"])
 @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
-def test_run_loocv_rejects_a_tolerance_that_is_not_finite_and_positive(field, tol):
-    ds = dsc.make_synthetic(311, 20, 3)
+def test_run_loocv_rejects_a_tolerance_that_is_not_finite_and_positive(field, tol, monkeypatch):
+    ds = dsc.make_synthetic(311, 20, 3, density=0.5)
+    views = count_kernel_views(monkeypatch)
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         dsc.run_loocv(ds, 0.1, dsc.LossKind.LOGISTIC, **{field: tol})
+    assert views == []
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +268,9 @@ def test_newton_start_saves_iterations_and_keeps_verdicts(mode, kind, monkeypatc
     full, _ = dsc.train(ds, 0.05, kind, tol=1e-10)
     newton = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
     monkeypatch.setattr(
-        loocv_module, "_newton_starts", lambda full, ds, terms: lambda h: full.beta
+        loocv_module,
+        "_newton_starts",
+        lambda full, ds, terms: lambda folds: np.tile(full.beta, (len(folds), 1)),
     )
     shared = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
     assert newton.solves_performed == shared.solves_performed > 0
@@ -267,8 +285,9 @@ def test_newton_point_is_one_newton_step_of_the_fold_problem():
     ds = dsc.make_synthetic(401, 40, 5, separation=1.0)
     lam, kind = 0.1, dsc.LossKind.LOGISTIC
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
-    start = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
-    for h in (0, 17, 39):
+    newton = loocv_module._newton_starts(full, ds, loocv_module._screen_stats(full, ds)[3])
+    folds = [0, 17, 39]
+    for h, start in zip(folds, newton(folds)):
         keep = [i for i in range(ds.n) if i != h]
         X = np.asarray(ds.X[keep].todense())
         y = ds.y[keep]
@@ -277,7 +296,7 @@ def test_newton_point_is_one_newton_step_of_the_fold_problem():
         grad = X.T @ (-y * (1.0 - sig)) / (ds.n - 1) + lam * full.beta
         hess = (X.T * (sig * (1.0 - sig))) @ X / (ds.n - 1) + lam * np.eye(ds.d)
         expected = full.beta - np.linalg.solve(hess, grad)
-        np.testing.assert_allclose(start(h), expected, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(start, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_op2_certifies_folds_whose_start_already_meets_tol():
@@ -302,9 +321,15 @@ def test_a_fold_whose_downdate_is_not_positive_starts_at_the_full_optimum():
     lam, kind = 1e-10, dsc.LossKind.L2_HINGE
     view = ds.with_kernel("blas")  # the kernel run_loocv takes on data that stores every entry
     full, _ = dsc.train(view, lam, kind)
-    start = loocv_module._newton_starts(full, view, loocv_module._screen_stats(full, view)[3])
-    assert start(0) is full.beta
-    assert start(1) is not full.beta
+    z, e, _ = terms = loocv_module._screen_stats(full, view)[3]
+    c = loocv_module._d2loss_terms(kind, z, e) / (ds.n - 1)
+    a = view.weighted_gram(c)[0, 0] + lam
+    assert 1.0 - c[0] * (1e8 / a * 1e8) == 0.0
+    # so its start is the full optimum itself, not the non-finite point a
+    # zero denominator gives, whether it comes alone or in a block
+    newton = loocv_module._newton_starts(full, view, terms)
+    np.testing.assert_array_equal(newton([0]), full.beta[None])
+    np.testing.assert_array_equal(newton([1, 0, 2])[1], full.beta)
     # fold 0 meets fold_tol at that start, but its optimum is near -200 and
     # its held-out margin near -2e10: its ball, of radius ~200, contains 0
     for mode in ALL_MODES:
@@ -348,7 +373,7 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
     margin first, with the prune test before each one.
     """
     lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
-    start = loocv_module._newton_starts(full, ds, terms)
+    newton = loocv_module._newton_starts(full, ds, terms)
     rule = loocv_module._fold_rule(
         full, ds, tol=loocv_module.DEFAULT_FOLD_TOL, early_stop=mode is LoocvMode.OP2,
         eta_norm=eta_norm,
@@ -371,7 +396,7 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
             pruned = True
             break
         decisions[h], lower_h, upper_h, iterations[h] = loocv_module._solve_fold(
-            ds, h, full, init=start(h), rule=rule, tol=loocv_module.DEFAULT_FOLD_TOL
+            ds, h, full, init=newton([h])[0], rule=rule, tol=loocv_module.DEFAULT_FOLD_TOL
         )
         correct[h] = lower_h > 0.0
         known_wrong += upper_h < 0.0
@@ -479,27 +504,40 @@ def test_block_pass_on_wide_sparse_data_matches_solving_every_fold_alone(mode, k
 
 @pytest.mark.parametrize("density", [1.0, 0.5], ids=["dense", "sparse"])
 @pytest.mark.parametrize("kind", [dsc.LossKind.LOGISTIC, dsc.LossKind.L2_HINGE])
-def test_block_pass_gradient_norm_is_bit_identical_at_the_tolerance_edge(kind, density):
-    # a fold_tol equal to a fold's gradient norm at its start, as its own
-    # Problem computes it, decides that fold in the block pass; one ulp less
-    # sends it to the solver. A block-pass norm off by one ulp either way
-    # moves the fold across that edge.
+def test_a_fold_tol_at_the_block_pass_norm_decides_the_fold_in_the_block(kind, density):
+    # a fold_tol equal to a fold's gradient norm in the block pass decides
+    # that fold there; one ulp less sends it to its solve, which gives it
+    # the same verdict
     ds = dsc.make_synthetic(412, 80, 6, separation=0.8, density=density)
     lam = 0.05
     full, _ = dsc.train(ds, lam, kind, tol=1e-12)
-    # the starts and norms below take the products run_loocv takes: BLAS on
-    # fully dense data, SciPy's kernels on sparse data
-    view = ds.with_kernel("blas" if density == 1.0 else "scipy")
-    start = loocv_module._newton_starts(full, view, loocv_module._screen_stats(full, view)[3])
+    norms = {}
+    decide = loocv_module._decide_at_starts
+
+    def recording(ds, folds, full, starts, rule):
+        def noting(folds, betas, grads):
+            norms.update((h, float(np.linalg.norm(g))) for h, g in zip(folds, grads))
+            return rule(folds, betas, grads)
+
+        return decide(ds, folds, full, starts, noting)
+
+    # exact decides no fold by the screen, so every run below passes the
+    # same folds through the same blocks at the same starts
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(loocv_module, "_decide_at_starts", recording)
+        dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full)
+    assert sorted(norms) == list(range(ds.n))
     for h in range(0, ds.n, 8):
-        problem = loocv_module.Problem(view, lam, kind, held_out=h)
-        gnorm = float(np.linalg.norm(problem.value_and_grad(start(h))[1]))
-        for tol, reaches_solver in ((gnorm, False), (np.nextafter(gnorm, 0.0), True)):
+        verdicts = []
+        for tol, reaches_solver in ((norms[h], False), (np.nextafter(norms[h], 0.0), True)):
             with pytest.MonkeyPatch.context() as m:
                 calls = count_fold_solves(m)
                 res = dsc.run_loocv(ds, lam, kind, mode=LoocvMode.EXACT, full=full, fold_tol=tol)
             assert (h in calls) == reaches_solver
-            assert (res.fold_iterations[h] > 0) == reaches_solver
+            if not reaches_solver:
+                assert res.fold_iterations[h] == 0
+            verdicts.append(res.correct[h])
+        assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -622,9 +660,9 @@ def test_a_tolerance_below_the_rounding_floor_leaves_the_run_complete(monkeypatc
     full, _ = dsc.train(ds, lam, kind)
     lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
     rule = loocv_module._fold_rule(full, ds, tol=tol, early_stop=False, eta_norm=eta_norm)
-    start = loocv_module._newton_starts(full, ds, terms)
+    start = loocv_module._newton_starts(full, ds, terms)([1])[0]
     stage, lower, upper, iters = loocv_module._solve_fold(
-        ds, 1, full, init=start(1), rule=rule, tol=tol
+        ds, 1, full, init=start, rule=rule, tol=tol
     )
     assert iters == loocv_module.MAX_ITER
     settled = lower > 0.0 or upper < 0.0
@@ -738,14 +776,18 @@ def test_model_select_prune_agrees_with_full_sweep():
 
 
 @pytest.mark.parametrize(
-    "lams, message",
+    "lams, message, tols",
     [
-        ((1.0, math.nan), "lambda must be finite and positive, got nan"),
-        ((0.1, 0.0), "lambda must be finite and positive, got 0.0"),
-        ((), "empty lambda list"),
+        ((1.0, math.nan), "lambda must be finite and positive, got nan", {}),
+        ((0.1, 0.0), "lambda must be finite and positive, got 0.0", {}),
+        ((), "empty lambda list", {}),
+        ((0.1, 1.0), "fold_tol must be finite and positive, got -1.0", {"fold_tol": -1.0}),
+        ((0.1, 1.0), "full_tol must be finite and positive, got nan", {"full_tol": math.nan}),
     ],
 )
-def test_model_select_checks_every_lambda_before_taking_a_dataset(monkeypatch, lams, message):
+def test_model_select_checks_its_arguments_before_taking_a_dataset(
+    monkeypatch, lams, message, tols
+):
     calls = []
 
     def datasets():
@@ -754,7 +796,7 @@ def test_model_select_checks_every_lambda_before_taking_a_dataset(monkeypatch, l
 
     monkeypatch.setattr(loocv_module, "run_loocv", lambda *a, **k: calls.append("cell"))
     with pytest.raises(ValueError, match=re.escape(message)):
-        dsc.model_select(datasets(), lams, dsc.LossKind.LOGISTIC)
+        dsc.model_select(datasets(), lams, dsc.LossKind.LOGISTIC, **tols)
     assert calls == []
 
 
