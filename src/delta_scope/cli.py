@@ -12,11 +12,21 @@ Subcommands:
 Every command emits a JSON report (schema in ``report_schema.json``) to
 stdout or ``--report``. Warnings are collected into the report without
 changing the exit code; errors print to stderr and exit nonzero.
+
+Each command runs in a process of its own, so a process loads only what its
+command runs: importing this module loads ``data``, ``losses``, ``solver``
+and ``report``; ``train`` adds ``model_io``, the update commands ``model_io``
+and ``bounds``, ``loocv`` adds ``loocv`` and ``bounds``, and ``bench``
+``bounds``. The parser adds only the named command's arguments. At exit the
+garbage collector is frozen, so the interpreter's final collections skip
+the objects that imports and the command made instead of walking them.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import hashlib
 import io
 import math
@@ -25,11 +35,11 @@ import re
 import sys
 import warnings as _warnings
 from dataclasses import replace
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bounds as B
-from . import loocv as L
 from .data import (
     SparseDataset,
     _check_count,
@@ -45,16 +55,21 @@ from .data import (
     with_bias_feature,
 )
 from .losses import LossKind
-from .model_io import load_model, save_model
 from .report import build_report, timed_median, write_report
 from .solver import DEFAULT_TRAIN_TOL, MAX_ITER, SolverError, TrainedModel, train
 
+if TYPE_CHECKING:  # each command imports these two when it runs
+    from . import bounds as B
+    from . import loocv as L
+
 __all__ = ["main"]
 
-
-def _add_report_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the JSON report here instead of stdout")
+# At exit the interpreter's final collections would walk every object made
+# so far, most of them NumPy's and the modules'. Every file a command writes
+# is closed before main() returns, so they would find nothing left to
+# finalize. Registered once, at import, and not in main(): a caller that
+# runs main() many times keeps collecting its garbage as usual.
+atexit.register(gc.freeze)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -246,6 +261,8 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
+    from .model_io import save_model
+
     # the digest is of the bytes parsed, which the update commands trust
     # to name the training rows
     ds, entry = _hashed(load_libsvm, args.data, d=args.dim)
@@ -282,6 +299,9 @@ def _update_ball(args) -> tuple[TrainedModel, B.UpdateStats, B.SolutionBall, dic
 
     The output flags are checked first, before any file is read.
     """
+    from . import bounds as B
+    from .model_io import load_model
+
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
     if args.out and args.format != "csv":
@@ -306,6 +326,8 @@ def _write_csv(path: str, header: list[str], rows) -> dict:
 
 
 def _cmd_coef_sensitivity(args) -> dict:
+    from . import bounds as B
+
     model, stats, ball, inputs = _update_ball(args)
     box = B.coefficient_bounds(ball)
     norm_change = {
@@ -341,6 +363,8 @@ def _cmd_coef_sensitivity(args) -> dict:
 
 
 def _cmd_label_sensitivity(args) -> dict:
+    from . import bounds as B
+
     model, _, ball, inputs = _update_ball(args)
     test, inputs["test_data"] = _load_rows(args.test, model)
     lower, upper = B.batch_score_bounds(ball, test)
@@ -372,6 +396,8 @@ def _cmd_label_sensitivity(args) -> dict:
 
 
 def _loocv_result_payload(res: L.LoocvResult) -> dict:
+    from . import loocv as L
+
     counts = {d.value: res.decisions.count(d) for d in L.FoldDecision}
     return {
         "n": res.n,
@@ -390,6 +416,8 @@ def _loocv_result_payload(res: L.LoocvResult) -> dict:
 
 
 def _cmd_loocv(args) -> dict:
+    from . import loocv as L
+
     if (args.lam is None) == (args.lambda_grid is None):
         raise ValueError("give exactly one of --lambda / --lambda-grid")
     for flag, given in (("--gamma-grid", args.gamma_grid), ("--prune", args.prune)):
@@ -475,6 +503,8 @@ def _cmd_loocv(args) -> dict:
 
 def _bench_rows(args, ds, pool, kind):
     """Yield one CSV row dict per (fraction, repeat) cell of the sweep."""
+    from . import bounds as B
+
     n = ds.n
     base_model = None
     if args.sweep == "update-fraction":
@@ -597,62 +627,42 @@ def _cmd_bench(args) -> dict:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="delta-scope",
-        description="Certified sensitivity of L2-regularized linear classifiers "
-        "to small training-set updates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a seeded synthetic dataset")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--separation", type=float, default=2.0)
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--out", required=True, metavar="FILE")
-    _add_report_arg(p)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("train", help="fit a model and save the artifact")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     _add_data_args(p)
     p.add_argument("--loss", required=True, help="logistic or l2-hinge")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TRAIN_TOL)
     p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.add_argument("--model-out", required=True, metavar="FILE")
-    _add_report_arg(p)
-    p.set_defaults(func=_cmd_train)
 
-    for name, handler, needs_test in (
-        ("coef-sensitivity", _cmd_coef_sensitivity, False),
-        ("label-sensitivity", _cmd_label_sensitivity, True),
-    ):
-        p = sub.add_parser(
-            name,
-            help=(
-                "certified coefficient intervals under an update"
-                if not needs_test
-                else "certified label decisions for test instances under an update"
-            ),
-        )
-        p.add_argument("--model", required=True, metavar="FILE")
-        p.add_argument("--data", default=None, metavar="FILE",
-                       help="training data (required with --remove)")
-        p.add_argument("--add", default=None, metavar="FILE",
-                       help="libsvm file of instances to add")
-        p.add_argument("--remove", default=None, metavar="FILE",
-                       help="file of 0-based training-row indices to remove")
-        if needs_test:
-            p.add_argument("--test", required=True, metavar="FILE")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="CSV output path (with --format csv)")
-        _add_report_arg(p)
-        p.set_defaults(func=handler)
 
-    p = sub.add_parser("loocv", help="accelerated leave-one-out evaluation")
+def _update_args(p: argparse.ArgumentParser, *, needs_test: bool) -> None:
+    p.add_argument("--model", required=True, metavar="FILE")
+    p.add_argument("--data", default=None, metavar="FILE",
+                   help="training data (required with --remove)")
+    p.add_argument("--add", default=None, metavar="FILE",
+                   help="libsvm file of instances to add")
+    p.add_argument("--remove", default=None, metavar="FILE",
+                   help="file of 0-based training-row indices to remove")
+    if needs_test:
+        p.add_argument("--test", required=True, metavar="FILE")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="CSV output path (with --format csv)")
+
+
+def _loocv_args(p: argparse.ArgumentParser) -> None:
+    from . import loocv as L
+
     _add_data_args(p)
     p.add_argument("--loss", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -668,10 +678,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="abandon grid cells that cannot beat the incumbent")
     p.add_argument("--fold-tol", type=float, default=L.DEFAULT_FOLD_TOL)
     p.add_argument("--full-tol", type=float, default=DEFAULT_TRAIN_TOL)
-    _add_report_arg(p)
-    p.set_defaults(func=_cmd_loocv)
 
-    p = sub.add_parser("bench", help="tightness/timing sweep, written as CSV")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default=None, metavar="FILE")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -690,9 +699,46 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="libsvm pool that additions are drawn from")
     p.add_argument("--tol", type=float, default=DEFAULT_TRAIN_TOL)
     p.add_argument("--out", required=True, metavar="FILE")
-    _add_report_arg(p)
-    p.set_defaults(func=_cmd_bench)
 
+
+# name -> (help line, handler, adds the command's arguments but --report)
+_COMMANDS = {
+    "gen": ("write a seeded synthetic dataset", _cmd_gen, _gen_args),
+    "train": ("fit a model and save the artifact", _cmd_train, _train_args),
+    "coef-sensitivity": (
+        "certified coefficient intervals under an update",
+        _cmd_coef_sensitivity,
+        partial(_update_args, needs_test=False),
+    ),
+    "label-sensitivity": (
+        "certified label decisions for test instances under an update",
+        _cmd_label_sensitivity,
+        partial(_update_args, needs_test=True),
+    ),
+    "loocv": ("accelerated leave-one-out evaluation", _cmd_loocv, _loocv_args),
+    "bench": ("tightness/timing sweep, written as CSV", _cmd_bench, _bench_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand is registered with its help line,
+    but only ``command``'s arguments are added, or every command's when
+    ``command`` names none: a process parses one command, and the
+    arguments of ``loocv`` import its module."""
+    parser = argparse.ArgumentParser(
+        prog="delta-scope",
+        description="Certified sensitivity of L2-regularized linear classifiers "
+        "to small training-set updates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    build_all = command not in _COMMANDS
+    for name, (help_line, handler, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if build_all or name == command:
+            add_args(p)
+            p.add_argument("--report", metavar="PATH", default=None,
+                           help="write the JSON report here instead of stdout")
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -724,8 +770,9 @@ def _check_output_paths(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_output_paths(args)
         with _warnings.catch_warnings(record=True) as caught:

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from importlib import resources
 from typing import Callable
 
 from .data import _write_output
@@ -76,6 +75,8 @@ def build_report(
 
 
 def report_schema() -> dict:
+    from importlib import resources  # here, so that no command loads it
+
     text = resources.files("delta_scope").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
 

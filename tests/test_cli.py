@@ -1199,6 +1199,102 @@ def test_update_commands_run_without_scipy(paths):
     assert dsc.load_model(bias_model).add_bias
 
 
+# Run in a fresh interpreter started with -S, so that no .pth file in
+# site-packages preloads a module: prints the modules loaded after
+# `import delta_scope`, and after `main(argv[1])` when argv[1] is given.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import delta_scope
+if len(sys.argv) > 1:
+    from delta_scope.cli import main
+    assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_loaded_by(*argv):
+    # -S also drops site-packages from the path; NumPy's directory goes back
+    # on through PYTHONPATH, with nothing of site's
+    src = str(Path(dsc.__file__).resolve().parents[1])
+    numpy_dir = str(Path(np.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, numpy_dir]))
+    proc = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    loaded = _modules_loaded_by()
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("delta_scope")} == {"delta_scope"}
+
+
+def footprint_args(paths, command):
+    tmp_path, data, model_path = paths
+    report = ["--report", str(tmp_path / f"{command}-report.json")]
+    if command == "gen":
+        return ["gen", "--seed", "1", "--n", "5", "--d", "3",
+                "--out", str(tmp_path / "g.svm"), *report]
+    if command == "train":
+        return ["train", "--data", data, "--loss", "l2-hinge", "--lambda", "0.1",
+                "--model-out", str(tmp_path / "m.json"), *report]
+    if command == "loocv":
+        return ["loocv", "--data", data, "--loss", "logistic", "--lambda", "0.1", *report]
+    test = ["--test", data] if command == "label-sensitivity" else []
+    return [command, *removal_args(paths, [4, 50]), *test, *report]
+
+
+# command -> (modules it needs, modules it must not load)
+_FOOTPRINTS = {
+    "gen": (set(), {"loocv", "bounds", "model_io"}),
+    "train": ({"model_io"}, {"loocv", "bounds"}),
+    "coef-sensitivity": ({"bounds", "model_io"}, {"loocv"}),
+    "label-sensitivity": ({"bounds", "model_io"}, {"loocv"}),
+    "loocv": ({"loocv", "bounds"}, {"model_io"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_FOOTPRINTS))
+def test_a_command_loads_only_the_modules_it_runs(paths, command):
+    # every module a process loads is compiled and run on every call; the
+    # five commands here run on NumPy alone (bench and sparse loocv load
+    # SciPy, which loads importlib.resources itself)
+    needed, unneeded = _FOOTPRINTS[command]
+    loaded = _modules_loaded_by(json.dumps(footprint_args(paths, command)))
+    ours = {m.removeprefix("delta_scope.") for m in loaded if m.startswith("delta_scope.")}
+    assert needed <= ours
+    assert not unneeded & ours
+    assert "importlib.resources" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in (
+            "gen", "train", "coef-sensitivity", "label-sensitivity", "loocv", "bench"
+        )),
+        [],
+        ["--report", "r.json", "train"],
+        ["retrain", "--data", "x"],
+        ["train", "--data", "x"],
+        ["loocv", "--data", "x", "--loss", "logistic", "--mode", "op1"],
+        ["coef-sensitivity", "--model", "m.json", "--test", "t.svm"],
+    ],
+)
+def test_parser_of_one_command_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # main() adds only the arguments of the command argv[0] names
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    seen = (info.value.code, capsys.readouterr())
+    with pytest.raises(SystemExit) as info:
+        cli._build_parser().parse_args(argv)
+    assert seen == (info.value.code, capsys.readouterr())
+    assert seen[1].out or seen[1].err
+
+
 def test_train_reads_data_once_and_records_the_digest_of_what_it_parsed(
     tmp_path, monkeypatch
 ):
