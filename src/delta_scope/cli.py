@@ -232,7 +232,7 @@ def _parse_fractions(spec: str) -> list[float]:
 
 def _parse_power(tok: str) -> int:
     tok = tok.strip()
-    if not tok.startswith("2^"):
+    if not (tok.startswith("2^") and _INDEX_RE.fullmatch(tok[2:])):
         raise ValueError(tok)
     return int(tok[2:])
 

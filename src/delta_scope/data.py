@@ -176,13 +176,6 @@ class SparseDataset:
         _freeze(rows)
         return rows
 
-    @cached_property
-    def _data_sq(self) -> np.ndarray:
-        """``data`` squared entrywise, built on first use and kept."""
-        data_sq = self.data * self.data
-        _freeze(data_sq)
-        return data_sq
-
     # The products of the rows, each on the dataset's ``kernel`` alone:
     # NumPy's ``np.bincount`` over the CSR arrays, which never imports
     # SciPy; BLAS on ``dense``; or SciPy's CSR kernels on ``X``.
@@ -193,7 +186,9 @@ class SparseDataset:
     # products (``matmat``, ``rmatmat``, ``weighted_gram``) have two kernels:
     # SciPy's on the SciPy kernel and BLAS's on ``dense`` otherwise. They
     # sum in their own order too, so they agree with the matrix-vector
-    # products within rounding, not bit for bit.
+    # products within rounding, not bit for bit. Each kernel keeps only the
+    # structure its products read: ``_rows`` on NumPy's, ``dense`` on
+    # BLAS's, and ``X``, ``_XT`` and ``_XT_sq`` on SciPy's.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X @ v``."""
@@ -212,12 +207,15 @@ class SparseDataset:
         return np.bincount(self.indices, weights=self.data * w[self._rows], minlength=self.d)
 
     def sq_rmatvec(self, c: np.ndarray) -> np.ndarray:
-        """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``."""
+        """``(X * X).T @ c``, the diagonal of ``X^T diag(c) X``. NumPy's and
+        BLAS's kernels square the entries per call, in one elementwise pass;
+        SciPy's keeps ``_XT_sq``, whose rebuild is a matrix construction."""
         if self.kernel == "scipy":
             return self._XT_sq @ c
         if self.kernel == "blas":
-            return self._dense_sq.T @ c
-        return np.bincount(self.indices, weights=self._data_sq * c[self._rows], minlength=self.d)
+            return (self.dense * self.dense).T @ c
+        weights = self.data * self.data * c[self._rows]
+        return np.bincount(self.indices, weights=weights, minlength=self.d)
 
     def matmat(self, B: np.ndarray) -> np.ndarray:
         """``X @ B``: SciPy's product on the SciPy kernel, BLAS's on ``dense``
@@ -244,20 +242,11 @@ class SparseDataset:
         A dataset that stores every entry is its own dense array: ``data``
         holds it in row-major order, and this is a view of it.
         """
-        return self._to_dense(self.data)
-
-    @cached_property
-    def _dense_sq(self) -> np.ndarray:
-        """``dense`` squared entrywise, built on first use and kept."""
-        return self._to_dense(self._data_sq)
-
-    def _to_dense(self, values: np.ndarray) -> np.ndarray:
-        """The dense matrix whose stored entries are ``values``, read-only."""
-        if values.size == self.n * self.d:
-            dense = values.reshape(self.shape)
+        if self.data.size == self.n * self.d:
+            dense = self.data.reshape(self.shape)
         else:
             dense = np.zeros(self.shape)
-            dense[_row_numbers(self.indptr), self.indices] = values
+            dense[_row_numbers(self.indptr), self.indices] = self.data
         _freeze(dense)
         return dense
 

@@ -157,14 +157,13 @@ def _screen_stats(full: TrainedModel, ds: SparseDataset):
     Each is the projection onto y_h * x_h of fold h's gradient ball at the
     full optimum, with the fold gradient implied by the full model's
     stationarity (see the module docstring). Also returns the row norms and
-    the loss terms (z, exp(-|z|), loss') at the margins z_h = y_h x_h . beta.
+    the margins z_h = y_h x_h . beta, which order the folds and give their Newton starts.
     """
     n1 = ds.n - 1.0
     lam = full.lam
     scores = ds.matvec(full.beta)
     z = ds.y * scores
-    e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
-    dl = _dloss_terms(full.kind, ds.y, z, e)
+    dl = _dloss_terms(full.kind, ds.y, z)
     row_sq = ds.row_sq_norms()
     eta_grad = -ds.y * (lam * scores + dl * row_sq) / n1
     beta_sq = float(full.beta @ full.beta)
@@ -172,11 +171,11 @@ def _screen_stats(full: TrainedModel, ds: SparseDataset):
     grad_norm = np.sqrt(np.maximum(grad_sq, 0.0)) / n1
     eta_norm = np.sqrt(row_sq)
     lower, upper = gradient_ball_bounds(z, eta_grad, eta_norm, grad_norm, lam)
-    return lower, upper, eta_norm, (z, e, dl)
+    return lower, upper, eta_norm, z
 
 
 def _newton_starts(
-    full: TrainedModel, ds: SparseDataset, terms
+    full: TrainedModel, ds: SparseDataset, z: np.ndarray
 ) -> Callable[[list[int]], np.ndarray]:
     """Start points of fold solves, as ``starts(folds)``: row k is fold
     ``folds[k]``'s Newton point from the full optimum.
@@ -185,7 +184,7 @@ def _newton_starts(
     ``full.beta`` is A - c_h x_h x_h^T, where A = X^T diag(c) X + lam I, and
     its gradient is g - a_h x_h, where g = X^T dl / (n-1) + lam beta is
     shared by every fold and a_h = dl_h / (n-1). A^-1 and p = A^-1 g are
-    formed once from the loss ``terms`` of :func:`_screen_stats`;
+    formed once from the margins ``z`` of :func:`_screen_stats`;
     Sherman-Morrison with u = A^-1 x_h gives the Newton point
     beta - p + (a_h - c_h s / (1 - c_h x_h.u)) u, with s = x_h.p - a_h x_h.u,
     for all ``folds`` at once from their dense rows. Falls back to
@@ -195,9 +194,8 @@ def _newton_starts(
     n, d = ds.n, ds.d
     if d * d > ds.data.size:
         return lambda folds: np.tile(full.beta, (len(folds), 1))
-    z, e, dl = terms
-    dl = dl / (n - 1)
-    c = _d2loss_terms(full.kind, z, e) / (n - 1)
+    dl = _dloss_terms(full.kind, ds.y, z) / (n - 1)
+    c = _d2loss_terms(full.kind, z) / (n - 1)
     hessian = ds.weighted_gram(c)
     hessian[np.diag_indices(d)] += full.lam
     a_inv = np.linalg.inv(hessian)
@@ -270,8 +268,7 @@ def _decide_at_starts(
     """
     B = starts.T
     z = ds.y[:, None] * ds.matmat(B)
-    e = np.exp(-np.abs(z)) if full.kind is LossKind.LOGISTIC else None
-    dl = _dloss_terms(full.kind, ds.y[:, None], z, e)
+    dl = _dloss_terms(full.kind, ds.y[:, None], z)
     dl[folds, np.arange(len(folds))] = 0.0
     grads = np.ascontiguousarray((ds.rmatmat(dl) / (ds.n - 1) + full.lam * B).T)
     return rule(folds, starts, grads)
@@ -354,7 +351,7 @@ def run_loocv(
 
     n = ds.n
     t0 = time.perf_counter()
-    lower, upper, eta_norm, terms = _screen_stats(full, ds)
+    lower, upper, eta_norm, z = _screen_stats(full, ds)
     bound_time = time.perf_counter() - t0
     rule = _fold_rule(full, ds, tol=fold_tol, early_stop=mode is LoocvMode.OP2, eta_norm=eta_norm)
     signs = np.zeros(n, dtype=int) if mode is LoocvMode.EXACT else certified_sign(lower, upper)
@@ -363,7 +360,7 @@ def run_loocv(
     decisions[signs < 0] = FoldDecision.WRONG_BY_BOUND
     fold_iterations = np.zeros(n, dtype=int)
     known_wrong = int(np.count_nonzero(signs < 0))
-    order = np.argsort(terms[0], kind="stable")
+    order = np.argsort(z, kind="stable")
     unresolved = order[signs[order] == 0].tolist()  # lowest margin z_h first, ties by index
 
     unresolved_left = 0
@@ -375,7 +372,7 @@ def run_loocv(
             unresolved_left = len(unresolved) - pos
             break
         if newton is None:
-            newton = _newton_starts(full, ds, terms)
+            newton = _newton_starts(full, ds, z)
         if pos % width == 0:
             block = unresolved[pos : pos + width]
             starts = newton(block)

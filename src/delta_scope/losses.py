@@ -58,9 +58,10 @@ def _loss_terms(kind: LossKind, z: np.ndarray):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _dloss_terms(kind: LossKind, y: np.ndarray, z: np.ndarray, e) -> np.ndarray:
-    """Per-instance score derivative at margins ``z`` (``e`` from _loss_terms)."""
+def _dloss_terms(kind: LossKind, y: np.ndarray, z: np.ndarray, e=None) -> np.ndarray:
+    """Per-instance score derivative at margins ``z``, with ``e`` as for _d2loss_terms."""
     if kind is LossKind.LOGISTIC:
+        e = np.exp(-np.abs(z)) if e is None else e
         sig = np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))  # sigmoid(-z)
         return -y * sig
     if kind is LossKind.L2_HINGE:
@@ -68,12 +69,13 @@ def _dloss_terms(kind: LossKind, y: np.ndarray, z: np.ndarray, e) -> np.ndarray:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _d2loss_terms(kind: LossKind, z: np.ndarray, e) -> np.ndarray:
+def _d2loss_terms(kind: LossKind, z: np.ndarray, e=None) -> np.ndarray:
     """Per-instance second score derivative (curvature) at margins ``z``.
 
-    ``e`` is exp(-|z|) from _loss_terms; y * y = 1, so labels drop out.
+    ``e`` is exp(-|z|) from _loss_terms, or formed here; y * y = 1, so labels drop out.
     """
     if kind is LossKind.LOGISTIC:
+        e = np.exp(-np.abs(z)) if e is None else e
         return e / ((1.0 + e) * (1.0 + e))  # sigmoid(z) * sigmoid(-z)
     if kind is LossKind.L2_HINGE:
         return np.where(z < 1.0, 2.0, 0.0)
@@ -82,9 +84,7 @@ def _d2loss_terms(kind: LossKind, z: np.ndarray, e) -> np.ndarray:
 
 def dloss_values(kind: LossKind, y: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Per-instance derivative of the loss with respect to the score."""
-    z = y * scores
-    e = np.exp(-np.abs(z)) if kind is LossKind.LOGISTIC else None
-    return _dloss_terms(kind, y, z, e)
+    return _dloss_terms(kind, y, y * scores)
 
 
 def _check_lam(lam: float) -> None:

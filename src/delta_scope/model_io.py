@@ -51,6 +51,16 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> str:
     return _write_output(path, (text + "\n").encode("utf-8"))
 
 
+def _json_float(path, name: str, value) -> float:
+    """``value`` as a float if JSON read it as a number, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{path}: {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond every float
+        return math.inf
+
+
 def load_model(path: str | os.PathLike, *, hasher=None) -> TrainedModel:
     """The model artifact at ``path``, read by :func:`_read_input` with
     ``hasher``."""
@@ -66,9 +76,9 @@ def load_model(path: str | os.PathLike, *, hasher=None) -> TrainedModel:
     try:
         d = obj["d"]
         n_train = obj["n_train"]
-        lam = float(obj["lambda"])
+        lam = obj["lambda"]
         kind = LossKind.from_name(obj["loss"])
-        residual = float(obj["grad_residual"])
+        residual = obj["grad_residual"]
         add_bias = obj.get("add_bias", False)
         digest = obj.get("training_data_sha256")
         encoding = obj["beta_encoding"]
@@ -78,6 +88,7 @@ def load_model(path: str | os.PathLike, *, hasher=None) -> TrainedModel:
     for name, value in (("d", d), ("n_train", n_train)):
         if type(value) is not int or value < 1:
             raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
+    lam, residual = _json_float(path, "lambda", lam), _json_float(path, "grad_residual", residual)
     if encoding != "base64-le-f8":
         raise ValueError(f"{path}: unknown beta encoding {encoding!r}")
     beta = np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -552,6 +552,12 @@ def test_removed_rows_equal_the_rows_of_a_full_parse(tmp_path_factory, data, add
         ("d", 0),
         ("lambda", math.inf),
         ("lambda", math.nan),
+        # numbers only: no bool or string reads as one
+        ("lambda", True),
+        ("lambda", "0.1"),
+        ("grad_residual", False),
+        ("grad_residual", "0"),
+        pytest.param("lambda", 2**1024, id="lambda-2**1024"),  # beyond every float
         ("beta", math.nan),
         ("beta", -math.inf),
         ("training_data_sha256", "not-hex"),
@@ -1118,6 +1124,11 @@ def test_non_finite_or_non_positive_settings_are_rejected(paths, capsys, argv, f
          "grid range '2^1024..2^1024' overflows"),
         (["--lambda-grid", "2^-2..3"], "bad grid range '2^-2..3' (expected like 2^-20..2^0)"),
         (["--lambda-grid", "2^a..2^0"], "bad grid range '2^a..2^0' (expected like 2^-20..2^0)"),
+        # the exponent is ASCII digits alone, as a removal index is
+        (["--lambda-grid", "2^-1_0..2^0"],
+         "bad grid range '2^-1_0..2^0' (expected like 2^-20..2^0)"),
+        (["--lambda-grid", "2^\u0663..2^\u0664"],
+         "bad grid range '2^\u0663..2^\u0664' (expected like 2^-20..2^0)"),
         (["--lambda-grid", "2^0..2^-2"], "grid range '2^0..2^-2' is reversed"),
         (["--lambda-grid", " , ,"], "empty grid spec ', ,'"),
     ],

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -507,6 +508,22 @@ def test_a_kernel_view_shares_the_arrays_and_builds_its_own_matrix():
         assert view.with_kernel("numpy").kernel == "numpy"
     with pytest.raises(ValueError, match="unknown kernel"):
         ds.with_kernel("dense")
+
+
+@pytest.mark.parametrize("density", [1.0, 0.4])
+@pytest.mark.parametrize(
+    "kernel, kept",
+    [("numpy", {"_rows"}), ("blas", {"dense"}), ("scipy", {"X", "_XT", "_XT_sq"})],
+)
+def test_a_kernel_keeps_only_the_structure_its_products_read(kernel, kept, density):
+    # squared entries are formed per product on NumPy's and BLAS's kernels
+    ds = make_synthetic(6, 40, 5, density=density).with_kernel(kernel)
+    rng = np.random.default_rng(6)
+    ds.matvec(rng.standard_normal(ds.d))
+    ds.rmatvec(rng.standard_normal(ds.n))
+    ds.sq_rmatvec(rng.standard_normal(ds.n))
+    ds.row_sq_norms()
+    assert set(vars(ds)) - {field.name for field in dataclasses.fields(ds)} == kept
 
 
 def _same_csr(ds, X):

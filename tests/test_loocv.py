@@ -270,7 +270,7 @@ def test_newton_start_saves_iterations_and_keeps_verdicts(mode, kind, monkeypatc
     monkeypatch.setattr(
         loocv_module,
         "_newton_starts",
-        lambda full, ds, terms: lambda folds: np.tile(full.beta, (len(folds), 1)),
+        lambda full, ds, z: lambda folds: np.tile(full.beta, (len(folds), 1)),
     )
     shared = dsc.run_loocv(ds, 0.05, kind, mode=mode, full=full)
     assert newton.solves_performed == shared.solves_performed > 0
@@ -321,13 +321,13 @@ def test_a_fold_whose_downdate_is_not_positive_starts_at_the_full_optimum():
     lam, kind = 1e-10, dsc.LossKind.L2_HINGE
     view = ds.with_kernel("blas")  # the kernel run_loocv takes on data that stores every entry
     full, _ = dsc.train(view, lam, kind)
-    z, e, _ = terms = loocv_module._screen_stats(full, view)[3]
-    c = loocv_module._d2loss_terms(kind, z, e) / (ds.n - 1)
+    z = loocv_module._screen_stats(full, view)[3]
+    c = loocv_module._d2loss_terms(kind, z) / (ds.n - 1)
     a = view.weighted_gram(c)[0, 0] + lam
     assert 1.0 - c[0] * (1e8 / a * 1e8) == 0.0
     # so its start is the full optimum itself, not the non-finite point a
     # zero denominator gives, whether it comes alone or in a block
-    newton = loocv_module._newton_starts(full, view, terms)
+    newton = loocv_module._newton_starts(full, view, z)
     np.testing.assert_array_equal(newton([0]), full.beta[None])
     np.testing.assert_array_equal(newton([1, 0, 2])[1], full.beta)
     # fold 0 meets fold_tol at that start, but its optimum is near -200 and
@@ -372,8 +372,8 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
     undecided goes through ``_solve_fold`` from its Newton start, lowest
     margin first, with the prune test before each one.
     """
-    lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
-    newton = loocv_module._newton_starts(full, ds, terms)
+    lower, upper, eta_norm, z = loocv_module._screen_stats(full, ds)
+    newton = loocv_module._newton_starts(full, ds, z)
     rule = loocv_module._fold_rule(
         full, ds, tol=loocv_module.DEFAULT_FOLD_TOL, early_stop=mode is LoocvMode.OP2,
         eta_norm=eta_norm,
@@ -382,7 +382,7 @@ def reference_loocv(ds, lam, kind, mode, full, *, prune_above=None):
     correct = np.zeros(ds.n, dtype=bool)
     iterations = np.zeros(ds.n, dtype=int)
     undecided = []
-    for h in np.argsort(terms[0], kind="stable").tolist():
+    for h in np.argsort(z, kind="stable").tolist():
         sign = 0 if mode is LoocvMode.EXACT else int(dsc.certified_sign(lower[h], upper[h]))
         if sign:
             decisions[h] = FoldDecision.CORRECT_BY_BOUND if sign > 0 else FoldDecision.WRONG_BY_BOUND
@@ -658,9 +658,9 @@ def test_a_tolerance_below_the_rounding_floor_leaves_the_run_complete(monkeypatc
     ds = dsc.make_synthetic(412, 80, 6, separation=0.8).with_kernel("blas")
     lam, kind, tol = 0.05, dsc.LossKind.L2_HINGE, 5.75e-17
     full, _ = dsc.train(ds, lam, kind)
-    lower, upper, eta_norm, terms = loocv_module._screen_stats(full, ds)
+    lower, upper, eta_norm, z = loocv_module._screen_stats(full, ds)
     rule = loocv_module._fold_rule(full, ds, tol=tol, early_stop=False, eta_norm=eta_norm)
-    start = loocv_module._newton_starts(full, ds, terms)([1])[0]
+    start = loocv_module._newton_starts(full, ds, z)([1])[0]
     stage, lower, upper, iters = loocv_module._solve_fold(
         ds, 1, full, init=start, rule=rule, tol=tol
     )

@@ -9,6 +9,8 @@ from delta_scope.data import make_synthetic, parse_libsvm
 from delta_scope.losses import (
     LossKind,
     _d2loss_terms,
+    _dloss_terms,
+    _loss_terms,
     dloss_values,
     Problem,
 )
@@ -116,6 +118,19 @@ def test_curvature_matches_central_differences(kind):
     fd = (dloss_values(kind, y, s + step) - dloss_values(kind, y, s - step)) / (2 * step)
     np.testing.assert_allclose(_d2loss_terms(kind, z, e), fd, rtol=1e-5, atol=1e-7)
     assert s.size > 300
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_derivatives_form_exp_of_the_margins_as_the_loss_does(kind):
+    # without e the derivatives form exp(-|z|) themselves, to the same bits
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, 0.3])
+    y = np.where(np.arange(z.size) % 2, -1.0, 1.0)
+    e = _loss_terms(kind, z)[1]
+    for without, given_e in (
+        (_dloss_terms(kind, y, z), _dloss_terms(kind, y, z, e)),
+        (_d2loss_terms(kind, z), _d2loss_terms(kind, z, e)),
+    ):
+        assert without.tobytes() == given_e.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
